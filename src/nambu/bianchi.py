@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
-from .multivector import MultiVector, OneForm
+from .multivector import MultiVector
 from .nlie import NLieStructure
 from .npoisson import dual_nvector
 from .poly import Poly
@@ -120,10 +120,6 @@ def algebra_from_form(a: linalg.Matrix, arity: int) -> NLieStructure:
         if any(x != 0 for x in value):
             consts[comp] = value
     return NLieStructure(dim, arity, consts)
-
-
-def generating_one_form(p: NLieStructure) -> OneForm:
-    return OneForm.from_matrix(generating_form(p))
 
 
 def is_unimodular(p: NLieStructure) -> bool:

@@ -238,10 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "tensors and n-Jacobi operators.")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subroutines")
-    parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="numeric comparison tolerance")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check-nlie", help="verify the n-ary Jacobi identity")

@@ -56,10 +56,6 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

@@ -370,8 +370,8 @@ def is_decomposable(v: MultiVector) -> bool:
     """
     if v.degree < 2:
         raise ValueError("decomposability test requires degree ≥ 2")
-    if v.is_zero() or 2 * v.degree - 1 > v.num_vars:
-        # wedge degree exceeds the chart dimension: conditions hold vacuously
+    if v.is_zero() or v.degree >= v.num_vars - 1:
+        # dual to a function or a 1-form: decomposable at every point
         return True
     for covs in itertools.combinations(range(v.num_vars), v.degree - 1):
         if not v.derived(covs).wedge(v).is_zero():

@@ -1,11 +1,9 @@
 """n-Poisson (Nambu) structures as polynomial n-vector fields.
 
-The fundamental identity is verified through its Lie-derivative form: a
-degree-n tensor Λ is n-Poisson iff every Hamiltonian field X_{f₁,…,f_{n−1}}
-preserves Λ.  Since each argument slot of the resulting defect operator has
-differential order ≤ 2 and the defect is linear over constants in each slot,
-checking all tuples of monomials of degree 1 and 2 is a complete decision
-procedure.
+The fundamental identity is decided by the structure theorem: for n ≥ 3 an
+n-Poisson tensor is decomposable, and a decomposable tensor (any tensor when
+n = 2) is n-Poisson iff the Hamiltonian fields of the coordinate tuples
+preserve it.  The argument is in the docstring of ``is_n_poisson``.
 """
 
 from __future__ import annotations
@@ -21,19 +19,14 @@ from .poly import Poly
 
 
 def slot_monomials(num_vars: int, max_degree: int = 2) -> list[Poly]:
-    """All monic monomials of degree 1..max_degree — the oracle slot basis.
+    """All monic monomials of degree 1..max_degree — the slot basis of the
+    monomial searches.
 
     Constants are excluded: derivations annihilate them, so they never
     contribute to a defect.
     """
-    out = []
-    for d in range(1, max_degree + 1):
-        for exps in itertools.combinations_with_replacement(range(num_vars), d):
-            e = [0] * num_vars
-            for i in exps:
-                e[i] += 1
-            out.append(Poly.monomial(num_vars, e))
-    return out
+    return [Poly.monomial(num_vars, e)
+            for e in poly_basis_exponents(num_vars, max_degree)[1:]]
 
 
 def fi_defect(tensor: MultiVector, fs: Sequence[Poly]) -> MultiVector:
@@ -42,34 +35,50 @@ def fi_defect(tensor: MultiVector, fs: Sequence[Poly]) -> MultiVector:
     return field.lie_derivative_of(tensor)
 
 
-def is_n_poisson(tensor: MultiVector, fast: bool = True) -> tuple[bool, tuple | None]:
+def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
     """Decide whether the tensor satisfies the fundamental identity.
 
-    Returns (verdict, witness); the witness is a tuple of monomials whose
-    Hamiltonian field fails to preserve the tensor.  With ``fast`` enabled,
-    degree-n tensors of degree equal to the chart dimension are accepted
-    immediately (any top-degree multivector is Frobenius, hence Poisson) and
-    non-decomposable tensors with n > 2 go straight to the witness search.
+    Returns (verdict, witness); the witness is a tuple of n − 1 polynomials
+    whose Hamiltonian field does not preserve the tensor.
+
+    Zero and top-degree tensors are Poisson.  Otherwise expand a Hamiltonian
+    field over the coordinate ones, X_f = Σ_J g_J Λ_J with |J| = n − 1 and
+    g_J = det(∂f_a/∂x_{J_b}).  The Leibniz rule L_{gY}Λ = g·L_YΛ − Y∧(dg⌋Λ)
+    leaves, beside Σ_J g_J L_{Λ_J}Λ, the residual −Σ_J Λ_J∧(dg_J⌋Λ).  For
+    n = 2 it is Σ_{jk} ∂_j∂_k f · X_j∧X_k, zero by symmetry.  For decomposable
+    Λ each Λ_J lies in its distribution, where Y∧(α⌋Λ) = ±α(Y)·Λ, so the
+    residual is ±(Σ_J Λ_J(g_J))·Λ: an antisymmetrised sum of second
+    derivatives, hence zero.  Conversely, for n ≥ 3 the identity forces
+    decomposability where Λ ≠ 0, hence everywhere, decomposability being a
+    closed polynomial condition.  So Λ is n-Poisson iff it is decomposable
+    (or n = 2) and L_{Λ_J}Λ = 0 for the C(m, n − 1) coordinate tuples J.
+
+    The first coordinate tuple with a nonzero defect is the witness.  A
+    non-decomposable tensor may have none, so its witness comes from the
+    monomial search of ``_find_fi_witness``, run only after that verdict.
     """
     n = tensor.degree
     if n < 2:
         raise ValueError("requires degree ≥ 2")
-    if tensor.is_zero():
+    if tensor.is_zero() or n == tensor.num_vars:
         return True, None
-    if fast and n == tensor.num_vars:
-        return True, None
-    if fast and n > 2 and not is_decomposable(tensor):
-        witness = _find_fi_witness(tensor)
-        return False, witness
-    witness = _find_fi_witness(tensor)
-    return (witness is None), witness
+    if n > 2 and not is_decomposable(tensor):
+        return False, _find_fi_witness(tensor)
+    xs = Poly.variables(tensor.num_vars)
+    for idx in itertools.combinations(range(tensor.num_vars), n - 1):
+        fs = tuple(xs[i] for i in idx)
+        if not fi_defect(tensor, fs).is_zero():
+            return False, fs
+    return True, None
 
 
 def _find_fi_witness(tensor: MultiVector) -> tuple | None:
     """First tuple of slot monomials with a nonvanishing defect, if any.
 
     Unordered tuples of distinct monomials suffice: the defect is totally
-    skew in its slots and multilinear over the rationals.
+    skew in its slots and multilinear over the rationals.  Each slot of the
+    defect is a differential operator of order ≤ 2, so monomials of degree
+    1 and 2 detect every failure.
     """
     monos = slot_monomials(tensor.num_vars)
     for fs in itertools.combinations(monos, tensor.degree - 1):

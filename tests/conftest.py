@@ -4,6 +4,7 @@ Everything is driven by seeded ``random.Random`` instances so failures are
 reproducible; all generated coefficients are Fractions.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,22 @@ import pytest
 from nambu.linalg import det, identity, mat
 from nambu.multivector import MultiVector
 from nambu.nlie import NLieStructure
+from nambu.npoisson import fi_defect, slot_monomials
 from nambu.poly import Poly
+
+
+def fi_search_oracle(tensor):
+    """The fundamental identity by exhaustive search: the test reference.
+
+    Walks every unordered tuple of distinct monomials of degree 1 and 2 and
+    returns (False, first tuple with a nonzero defect), else (True, None).
+    It takes no shortcut for zero, top-degree or non-decomposable tensors.
+    """
+    for fs in itertools.combinations(slot_monomials(tensor.num_vars),
+                                     tensor.degree - 1):
+        if not fi_defect(tensor, list(fs)).is_zero():
+            return False, fs
+    return True, None
 
 
 @pytest.fixture
@@ -37,12 +53,28 @@ def rand_poly(rng, num_vars, max_degree=2, n_terms=3):
 
 def rand_multivector(rng, num_vars, degree, max_degree=1, density=0.5):
     """A random multivector with polynomial coefficients."""
-    import itertools
     comps = {}
     for idx in itertools.combinations(range(num_vars), degree):
         if rng.random() < density:
             comps[idx] = rand_poly(rng, num_vars, max_degree)
     return MultiVector(num_vars, degree, comps)
+
+
+def rand_field_wedge(rng, num_vars, degree, density=0.6):
+    """A nonzero wedge of vector fields whose components are single affine
+    terms: decomposable, with a distribution that may or may not be
+    integrable."""
+    def field():
+        return MultiVector.vector(
+            [rand_poly(rng, num_vars, max_degree=1, n_terms=1)
+             if rng.random() < density else Poly.zero(num_vars)
+             for _ in range(num_vars)])
+    while True:
+        v = field()
+        for _ in range(degree - 1):
+            v = v.wedge(field())
+        if not v.is_zero():
+            return v
 
 
 def rand_constant_vector_field(rng, num_vars):

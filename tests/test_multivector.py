@@ -228,6 +228,9 @@ class TestDerivedVectors:
         split = MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3))
         assert not is_decomposable(split)
         assert split.wedge(split) == MultiVector.basis(4, (0, 1, 2, 3), 2)
+        # a 4-vector on 6 coordinates, dual to the rank-4 form e₁₂ + e₅₆
+        assert not is_decomposable(MultiVector.basis(6, (0, 1, 2, 3))
+                                   + MultiVector.basis(6, (2, 3, 4, 5)))
 
     def test_top_degree_always_decomposable(self, rng):
         v = MultiVector.basis(4, (0, 1, 2, 3), rand_poly(rng, 4))

@@ -2,12 +2,15 @@
 function scaling, wedge-product compatibility, and polynomial Casimirs."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import (rand_4dim_3lie, rand_decomposable_tensor, rand_poly,
-                      rand_vectors)
+from conftest import (fi_search_oracle, rand_4dim_3lie,
+                      rand_decomposable_tensor, rand_field_wedge,
+                      rand_multivector, rand_poly, rand_vectors)
+from nambu import npoisson
 from nambu.bianchi import algebra_from_form
 from nambu.linalg import mat
 from nambu.multivector import MultiVector, is_decomposable
@@ -46,7 +49,7 @@ class TestIsNPoisson:
     def test_commuting_fields_tensor(self):
         for m, n in [(4, 3), (5, 4)]:
             v = MultiVector.basis(m, tuple(range(n)))
-            ok, witness = is_n_poisson(v, fast=False)
+            ok, witness = fi_search_oracle(v)
             assert ok and witness is None
 
     def test_blade_sum_fails_with_monomial_witness(self):
@@ -58,14 +61,33 @@ class TestIsNPoisson:
     def test_top_degree_always_passes(self, rng):
         v = MultiVector.basis(3, (0, 1, 2), rand_poly(rng, 3, max_degree=3))
         assert is_n_poisson(v)[0]
-        assert is_n_poisson(v, fast=False)[0]  # oracle agrees with fast path
+        assert fi_search_oracle(v)[0]  # oracle agrees with the decision
 
     def test_fast_and_slow_paths_agree(self, rng):
         samples = [rand_decomposable_tensor(rng, 4, coef_degree=2),
                    MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3)),
-                   atomic_tensor()]
+                   atomic_tensor(),
+                   MultiVector.basis(6, (0, 1, 2, 3))
+                   + MultiVector.basis(6, (2, 3, 4, 5))]
         for v in samples:
-            assert is_n_poisson(v)[0] == is_n_poisson(v, fast=False)[0]
+            assert is_n_poisson(v)[0] == fi_search_oracle(v)[0]
+
+    def test_decomposable_non_integrable_fails_on_coordinates(self):
+        # ∂₁∧∂₂∧∂₃ + x₁·∂₁∧∂₂∧∂₄ is decomposable, but its distribution is
+        # not integrable: the first coordinate tuple is the witness
+        xs = Poly.variables(4)
+        v = MultiVector.basis(4, (0, 1, 2)) + MultiVector.basis(4, (0, 1, 3), xs[0])
+        assert is_decomposable(v)
+        assert is_n_poisson(v) == (False, (xs[0], xs[1]))
+        assert not fi_search_oracle(v)[0]
+
+    def test_zero_and_top_degree_need_no_defect(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fi_defect called")
+        monkeypatch.setattr(npoisson, "fi_defect", refuse)
+        top = MultiVector.basis(3, (0, 1, 2), rand_poly(rng, 3, max_degree=3))
+        assert is_n_poisson(MultiVector.zero(4, 3)) == (True, None)
+        assert is_n_poisson(top) == (True, None)
 
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +97,7 @@ class TestIsNPoisson:
         # every verified tensor with n > 2 is decomposable
         for _ in range(5):
             v = rand_decomposable_tensor(rng, 4)
-            ok, _ = is_n_poisson(v, fast=False)
+            ok, _ = fi_search_oracle(v)
             assert ok
             assert v.is_zero() or is_decomposable(v)
         assert not is_decomposable(blades_sum())
@@ -88,6 +110,27 @@ class TestIsNPoisson:
             lhs = v.hamiltonian_field([f, phi]).wedge(v.contract(g)) \
                 + v.hamiltonian_field([g, phi]).wedge(v.contract(f))
             assert lhs.is_zero()
+
+
+class TestOracleAgreement:
+    """The decision against the exhaustive search on seeded random tensors:
+    sparse sums (mostly not Poisson), f·(constant blade) (Poisson) and
+    wedges of affine vector fields (decomposable, integrable or not)."""
+
+    @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (5, 4)])
+    def test_decision_matches_oracle(self, m, n):
+        rng = random.Random(f"fi-agreement-{m}-{n}")
+        samples = [rand_multivector(rng, m, n), rand_multivector(rng, m, n),
+                   rand_decomposable_tensor(rng, m, degree=n, coef_degree=1),
+                   rand_field_wedge(rng, m, n), rand_field_wedge(rng, m, n)]
+        verdicts = set()
+        for v in samples:
+            ok, witness = is_n_poisson(v)
+            assert ok == fi_search_oracle(v)[0]
+            if not ok:
+                assert not fi_defect(v, list(witness)).is_zero()
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestDualTensor:
@@ -118,7 +161,7 @@ class TestScale:
     def test_scaled_blade_still_poisson(self):
         v = scale(Poly.var(4, 3), MultiVector.basis(4, (0, 1, 2)))
         assert v == atomic_tensor()
-        assert is_n_poisson(v, fast=False)[0]
+        assert fi_search_oracle(v)[0]
 
     def test_scaled_pair_mutually_compatible(self, rng):
         # the mixed Lie-derivative defect of fΛ and gΛ vanishes
@@ -141,7 +184,7 @@ class TestWedgeCompat:
         delta = MultiVector.basis(6, (0, 1, 2))
         nabla = MultiVector.basis(6, (3, 4, 5))
         assert wedge_compat_check(delta, nabla) == (True, True, True)
-        assert is_n_poisson(delta.wedge(nabla), fast=False)[0]
+        assert fi_search_oracle(delta.wedge(nabla))[0]
 
     def test_failing_conditions_predict_failing_wedge(self):
         # k + l < m, both factors decomposable Poisson of full rank, yet the
@@ -167,7 +210,7 @@ class TestWedgeCompat:
         nabla = MultiVector.basis(m, (3, 4, 5), Poly.var(m, 0))
         verdicts = wedge_compat_check(delta, nabla)
         assert verdicts == (False, True, True)
-        assert is_n_poisson(delta.wedge(nabla), fast=False)[0]
+        assert fi_search_oracle(delta.wedge(nabla))[0]
 
     def test_equal_factors_wedge_to_zero(self):
         delta = MultiVector.basis(6, (0, 1, 2))
