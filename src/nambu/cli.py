@@ -76,11 +76,13 @@ def cmd_check_nlie(args) -> int:
 
 def cmd_check_poisson(args) -> int:
     v = _load_multivector(args.file)
+    if v.degree < 2:
+        raise InputError(f"{args.file}: the fundamental identity needs degree ≥ 2")
     ok, witness = npoisson.is_n_poisson(v)
     out = {
         "verdict": ok,
         "witness": _witness_str(witness),
-        "decomposable": is_decomposable(v) if v.degree >= 2 else None,
+        "decomposable": npoisson.decomposable_given(v, ok),
         "rank_at_origin": derived_rank(v, [0] * v.num_vars),
     }
     if ok and args.max_degree:
@@ -178,45 +180,56 @@ def cmd_hereditary(args) -> int:
     return 0
 
 
+def _rationals(text: str, flag: str, count: int) -> list[Fraction]:
+    try:
+        values = [Fraction(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{flag} needs comma-separated rationals: {exc}") from exc
+    if len(values) != count:
+        raise InputError(f"{flag}: expected {count} value(s), got {len(values)}")
+    return values
+
+
 def cmd_integrate(args) -> int:
     monitors: list[Poly]
     if args.builtin == "spin":
-        b = tuple(Fraction(x) for x in args.b_field.split(","))
-        if len(b) != 3:
-            raise InputError("--B needs three comma-separated rationals")
-        sys_ = dynamics.SpinSystem(b, Fraction(args.mu))
-        nambu_sys = sys_.nambu()
+        b = tuple(_rationals(args.b_field, "--B", 3))
+        (mu,) = _rationals(args.mu, "--mu", 1)
+        nambu_sys = dynamics.SpinSystem(b, mu).nambu()
         field = nambu_sys.dynamics_field()
         monitors = list(nambu_sys.hamiltonians)
+        dim = 3
     elif args.builtin == "kepler":
         sys_ = dynamics.KeplerSystem(args.mass, args.k_const)
         field = sys_.field()
         monitors = list(sys_.hamiltonians)
+        dim = 6
     elif args.system:
         data = _load_json(args.system)
         try:
             tensor = multivector_from_json(data["tensor"])
             hams = tuple(Poly.from_json(h, tensor.num_vars)
                          for h in data["hamiltonians"])
+            field = dynamics.NambuSystem(tensor, hams).dynamics_field()
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"invalid system file: {exc}") from exc
-        nambu_sys = dynamics.NambuSystem(tensor, hams)
-        field = nambu_sys.dynamics_field()
         monitors = list(hams)
+        dim = tensor.num_vars
     else:
         raise InputError("need --builtin spin|kepler or --system FILE")
     if args.x0 is None:
         raise InputError("--x0 is required")
-    x0 = [float(Fraction(x)) for x in args.x0.split(",")]
-    traj = dynamics.rk4_integrate(field, x0, args.step, args.steps, monitors)
-    n_state = len(x0)
-    header = ["t"] + [f"x{i + 1}" for i in range(n_state)] \
+    x0 = _rationals(args.x0, "--x0", dim)
+    try:
+        traj = dynamics.rk4_integrate(field, x0, args.step, args.steps, monitors)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"cannot integrate: {exc}") from exc
+    header = ["t"] + [f"x{i + 1}" for i in range(dim)] \
         + [f"drift{i + 1}" for i in range(len(monitors))]
-    print(",".join(header))
-    initial = [m.evaluate_float(x0) for m in monitors]
-    for t, state in zip(traj.times, traj.states):
-        drifts = [abs(m.evaluate_float(state) - v) for m, v in zip(monitors, initial)]
-        print(",".join(f"{x:.12g}" for x in [t, *state, *drifts]))
+    row = ",".join(["{:.12g}"] * len(header)).format
+    print("\n".join([",".join(header)]
+                    + [row(t, *state, *drifts) for t, state, drifts
+                       in zip(traj.times, traj.states, traj.drift_rows)]))
     if not traj.ok:
         print(f"error: {traj.error}", file=sys.stderr)
         return 2

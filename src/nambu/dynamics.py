@@ -161,9 +161,17 @@ def check_preserved_bracket(x: MultiVector, tensor: MultiVector) -> bool:
 
 @dataclass
 class Trajectory:
+    """States of an RK4 run with the drift of its monitors.
+
+    ``drift_rows[k]`` holds |H(states[k]) − H(x0)| for each monitor H, so
+    row 0 is all zeros and there is one row per state, also when the run
+    stops early; ``invariant_drift`` is the column-wise maximum of the rows.
+    """
+
     times: list[float]
     states: list[list[float]]
     invariant_drift: list[float]
+    drift_rows: list[list[float]]
     ok: bool = True
     error: str | None = None
 
@@ -176,35 +184,45 @@ def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
                   monitors: Sequence[Poly] = ()) -> Trajectory:
     """Classical fixed-step 4th-order Runge–Kutta with drift monitoring.
 
-    ``monitors`` are polynomials whose maximal deviation from their initial
-    values is recorded; drift is reported, never corrected.
+    ``monitors`` are polynomials evaluated once on every state; the drift
+    rows and their running maximum are kept in the ``Trajectory``.  Drift
+    is reported, never corrected.  ``h`` must be finite and positive.  A
+    step whose state is not finite, or overflows while being computed,
+    ends the run with ``ok=False``; the states before it are kept.
     """
-    if h <= 0 or steps < 1:
-        raise ValueError("need h > 0 and steps ≥ 1")
+    if not (math.isfinite(h) and h > 0) or steps < 1:
+        raise ValueError("need a finite h > 0 and steps ≥ 1")
     if isinstance(f, MultiVector):
         f = field_function(f)
     state = [float(x) for x in x0]
     initial = [mon.evaluate_float(state) for mon in monitors]
     drift = [0.0] * len(monitors)
     times = [0.0]
-    states = [state[:]]
+    states = [state]
+    rows = [[0.0] * len(monitors)]
+    half, sixth = 0.5 * h, h / 6.0
     t = 0.0
     for _ in range(steps):
-        k1 = f(state)
-        k2 = f([x + 0.5 * h * d for x, d in zip(state, k1)])
-        k3 = f([x + 0.5 * h * d for x, d in zip(state, k2)])
-        k4 = f([x + h * d for x, d in zip(state, k3)])
-        state = [x + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
         t += h
-        if not all(math.isfinite(x) for x in state):
-            return Trajectory(times, states, drift, ok=False,
+        try:
+            k1 = f(state)
+            k2 = f([x + half * d for x, d in zip(state, k1)])
+            k3 = f([x + half * d for x, d in zip(state, k2)])
+            k4 = f([x + h * d for x, d in zip(state, k3)])
+            state = [x + sixth * (a + 2 * b + 2 * c + d)
+                     for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            if not all(math.isfinite(x) for x in state):
+                raise OverflowError
+            row = [abs(mon.evaluate_float(state) - v)
+                   for mon, v in zip(monitors, initial)]
+        except OverflowError:
+            return Trajectory(times, states, drift, rows, ok=False,
                               error=f"non-finite state at t={t}")
         times.append(t)
-        states.append(state[:])
-        for i, mon in enumerate(monitors):
-            drift[i] = max(drift[i], abs(mon.evaluate_float(state) - initial[i]))
-    return Trajectory(times, states, drift)
+        states.append(state)
+        rows.append(row)
+        drift = [max(d, r) for d, r in zip(drift, row)]
+    return Trajectory(times, states, drift, rows)
 
 
 # -- the spinning particle ------------------------------------------------------------

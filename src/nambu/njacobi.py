@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .multivector import (MultiVector, OneForm, multivector_from_json,
                           multivector_to_json)
-from .npoisson import is_n_poisson
+from .npoisson import decomposable_given, is_n_poisson
 from .poly import Poly
 
 
@@ -157,11 +157,10 @@ def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
 def from_poisson_and_form(nabla: MultiVector, omega: OneForm) -> JacobiOp:
     """Build the n-Jacobi operator ∇ + s(ω⌋∇) from a decomposable n-Poisson
     tensor and a closed 1-form."""
-    from .multivector import is_decomposable
     ok, _ = is_n_poisson(nabla)
     if not ok:
         raise ValueError("top part must satisfy the fundamental identity")
-    if not (nabla.is_zero() or is_decomposable(nabla)):
+    if not decomposable_given(nabla, ok):
         raise ValueError("top part must be decomposable (rank equal to degree)")
     if not omega.is_closed():
         raise ValueError("the 1-form must be closed")

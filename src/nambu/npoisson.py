@@ -72,6 +72,16 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def decomposable_given(tensor: MultiVector, poisson: bool) -> bool:
+    """``is_decomposable(tensor)``, given the verdict of ``is_n_poisson``.
+
+    For n ≥ 3 a true verdict implies decomposability: it is reached only for
+    zero or top-degree tensors or after ``is_decomposable`` passed.  So the
+    test runs again only for bivectors and false verdicts.
+    """
+    return (poisson and tensor.degree > 2) or is_decomposable(tensor)
+
+
 def _find_fi_witness(tensor: MultiVector) -> tuple | None:
     """First tuple of slot monomials with a nonvanishing defect, if any.
 
@@ -112,7 +122,7 @@ def scale(f: Poly, tensor: MultiVector) -> MultiVector:
     since the conclusion needs the rank-n hypothesis.
     """
     ok, _ = is_n_poisson(tensor)
-    if not ok or not (tensor.is_zero() or is_decomposable(tensor)):
+    if not (ok and decomposable_given(tensor, ok)):
         raise ValueError("scaling requires a decomposable n-Poisson tensor")
     return tensor * f
 
@@ -132,7 +142,7 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector,
     if precheck:
         for t in (delta, nabla):
             ok, _ = is_n_poisson(t)
-            if not ok or not (t.is_zero() or t.degree < 2 or is_decomposable(t)):
+            if not (ok and decomposable_given(t, ok)):
                 raise ValueError("inputs must be decomposable multi-Poisson tensors")
     c1 = delta.schouten(nabla).is_zero()
     c2 = _mixed_wedge_vanishes(delta, nabla)

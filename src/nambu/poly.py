@@ -21,7 +21,7 @@ Exponent = tuple[int, ...]
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("num_vars", "terms", "_hash")
+    __slots__ = ("num_vars", "terms", "_hash", "_float_plan")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -183,12 +183,26 @@ class Poly:
         return total
 
     def evaluate_float(self, point: Sequence[float]) -> float:
+        """Float value at a point of length ``num_vars``.
+
+        The first call caches a plan on the object: per term, the float
+        coefficient and the (index, exponent) pairs of its nonzero exponents.
+        Every call sums ``coef * x_i**e`` term by term in ``terms`` order,
+        multiplying factors by ascending index, so repeated calls give
+        bit-identical results.
+        """
+        try:
+            plan = self._float_plan
+        except AttributeError:
+            plan = tuple(
+                (float(coef), tuple((i, e) for i, e in enumerate(exps) if e))
+                for exps, coef in self.terms.items()
+            )
+            object.__setattr__(self, "_float_plan", plan)
         total = 0.0
-        for exps, coef in self.terms.items():
-            v = float(coef)
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x**e
+        for v, factors in plan:
+            for i, e in factors:
+                v *= point[i] ** e
             total += v
         return total
 

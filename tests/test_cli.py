@@ -2,17 +2,25 @@
 exit-code contract (0 verdict-true, 1 verdict-false, 2 input error) and the
 JSON output mode."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nambu import cli, npoisson
 from nambu.cli import main
+from nambu.multivector import MultiVector, multivector_to_json
 from nambu.nlie import nlie_from_json
+from nambu.poly import Poly
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -79,6 +87,40 @@ class TestCheckPoisson:
         assert data["verdict"] is False
         assert data["witness"] == ["x1", "x2 x4"]
         assert data["decomposable"] is False
+
+    def test_true_verdict_implies_decomposable(self, capsys, tmp_path,
+                                               monkeypatch):
+        # x4·∂1∧∂2∧∂3 on 5 coordinates: the verdict has already run the test
+        calls = []
+        real = npoisson.is_decomposable
+        def counting(v):
+            calls.append(v)
+            return real(v)
+        monkeypatch.setattr(npoisson, "is_decomposable", counting)
+        monkeypatch.setattr(cli, "is_decomposable", counting)
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(multivector_to_json(
+            MultiVector.basis(5, (0, 1, 2), Poly.var(5, 3)))))
+        code, data, _ = run_json(capsys, "check-poisson", str(path))
+        assert code == 0
+        assert data["decomposable"] is True
+        assert len(calls) == 1
+
+    def test_poisson_bivector_still_tested(self, capsys, tmp_path):
+        # ∂1∧∂2 + ∂3∧∂4 is Poisson but not decomposable
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(multivector_to_json(
+            MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3)))))
+        code, data, _ = run_json(capsys, "check-poisson", str(path))
+        assert code == 0
+        assert data["decomposable"] is False
+
+    def test_vector_field_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(multivector_to_json(
+            MultiVector.basis(2, (0,)))))
+        code, _, err = run(capsys, "check-poisson", str(path))
+        assert code == 2 and "degree" in err
 
 
 class TestCheckJacobi:
@@ -220,6 +262,83 @@ class TestIntegrate:
     def test_no_source_given(self, capsys):
         code, _, err = run(capsys, "integrate", "--x0", "1,0,0")
         assert code == 2 and "--builtin" in err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("spin", ["--builtin", "spin", "--B", "1/3,-2,1/2", "--mu", "3/2",
+                  "--x0", "1,1/2,-2", "--h", "0.01", "--steps", "50"]),
+        ("kepler", ["--builtin", "kepler", "--mass", "2", "--k", "0.5",
+                    "--x0", "1,2,1/2,0.1,0.2,0.3", "--h", "0.05",
+                    "--steps", "50"]),
+        ("oscillator", ["--system", str(DATA / "oscillator_system.json"),
+                        "--x0", "1,-1/3", "--h", "0.02", "--steps", "50"]),
+        # monomials in several variables pin the order of the float products
+        ("mixed", ["--system", str(GOLDEN / "mixed_system.json"),
+                   "--x0", "1/2,-1/3,1/4", "--h", "0.01", "--steps", "50"]),
+    ])
+    def test_output_matches_golden(self, capsys, name, argv):
+        code, out, _ = run(capsys, "integrate", *argv)
+        assert code == 0
+        assert out == (GOLDEN / f"integrate_{name}.csv").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "spin", "--x0", "1,0"],
+        ["--builtin", "kepler", "--x0", "1,2,3"],
+        ["--builtin", "spin", "--x0", "1,0,0,5"],
+        ["--system", str(DATA / "oscillator_system.json"), "--x0", "1,0,0"],
+    ])
+    def test_state_dimension_mismatch(self, capsys, argv):
+        code, out, err = run(capsys, "integrate", *argv, "--steps", "3")
+        assert code == 2 and "--x0" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("step, steps", [
+        ("1e-3", "0"), ("1e-3", "-2"), ("0", "5"), ("-0.1", "5"),
+        ("nan", "5"), ("inf", "5"),
+    ])
+    def test_bad_step_or_count(self, capsys, step, steps):
+        code, out, err = run(capsys, "integrate", "--builtin", "spin",
+                             "--x0", "1,0,0", f"--h={step}", f"--steps={steps}")
+        assert code == 2 and "h > 0" in err
+        assert out == ""
+
+    def test_kepler_singular_start(self, capsys):
+        code, out, err = run(capsys, "integrate", "--builtin", "kepler",
+                             "--x0", "1,-1,0,0,0,0", "--steps", "3")
+        assert code == 2 and "singular" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "spin", "--B", "1,2"],
+        ["--builtin", "spin", "--mu", "1/0"],
+        ["--builtin", "spin", "--x0", "1,x,0"],
+    ])
+    def test_malformed_rationals(self, capsys, argv):
+        code, _, err = run(capsys, "integrate", "--x0", "1,0,0", *argv)
+        assert code == 2 and err.startswith("error:")
+
+
+SOURCES = {"spin": ["--builtin", "spin", "--B", "1,1/2,-1"],
+           "kepler": ["--builtin", "kepler"],
+           "system": ["--system", str(DATA / "oscillator_system.json")]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SOURCES)),
+       st.lists(st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "3", "1e200"]),
+                min_size=1, max_size=7),
+       st.sampled_from(["0", "-1", "nan", "inf", "1e-3"]),
+       st.integers(-1, 5))
+def test_integrate_arguments_fuzz(source, x0, step, steps):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["integrate", *SOURCES[source], "--x0=" + ",".join(x0),
+                     f"--h={step}", f"--steps={steps}"])
+    assert code in (0, 2)
+    assert (code == 2) == bool(err.getvalue())
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == steps + 2
+        assert len({line.count(",") for line in lines}) == 1
 
 
 class TestWittDemo:

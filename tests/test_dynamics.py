@@ -2,6 +2,7 @@
 the magnetized spin system, hereditary bracket tables, and the action-angle
 central-force system."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,41 @@ class TestRK4:
             rk4_integrate(lambda x: x, [1.0], -0.1, 10)
         with pytest.raises(ValueError):
             rk4_integrate(lambda x: x, [1.0], 0.1, 0)
+
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_zero_step_rejected(self, h):
+        with pytest.raises(ValueError):
+            rk4_integrate(lambda x: x, [1.0], h, 10)
+
+    def test_polynomial_overflow_aborts(self):
+        # x**2 on a float beyond 1e154 raises OverflowError inside the field
+        field = MultiVector(1, 1, {(0,): Poly.var(1, 0) ** 2})
+        traj = rk4_integrate(field, [1e160], 1.0, 10, [Poly.var(1, 0)])
+        assert not traj.ok and "non-finite" in traj.error
+        assert traj.states == [[1e160]] and traj.drift_rows == [[0.0]]
+
+    def test_drift_rows_follow_states(self):
+        sys_ = SpinSystem((Fraction(1, 3), Fraction(-2), Fraction(1, 2)),
+                          Fraction(3, 2))
+        monitors = list(sys_.nambu().hamiltonians)
+        traj = rk4_integrate(sys_.field(), [1.0, 0.5, -2.0], 0.01, 40, monitors)
+        assert len(traj.drift_rows) == len(traj.states) == len(traj.times)
+        assert traj.drift_rows[0] == [0.0, 0.0]
+        for state, row in zip(traj.states, traj.drift_rows):
+            assert row == [abs(m.evaluate_float(state)
+                               - m.evaluate_float(traj.states[0]))
+                           for m in monitors]
+        assert traj.invariant_drift == [max(col) for col in zip(*traj.drift_rows)]
+        assert max(traj.invariant_drift) > 0.0
+
+    def test_drift_rows_aligned_on_abort(self):
+        # dx/dt = x² from x = 1 blows up at t = 1
+        traj = rk4_integrate(lambda x: [x[0] * x[0]], [1.0], 0.05, 10**4,
+                             [Poly.var(1, 0)])
+        assert not traj.ok
+        assert 1 < len(traj.states) == len(traj.drift_rows) == len(traj.times)
+        assert traj.drift_rows[0] == [0.0]
+        assert traj.invariant_drift == [max(col) for col in zip(*traj.drift_rows)]
 
 
 class TestKepler:

@@ -102,6 +102,15 @@ class TestIsNPoisson:
             assert v.is_zero() or is_decomposable(v)
         assert not is_decomposable(blades_sum())
 
+    def test_decomposable_given_reruns_only_when_needed(self, monkeypatch):
+        symplectic = MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3))
+        assert is_n_poisson(symplectic)[0]
+        assert not npoisson.decomposable_given(symplectic, True)
+        assert not npoisson.decomposable_given(blades_sum(), False)
+        monkeypatch.setattr(npoisson, "is_decomposable",
+                            lambda v: pytest.fail("implied test rerun"))
+        assert npoisson.decomposable_given(atomic_tensor(), True)
+
     def test_derived_wedge_identity(self, rng):
         # Λ_{f,φ} ∧ Λ_g + Λ_{g,φ} ∧ Λ_f = 0 for verified ternary Λ
         v = rand_decomposable_tensor(rng, 4, coef_degree=2)

@@ -1,5 +1,6 @@
 """Exact sparse-polynomial arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,29 @@ def test_ring_axioms(p, q, r):
 def test_evaluate_is_ring_homomorphism(p, q, point):
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+points = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=50),
+                 min_size=3, max_size=3)
+polys3 = st.builds(
+    lambda terms: Poly(3, {e: c for e, c in terms}),
+    st.lists(st.tuples(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30)),
+        max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys3, points)
+def test_evaluate_float_matches_exact_value(p, point):
+    floats = [float(x) for x in point]
+    value = p.evaluate_float(floats)
+    # rounding error is bounded by a multiple of the sum of |term| values
+    scale = sum(abs(float(c)) * math.prod(abs(x) ** e for x, e in zip(floats, exps))
+                for exps, c in p.terms.items())
+    assert abs(value - float(p.evaluate(point))) <= 1e-12 * scale
+    assert p.evaluate_float(floats) == value
+    assert p.evaluate_float(floats) == value
 
 
 class TestSerialization:
