@@ -37,14 +37,14 @@ def _load_json(path: str) -> dict:
 def _load_algebra(path: str) -> NLieStructure:
     try:
         return nlie_from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: invalid algebra data: {exc}") from exc
 
 
 def _load_multivector(path: str) -> MultiVector:
     try:
         return multivector_from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"{path}: invalid multivector data: {exc}") from exc
 
 
@@ -66,7 +66,10 @@ def _witness_str(witness) -> list[str] | None:
 
 def cmd_check_nlie(args) -> int:
     p = _load_algebra(args.file)
-    ok, witness = p.check_n_jacobi()
+    try:
+        ok, witness = p.check_n_jacobi()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     _emit({"verdict": ok,
            "witness": None if ok else {"u_indices": [i + 1 for i in witness[0]],
                                        "v_indices": [i + 1 for i in witness[1]]}},
@@ -95,7 +98,7 @@ def cmd_check_poisson(args) -> int:
 def cmd_check_jacobi(args) -> int:
     try:
         op = jacobiop_from_json(_load_json(args.file))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"{args.file}: invalid operator pair: {exc}") from exc
     ok, witness = njacobi.is_n_jacobi(op)
     box_poisson = None
@@ -211,7 +214,7 @@ def cmd_integrate(args) -> int:
             hams = tuple(Poly.from_json(h, tensor.num_vars)
                          for h in data["hamiltonians"])
             field = dynamics.NambuSystem(tensor, hams).dynamics_field()
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"invalid system file: {exc}") from exc
         monitors = list(hams)
         dim = tensor.num_vars

@@ -1,22 +1,35 @@
 """Finite-dimensional n-Lie algebras given by structure constants.
 
 An ``NLieStructure`` stores the bracket values on increasing basis tuples;
-total skew-symmetry and multilinearity recover everything else.  The module
-checks the n-ary Jacobi identity, builds hereditary (frozen-argument)
-structures and inner derivations, and verifies the compatibility conditions
-of every order between two structures on the same space.
+total skew-symmetry and multilinearity recover everything else.  The bracket
+forms no determinant: it row-reduces its arguments, builds v₁∧…∧v_n one
+argument at a time as signed minors on increasing index tuples, visiting only
+nonzero entries, and pairs them with the constants: a basis tuple costs one
+lookup.  One kernel, ``_defect``, computes D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n)
+from the sparse columns of D.  The n-ary Jacobi identity, ``is_derivation``
+and the compatibility conditions of every order between two structures are
+that kernel with different D and Q, each inner derivation built once per tuple.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 
 IndexTuple = tuple[int, ...]
 Vector = list[Fraction]
+Sparse = dict[int, Fraction]             # nonzero entries by index
+Minors = dict[IndexTuple, Fraction]      # a wedge product on increasing tuples
+Entries = Iterable[tuple[int, Fraction]]  # (index, value) pairs of a vector
+
+# (u, w) basis tuple pairs a check may visit: far above every fixture, test
+# and benchmark instance (a few thousand), far below C(30,14)·C(30,15) ≈ 2·10¹⁶.
+MAX_TUPLE_PAIRS = 10**6
 
 
 def _to_vec(v: Sequence, dim: int) -> Vector:
@@ -26,13 +39,107 @@ def _to_vec(v: Sequence, dim: int) -> Vector:
     return v
 
 
+def _entries(v: Vector) -> list[tuple[int, Fraction]]:
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _reduced(vs: Sequence[Sequence], dim: int) -> list[list[tuple[int, Fraction]]]:
+    """Entries of vectors with the same wedge v₁∧…∧v_k, each cleared from the
+    others' pivot indices (adding a multiple of one argument to another leaves
+    the wedge unchanged).  Each keeps its pivot and at most c = dim − k other
+    indices, so the wedge has at most Σⱼ C(k, j)·C(c, j) minors (k + 1 for
+    c = 1) where dense arguments would make up to 2^dim partial minors."""
+    rows = [_to_vec(v, dim) for v in vs]
+    for r, row in enumerate(rows):
+        j = next((j for j, x in enumerate(row) if x), None)
+        if j is None:
+            break  # a zero argument: the wedge vanishes
+        for s, other in enumerate(rows):
+            if s != r and other[j]:
+                f = other[j] / row[j]
+                rows[s] = [a - f * b if b else a for a, b in zip(other, row)]
+    return [_entries(row) for row in rows]
+
+
+def _wedge(minors: Minors, vecs: Iterable[Entries]) -> Minors:
+    """minors ∧ v for each v of ``vecs`` in turn; e_i placed behind the
+    larger indices of an increasing tuple flips the sign once for each."""
+    for vec in vecs:
+        out: Minors = {}
+        for key, coef in minors.items():
+            for i, x in vec:
+                pos = bisect_left(key, i)
+                if pos < len(key) and key[pos] == i:
+                    continue
+                new = key[:pos] + (i,) + key[pos:]
+                term = coef * x if (len(key) - pos) % 2 == 0 else -coef * x
+                out[new] = out.get(new, 0) + term
+        minors = out
+    return minors
+
+
+def _apply(cols: Sequence[Sparse], vec: Entries) -> Sparse:
+    """D·v for D given by its sparse columns."""
+    out: Sparse = {}
+    for j, c in vec:
+        for r, x in cols[j].items():
+            out[r] = out.get(r, 0) + c * x
+    return out
+
+
+def _defect(terms: Sequence[tuple[Sequence[Sparse], "NLieStructure"]],
+            ws: Sequence[Entries]) -> Sparse:
+    """Σ over (D, Q) in ``terms`` of D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n), for
+    D's sparse columns; may hold zeros.  Slot i is moved last, (w₁,…,Dwᵢ,…,w_n)
+    = (−1)^(n−1−i) (w₁,…,ŵᵢ,…,w_n, Dwᵢ), so the column of D is visited once."""
+    n = len(ws)
+    out: Sparse = {}
+    for cols, q in terms:
+        for r, x in _apply(cols, q._pair(_wedge({(): 1}, ws)).items()).items():
+            out[r] = out.get(r, 0) + x
+    for i in range(n):
+        rest = _wedge({(): -1 if (n - 1 - i) % 2 else 1}, ws[:i] + ws[i + 1:])
+        for cols, q in terms:
+            for r, x in q._pair(_wedge(rest, [_apply(cols, ws[i]).items()])).items():
+                out[r] = out.get(r, 0) - x
+    return out
+
+
+def _bound_tuple_pairs(dim: int, arity: int) -> None:
+    """Raise ValueError if a check would visit more than MAX_TUPLE_PAIRS
+    (u, w) pairs of basis tuples."""
+    count = math.comb(dim, arity - 1) * math.comb(dim, arity)
+    if count > MAX_TUPLE_PAIRS:
+        raise ValueError(f"dimension {dim}, arity {arity}: {count} (u, w) basis "
+                         f"tuple pairs to check, above the limit {MAX_TUPLE_PAIRS}")
+
+
+def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
+                  dim: int, arity: int) -> tuple[IndexTuple, IndexTuple] | None:
+    """First (us, ws) of increasing basis tuples, in lexicographic order with
+    us outer, where the kernel with the terms (ad^P_{u…}, Q) for (P, Q) in
+    ``pairs`` is nonzero; None if there is none."""
+    _bound_tuple_pairs(dim, arity)
+    basis = [[(i, 1)] for i in range(dim)]
+    w_tuples = list(itertools.combinations(range(dim), arity))
+    for us in itertools.combinations(range(dim), arity - 1):
+        u_args = [basis[i] for i in us]
+        terms = [(list(p._frozen(u_args).values()), q) for p, q in pairs]
+        for ws in w_tuples:
+            if any(_defect(terms, [basis[i] for i in ws]).values()):
+                return us, ws
+    return None
+
+
 class NLieStructure:
     """Arity-n skew bracket on an N-dimensional space, by structure constants."""
 
-    __slots__ = ("dim", "arity", "constants")
+    __slots__ = ("dim", "arity", "constants", "_sparse")
 
     def __init__(self, dim: int, arity: int,
                  constants: Mapping[IndexTuple, Sequence] | None = None):
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
         if arity < 1:
             raise ValueError("arity must be at least 1")
         clean: dict[IndexTuple, Vector] = {}
@@ -49,6 +156,8 @@ class NLieStructure:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "constants", clean)
+        object.__setattr__(self, "_sparse", {
+            idx: [(j, x) for j, x in enumerate(vec) if x] for idx, vec in clean.items()})
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("NLieStructure is immutable")
@@ -106,18 +215,23 @@ class NLieStructure:
 
     # -- the bracket --------------------------------------------------------------
 
+    def _pair(self, minors: Minors) -> Sparse:
+        """Σ over increasing tuples I of minors[I] · [e_I]; may hold zeros."""
+        out: Sparse = {}
+        for key, coef in minors.items():
+            for j, c in self._sparse.get(key, ()):
+                out[j] = out.get(j, 0) + coef * c
+        return out
+
+    def _dense(self, vec: Sparse) -> Vector:
+        zero = Fraction(0)
+        return [vec.get(j, zero) for j in range(self.dim)]
+
     def bracket(self, vs: Sequence[Sequence]) -> Vector:
         """Multilinear totally skew evaluation of [v₁,…,v_n]."""
         if len(vs) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(vs)}")
-        vecs = [_to_vec(v, self.dim) for v in vs]
-        out = [Fraction(0)] * self.dim
-        for idx, const in self.constants.items():
-            coef = linalg.det([[vecs[a][i] for i in idx] for a in range(self.arity)])
-            if coef != 0:
-                for j in range(self.dim):
-                    out[j] += coef * const[j]
-        return out
+        return self._dense(self._frozen(_reduced(vs, self.dim))[()])
 
     def bracket_basis(self, idx: Sequence[int]) -> Vector:
         """Bracket of basis vectors e_{i₁},…,e_{i_n} for arbitrary index order."""
@@ -129,29 +243,22 @@ class NLieStructure:
         """Verify the n-ary Jacobi identity on all basis tuples.
 
         [u₁,…,u_{n−1},[v₁,…,v_n]] = Σᵢ [v₁,…,[u₁,…,u_{n−1},vᵢ],…,v_n];
-        basis tuples suffice by multilinearity.  Returns (verdict, witness).
+        basis tuples suffice by multilinearity.  Returns (verdict, witness),
+        the witness being the first failing (u indices, v indices).
         """
-        n = self.arity
-        if n == 1:
+        if self.arity == 1:
             return True, None
-        basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
-        for us in itertools.combinations(range(self.dim), n - 1):
-            u_vecs = [basis[i] for i in us]
-            ad = self.inner_derivation(u_vecs)
-            for vs in itertools.combinations(range(self.dim), n):
-                v_vecs = [basis[i] for i in vs]
-                lhs = linalg.mat_vec(ad, self.bracket(v_vecs))
-                rhs = [Fraction(0)] * self.dim
-                for i in range(n):
-                    args = list(v_vecs)
-                    args[i] = linalg.mat_vec(ad, v_vecs[i])
-                    term = self.bracket(args)
-                    rhs = [x + y for x, y in zip(rhs, term)]
-                if lhs != rhs:
-                    return False, (us, vs)
-        return True, None
+        witness = _first_defect([(self, self)], self.dim, self.arity)
+        return witness is None, witness
 
     # -- hereditary structures and derivations -------------------------------------
+
+    def _frozen(self, u_args: Sequence[Entries]) -> dict[IndexTuple, Sparse]:
+        """[u₁,…,u_k,e_I] for every increasing basis tuple I of length n − k,
+        the wedge of the u's built once: for k = n − 1, the columns of ad_{u…}."""
+        frozen = _wedge({(): 1}, u_args)
+        return {idx: self._pair(_wedge(frozen, [[(i, 1)] for i in idx]))
+                for idx in itertools.combinations(range(self.dim), self.arity - len(u_args))}
 
     def hereditary(self, us: Sequence[Sequence]) -> "NLieStructure":
         """Freeze k arguments: the arity-(n−k) structure P_{u₁,…,u_k}."""
@@ -172,28 +279,17 @@ class NLieStructure:
         """Matrix of ad_{u₁,…,u_{n−1}}: v ↦ [u₁,…,u_{n−1},v]."""
         if len(us) != self.arity - 1:
             raise ValueError(f"expected {self.arity - 1} arguments, got {len(us)}")
-        u_vecs = [_to_vec(u, self.dim) for u in us]
-        cols = [self.bracket(u_vecs + [NLieStructure.basis_vector(self.dim, j)])
-                for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        cols = self._frozen(_reduced(us, self.dim)).values()
+        return linalg.transpose([self._dense(c) for c in cols])
 
     def is_derivation(self, d: linalg.Matrix) -> bool:
         """Whether D[u₁,…,u_n] = Σᵢ [u₁,…,Duᵢ,…,u_n] on all basis tuples."""
-        if len(d) != self.dim:
+        if len(d) != self.dim or any(len(row) != self.dim for row in d):
             raise ValueError("dimension mismatch")
-        basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
-        for idx in itertools.combinations(range(self.dim), self.arity):
-            args = [basis[i] for i in idx]
-            lhs = linalg.mat_vec(d, self.bracket(args))
-            rhs = [Fraction(0)] * self.dim
-            for t in range(self.arity):
-                varied = list(args)
-                varied[t] = linalg.mat_vec(d, args[t])
-                term = self.bracket(varied)
-                rhs = [x + y for x, y in zip(rhs, term)]
-            if lhs != rhs:
-                return False
-        return True
+        cols = [{i: Fraction(d[i][j]) for i in range(self.dim) if d[i][j]}
+                for j in range(self.dim)]
+        return not any(any(_defect([(cols, self)], [[(i, 1)] for i in idx]).values())
+                       for idx in itertools.combinations(range(self.dim), self.arity))
 
     def commutator_check(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> bool:
         """Commutator identity for pure inner derivations:
@@ -204,10 +300,9 @@ class NLieStructure:
         ad_v = self.inner_derivation(vs)
         lhs = linalg.mat_sub(linalg.mat_mul(ad_v, ad_u), linalg.mat_mul(ad_u, ad_v))
         rhs = linalg.zeros(self.dim, self.dim)
-        v_vecs = [_to_vec(v, self.dim) for v in vs]
         for i in range(len(us)):
-            varied = [_to_vec(u, self.dim) for u in us]
-            varied[i] = self.bracket(v_vecs + [varied[i]])
+            varied = list(us)
+            varied[i] = self.bracket(list(vs) + [us[i]])
             rhs = linalg.mat_add(rhs, self.inner_derivation(varied))
         return lhs == rhs
 
@@ -220,31 +315,20 @@ class NLieStructure:
         Here ∂(Q)(w…) = ∂(Q(w…)) − Σᵢ Q(w₁,…,∂wᵢ,…,w_n) with ∂ the pure inner
         derivation ad_{u₁,…,u_{n−1}} of the respective structure.
         """
-        total = [Fraction(0)] * self.dim
-        for p, q in ((self, other), (other, self)):
-            ad = p.inner_derivation(us)
-            term = linalg.mat_vec(ad, q.bracket(ws))
-            total = [x + y for x, y in zip(total, term)]
-            for i in range(len(ws)):
-                varied = [_to_vec(w, self.dim) for w in ws]
-                varied[i] = linalg.mat_vec(ad, varied[i])
-                term = q.bracket(varied)
-                total = [x - y for x, y in zip(total, term)]
-        return total
+        if (self.dim, self.arity, self.arity - 1) != (other.dim, other.arity, len(us)) \
+                or len(ws) != self.arity:
+            raise ValueError("dimension/arity or argument count mismatch")
+        u_args = _reduced(us, self.dim)
+        terms = [(list(self._frozen(u_args).values()), other),
+                 (list(other._frozen(u_args).values()), self)]
+        return self._dense(_defect(terms, [_entries(_to_vec(w, self.dim)) for w in ws]))
 
     def compat(self, other: "NLieStructure") -> tuple[bool, tuple | None]:
         """Whether the mutual Lie-derivative defect vanishes on all basis tuples."""
         if (self.dim, self.arity) != (other.dim, other.arity):
             raise ValueError("dimension/arity mismatch")
-        n = self.arity
-        basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
-        for us in itertools.combinations(range(self.dim), n - 1):
-            u_vecs = [basis[i] for i in us]
-            for ws in itertools.combinations(range(self.dim), n):
-                w_vecs = [basis[i] for i in ws]
-                if any(x != 0 for x in self.compat_defect(other, u_vecs, w_vecs)):
-                    return False, (us, ws)
-        return True, None
+        witness = _first_defect([(self, other), (other, self)], self.dim, self.arity)
+        return witness is None, witness
 
     def comp_condition_k(self, vs: Sequence[Sequence], ws: Sequence[Sequence]) -> bool:
         """The k-th order compatibility condition.
@@ -259,28 +343,15 @@ class NLieStructure:
             raise ValueError("need equally many v's and w's")
         if not 1 <= k <= self.arity - 1:
             raise ValueError(f"order {k} out of range for arity {self.arity}")
-        v_vecs = [_to_vec(v, self.dim) for v in vs]
-        w_vecs = [_to_vec(w, self.dim) for w in ws]
+        _bound_tuple_pairs(self.dim, self.arity - k)
         pairs = []
         for r in range(k):
             for rest in itertools.combinations(range(1, k), r):
                 i_set = {0, *rest}
-                a = [v_vecs[s] if s in i_set else w_vecs[s] for s in range(k)]
-                b = [w_vecs[s] if s in i_set else v_vecs[s] for s in range(k)]
-                pairs.append((self.hereditary(a), self.hereditary(b)))
-        sub_arity = self.arity - k
-        basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
-        for us in itertools.combinations(range(self.dim), sub_arity - 1):
-            u_args = [basis[i] for i in us]
-            for args in itertools.combinations(range(self.dim), sub_arity):
-                w_args = [basis[i] for i in args]
-                total = [Fraction(0)] * self.dim
-                for p, q in pairs:
-                    term = p.compat_defect(q, u_args, w_args)
-                    total = [x + y for x, y in zip(total, term)]
-                if any(x != 0 for x in total):
-                    return False
-        return True
+                a = self.hereditary([vs[s] if s in i_set else ws[s] for s in range(k)])
+                b = self.hereditary([ws[s] if s in i_set else vs[s] for s in range(k)])
+                pairs += [(a, b), (b, a)]
+        return _first_defect(pairs, self.dim, self.arity - k) is None
 
     # -- products and transforms --------------------------------------------------------
 

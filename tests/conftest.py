@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.linalg import det, identity, mat
+from nambu.linalg import det, identity, mat, mat_vec
 from nambu.multivector import MultiVector
 from nambu.nlie import NLieStructure
 from nambu.npoisson import fi_defect, slot_monomials
@@ -29,6 +29,109 @@ def fi_search_oracle(tensor):
         if not fi_defect(tensor, list(fs)).is_zero():
             return False, fs
     return True, None
+
+
+# -- n-Lie oracles: the determinant bracket and the per-tuple loops ----------
+
+def det_bracket(p, vs):
+    """[v₁,…,v_n] as Σ over the constants of the n×n minor of the arguments
+    on the constant's index tuple: the test reference for ``bracket``."""
+    if len(vs) != p.arity:
+        raise ValueError(f"expected {p.arity} arguments, got {len(vs)}")
+    vecs = [[Fraction(x) for x in v] for v in vs]
+    out = [Fraction(0)] * p.dim
+    for idx, const in p.constants.items():
+        coef = det([[vecs[a][i] for i in idx] for a in range(p.arity)])
+        if coef != 0:
+            out = [x + coef * c for x, c in zip(out, const)]
+    return out
+
+
+def ad_oracle(p, us):
+    """Matrix of v ↦ [u₁,…,u_{n−1},v] from the determinant bracket."""
+    cols = [det_bracket(p, list(us) + [NLieStructure.basis_vector(p.dim, j)])
+            for j in range(p.dim)]
+    return [[cols[j][i] for j in range(p.dim)] for i in range(p.dim)]
+
+
+def derivation_defect_oracle(q, d, ws):
+    """D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n), one determinant bracket per term."""
+    out = mat_vec(d, det_bracket(q, ws))
+    for i in range(len(ws)):
+        args = list(ws)
+        args[i] = mat_vec(d, ws[i])
+        out = [x - y for x, y in zip(out, det_bracket(q, args))]
+    return out
+
+
+def _basis_tuples(dim, arity):
+    basis = [NLieStructure.basis_vector(dim, i) for i in range(dim)]
+    for idx in itertools.combinations(range(dim), arity):
+        yield idx, [basis[i] for i in idx]
+
+
+def jacobi_oracle(p):
+    """(verdict, first (us, vs)) of the n-ary Jacobi identity, tuple by tuple."""
+    if p.arity == 1:
+        return True, None
+    for us, u_vecs in _basis_tuples(p.dim, p.arity - 1):
+        ad = ad_oracle(p, u_vecs)
+        for vs, v_vecs in _basis_tuples(p.dim, p.arity):
+            if any(derivation_defect_oracle(p, ad, v_vecs)):
+                return False, (us, vs)
+    return True, None
+
+
+def compat_defect_oracle(p, q, us, ws):
+    """[P_{u…}(Q) + Q_{u…}(P)](w₁,…,w_n), both inner derivations rebuilt."""
+    return [x + y for x, y in zip(derivation_defect_oracle(q, ad_oracle(p, us), ws),
+                                  derivation_defect_oracle(p, ad_oracle(q, us), ws))]
+
+
+def compat_oracle(p, q):
+    """(verdict, first (us, ws)) of the mutual inner-derivation defects."""
+    for us, u_vecs in _basis_tuples(p.dim, p.arity - 1):
+        ad_p, ad_q = ad_oracle(p, u_vecs), ad_oracle(q, u_vecs)
+        for ws, w_vecs in _basis_tuples(p.dim, p.arity):
+            if any(x + y for x, y in zip(derivation_defect_oracle(q, ad_p, w_vecs),
+                                         derivation_defect_oracle(p, ad_q, w_vecs))):
+                return False, (us, ws)
+    return True, None
+
+
+def hereditary_oracle(p, us):
+    """P_{u₁,…,u_k} with every constant a determinant bracket."""
+    consts = {}
+    for idx, vecs in _basis_tuples(p.dim, p.arity - len(us)):
+        value = det_bracket(p, list(us) + vecs)
+        if any(value):
+            consts[idx] = value
+    return NLieStructure(p.dim, p.arity - len(us), consts)
+
+
+def comp_condition_oracle(p, vs, ws):
+    """The k-th order compatibility condition, pair by pair and tuple by tuple."""
+    k = len(vs)
+    pairs = []
+    for r in range(k):
+        for rest in itertools.combinations(range(1, k), r):
+            i_set = {0, *rest}
+            pairs.append((hereditary_oracle(p, [vs[s] if s in i_set else ws[s] for s in range(k)]),
+                          hereditary_oracle(p, [ws[s] if s in i_set else vs[s] for s in range(k)])))
+    for _, u_vecs in _basis_tuples(p.dim, p.arity - k - 1):
+        for _, w_vecs in _basis_tuples(p.dim, p.arity - k):
+            total = [Fraction(0)] * p.dim
+            for a, b in pairs:
+                total = [x + y for x, y in zip(total, compat_defect_oracle(a, b, u_vecs, w_vecs))]
+            if any(total):
+                return False
+    return True
+
+
+def derivation_oracle(p, d):
+    """Whether d is a derivation of p, checked on every basis tuple."""
+    return not any(any(derivation_defect_oracle(p, d, w_vecs))
+                   for _, w_vecs in _basis_tuples(p.dim, p.arity))
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ import io
 import json
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from nambu import cli, npoisson
 from nambu.cli import main
 from nambu.multivector import MultiVector, multivector_to_json
-from nambu.nlie import nlie_from_json
+from nambu.nlie import MAX_TUPLE_PAIRS, nlie_from_json
 from nambu.poly import Poly
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -68,6 +70,50 @@ class TestCheckNlie:
         code, _, err = run(capsys, "check-nlie", str(bad))
         assert code == 2
         assert "malformed JSON" in err
+
+    @pytest.mark.parametrize("dim", [-1, 0])
+    def test_non_positive_dimension(self, capsys, tmp_path, dim):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": dim, "arity": 2}))
+        code, out, err = run(capsys, "check-nlie", str(bad))
+        assert code == 2 and not out
+        assert "dimension must be at least 1" in err
+
+    @pytest.mark.parametrize("verb", ["check-nlie", "compat", "classify"])
+    def test_work_bound(self, capsys, tmp_path, verb):
+        """C(30,14)·C(30,15) tuple pairs are refused before any work, even for
+        the zero structure; classify checks the identity first."""
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"dim": 30, "arity": 15}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, *[str(big)] * (2 if verb == "compat" else 1))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert str(comb(30, 14) * comb(30, 15)) in err
+        assert comb(30, 14) * comb(30, 15) > MAX_TUPLE_PAIRS
+
+
+@pytest.mark.parametrize("argv, name, path", [
+    (["check-nlie"], "atomic_3lie.json", ("constants", 0, "value", 0)),
+    (["compat", str(DATA / "atomic_3lie.json")], "atomic_3lie.json",
+     ("constants", 0, "value", 0)),
+    (["check-poisson"], "atomic_tensor.json", ("components", 0, "poly", 0, "coef")),
+    (["check-jacobi"], "jacobi_pair.json", ("nabla", "components", 0, "poly", 0, "coef")),
+    (["integrate", "--x0", "1,0", "--steps", "2", "--system"], "oscillator_system.json",
+     ("hamiltonians", 0, 0, "coef")),
+], ids=["check-nlie", "compat", "check-poisson", "check-jacobi", "integrate"])
+def test_zero_denominator_is_input_error(capsys, tmp_path, argv, name, path):
+    """A "1/0" rational in an input file exits 2 with a message, not a traceback."""
+    data = json.loads((DATA / name).read_text())
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "1/0"
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "Fraction(1, 0)" in err
 
 
 class TestCheckPoisson:

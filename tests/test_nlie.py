@@ -1,15 +1,23 @@
 """n-Lie algebras from structure constants: bracket evaluation, the n-ary
 Jacobi identity, hereditary structures, derivations and compatibility."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from conftest import rand_4dim_3lie, rand_invertible_matrix, rand_vectors
-from nambu.bianchi import algebra_from_form
+from conftest import (ad_oracle, comp_condition_oracle, compat_defect_oracle,
+                      compat_oracle, derivation_oracle, det_bracket,
+                      hereditary_oracle, jacobi_oracle, rand_4dim_3lie,
+                      rand_invertible_matrix, rand_symmetric_matrix, rand_vectors)
+from nambu import linalg
+from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
+                           synthesize, unimodular_label)
 from nambu.linalg import identity, mat, mat_mul, mat_sub, zeros
-from nambu.nlie import (NLieStructure, nlie_from_json, nlie_to_json,
-                        vector_product_algebra)
+from nambu.nlie import (MAX_TUPLE_PAIRS, NLieStructure, nlie_from_json,
+                        nlie_to_json, vector_product_algebra)
 
 
 def atomic4():
@@ -262,6 +270,24 @@ class TestBasisChange:
         assert vp.change_basis(identity(4)) == vp
 
 
+class TestInputBounds:
+    def test_dimension_must_be_positive(self):
+        for dim in (-1, 0):
+            with pytest.raises(ValueError, match="dimension must be at least 1"):
+                NLieStructure(dim, 2)
+
+    def test_tuple_pair_limit(self):
+        """Checks that would visit more than MAX_TUPLE_PAIRS (u, w) pairs
+        refuse before any work; the largest structure in these tests needs
+        C(8,2)·C(8,3) = 1568."""
+        big = NLieStructure.zero(30, 15)
+        for check in (big.check_n_jacobi, lambda: big.compat(big),
+                      lambda: big.comp_condition_k([e(30, 0)], [e(30, 1)])):
+            with pytest.raises(ValueError, match="above the limit"):
+                check()
+        assert comb(8, 2) * comb(8, 3) < MAX_TUPLE_PAIRS
+
+
 class TestSerialization:
     def test_round_trip(self, rng):
         p = rand_4dim_3lie(rng)
@@ -270,3 +296,154 @@ class TestSerialization:
     def test_wire_indices_one_based(self):
         data = nlie_to_json(atomic4())
         assert data["constants"][0]["indices"] == [1, 2, 3]
+
+
+# -- agreement with the determinant-bracket oracles ---------------------------
+
+def rand_label(rng, n):
+    kind = rng.choice(["unimodular", "psi_plus", "psi_minus", "psi_one", "psi_zero"])
+    if kind == "unimodular":
+        r = rng.randint(1, n + 1)
+        return unimodular_label(r, rng.randint((r + 1) // 2, r))
+    if kind in ("psi_plus", "psi_minus"):
+        return psi_label(kind, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+    return psi_label(kind)
+
+
+def hidden(rng, n):
+    """A valid (n+1)-dimensional n-Lie algebra behind a random basis."""
+    return synthesize(rand_label(rng, n), n).change_basis(rand_invertible_matrix(rng, n + 1))
+
+
+def skew_rank_four(rng, n):
+    """From a form whose skew part has rank 4: never an n-Lie algebra."""
+    a = rand_symmetric_matrix(rng, n + 1)
+    for i, j in ((0, 1), (2, 3)):
+        a[i][j] -= Fraction(1, 2)
+        a[j][i] += Fraction(1, 2)
+    return algebra_from_form(a, n).change_basis(rand_invertible_matrix(rng, n + 1))
+
+
+def perturbed(rng, n):
+    """A hidden algebra with one constant moved by a random vector."""
+    p = hidden(rng, n)
+    consts = dict(p.constants)
+    key = rng.choice(sorted(consts) or [tuple(range(n))])
+    consts[key] = [x + y for x, y in zip(consts.get(key, [0] * (n + 1)),
+                                         rand_vectors(rng, 1, n + 1)[0])]
+    return NLieStructure(n + 1, n, consts)
+
+
+def random_structure(rng, dim, arity, density=0.6):
+    consts = {idx: rand_vectors(rng, 1, dim)[0]
+              for idx in itertools.combinations(range(dim), arity)
+              if rng.random() < density}
+    return NLieStructure(dim, arity, consts)
+
+
+FAMILIES = {
+    "hidden-3": lambda rng: hidden(rng, 3),
+    "hidden-4": lambda rng: hidden(rng, 4),
+    "hidden-5": lambda rng: hidden(rng, 5),
+    "skew-rank-4-3": lambda rng: skew_rank_four(rng, 3),
+    "skew-rank-4-4": lambda rng: skew_rank_four(rng, 4),
+    "perturbed-3": lambda rng: perturbed(rng, 3),
+    "perturbed-4": lambda rng: perturbed(rng, 4),
+    # dim > n + 1: block-diagonal, with and without a valid second factor
+    "product-2": lambda rng: hidden(rng, 2).direct_product(hidden(rng, 2)),
+    "product-3": lambda rng: hidden(rng, 3).direct_product(random_structure(rng, 3, 3)),
+    "product-pad": lambda rng: perturbed(rng, 3).direct_product(NLieStructure.zero(2, 3)),
+    # the first failing tuple avoids the zero block, so it is not the first tuple
+    "pad-product": lambda rng: NLieStructure.zero(2, 3).direct_product(perturbed(rng, 3)),
+    "arity-1": lambda rng: random_structure(rng, 4, 1),
+    "arity-2": lambda rng: random_structure(rng, 3, 2),
+    "arity-2-lie": lambda rng: hidden(rng, 2),
+}
+
+
+def sample(family, seed):
+    rng = random.Random(f"{family}-{seed}")
+    return rng, FAMILIES[family](rng)
+
+
+def sparse_vector(rng, dim, nonzero):
+    v = [Fraction(0)] * dim
+    for i in rng.sample(range(dim), nonzero):
+        v[i] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+    return v
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestOracleAgreement:
+    def test_bracket(self, family):
+        for seed in range(3):
+            rng, p = sample(family, seed)
+            n, dim = p.arity, p.dim
+            cases = [rand_vectors(rng, n, dim),
+                     [sparse_vector(rng, dim, rng.randint(1, 2)) for _ in range(n)],
+                     [e(dim, i) for i in rng.sample(range(dim), n)],
+                     [e(dim, rng.randrange(dim)) for _ in range(n)]]
+            if n >= 2:
+                repeated = rand_vectors(rng, n, dim)
+                repeated[-1] = list(repeated[0])
+                dependent = rand_vectors(rng, n, dim)
+                dependent[-1] = [a - 2 * b for a, b in zip(dependent[0], dependent[-2])]
+                zero = rand_vectors(rng, n, dim)
+                zero[rng.randrange(n)] = [0] * dim
+                cases += [repeated, dependent, zero]
+            for vs in cases:
+                assert p.bracket(vs) == det_bracket(p, vs), vs
+
+    def test_check_n_jacobi(self, family):
+        for seed in range(3):
+            _, p = sample(family, seed)
+            assert p.check_n_jacobi() == jacobi_oracle(p)
+
+    def test_compat(self, family):
+        for seed in range(2):
+            rng, p = sample(family, seed)
+            for q in (p, FAMILIES[family](rng)):
+                assert p.compat(q) == compat_oracle(p, q)
+            us, ws = rand_vectors(rng, p.arity - 1, p.dim), rand_vectors(rng, p.arity, p.dim)
+            assert p.compat_defect(q, us, ws) == compat_defect_oracle(p, q, us, ws)
+
+    def test_is_derivation(self, family):
+        rng, p = sample(family, 0)
+        us = rand_vectors(rng, p.arity - 1, p.dim)
+        inner = p.inner_derivation(us)
+        assert inner == ad_oracle(p, us)
+        mats = [inner, rand_vectors(rng, p.dim, p.dim), zeros(p.dim, p.dim)]
+        if p.dim == p.arity + 1:
+            mats += derivation_algebra(p)
+        for d in mats:
+            assert p.is_derivation(d) == derivation_oracle(p, d)
+
+    def test_hereditary_and_compatibility_conditions(self, family):
+        rng, p = sample(family, 0)
+        for k in range(1, p.arity):
+            us = rand_vectors(rng, k, p.dim)
+            assert p.hereditary(us) == hereditary_oracle(p, us)
+        if p.arity >= 2 and p.dim <= 5:
+            vs, ws = rand_vectors(rng, 1, p.dim), rand_vectors(rng, 1, p.dim)
+            assert p.comp_condition_k(vs, ws) == comp_condition_oracle(p, vs, ws)
+
+
+def test_families_cover_both_verdicts():
+    """The oracle families include true and false Jacobi and compat verdicts."""
+    jacobi = {sample(f, s)[1].check_n_jacobi()[0] for f in FAMILIES for s in range(3)}
+    compat = set()
+    for f in FAMILIES:
+        rng, p = sample(f, 0)
+        compat.add(p.compat(FAMILIES[f](rng))[0])
+    assert jacobi == {True, False} and compat == {True, False}
+
+
+def test_no_determinant_on_the_checker_paths(monkeypatch):
+    def refuse(_):
+        raise AssertionError("linalg.det called")
+    monkeypatch.setattr(linalg, "det", refuse)
+    vp = vector_product_algebra(5)
+    us = [e(6, 0), e(6, 2), e(6, 3), e(6, 5)]
+    assert vp.check_n_jacobi() == (True, None)
+    assert vp.compat(vp) == (True, None)
+    assert vp.is_derivation(vp.inner_derivation(us))
