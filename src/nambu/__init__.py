@@ -13,16 +13,16 @@ from .bianchi import (BianchiLabel, classify, derivation_algebra,
                       generating_form, is_isomorphic, is_unimodular,
                       psi_label, synthesize, unimodular_label,
                       witt_embedding_check)
-from .dynamics import (KeplerSystem, LaurentPoly, NambuSystem, SpinSystem,
-                       Trajectory, check_preserved_bracket,
-                       hereditary_poisson_table, rk4_integrate)
+from .dynamics import (KeplerSystem, NambuSystem, SpinSystem, Trajectory,
+                       check_preserved_bracket, hereditary_poisson_table,
+                       rk4_integrate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "MultiVector", "OneForm", "NLieStructure", "JacobiOp",
     "BianchiLabel", "NambuSystem", "SpinSystem", "KeplerSystem",
-    "Trajectory", "LaurentPoly",
+    "Trajectory",
     "derived_rank", "derived_pairing_vanishes", "is_decomposable",
     "vector_product_algebra", "casimir_polynomials", "dual_nvector",
     "fi_defect", "is_n_poisson", "scale", "wedge_compat_check",

@@ -6,7 +6,8 @@ generating bilinear form.  The algebra is unimodular iff the matrix is
 symmetric, in which case (rank, max index) is a complete isomorphism
 invariant.  Otherwise the skew part has rank exactly 2 and, after reducing it
 to the standard block ½(z₁dz₂ − z₂dz₁), the remaining symmetric 2×2 block
-carries a single scale invariant λ.
+carries a single scale invariant λ, kept exactly as the rational λ² = |det|
+of that block.
 
 Orientation convention: the sign of the correspondence is fixed so that the
 algebra with single bracket [e₁,e₂,e₃] = e₄ has generating matrix a₄₄ = +1
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping
 
 from . import linalg
@@ -26,43 +28,51 @@ from .nlie import NLieStructure
 from .npoisson import dual_nvector
 from .poly import Poly
 
-SKEW_STANDARD = [[Fraction(0), Fraction(-1, 2)], [Fraction(1, 2), Fraction(0)]]
+LAMBDA_KINDS = ("psi_plus", "psi_minus")
 
 
 @dataclass(frozen=True)
 class BianchiLabel:
-    """Isomorphism-class label of an (n+1)-dimensional n-Lie algebra."""
+    """Isomorphism-class label of an (n+1)-dimensional n-Lie algebra.  The
+    Ψ±_λ families keep the exact invariant λ², so equal labels mean
+    isomorphic algebras."""
 
     kind: str  # unimodular | psi_plus | psi_minus | psi_one | psi_zero
     r: int | None = None        # rank of the quadratic form (unimodular only)
     m: int | None = None        # max of positive/negative index (unimodular only)
-    lam: Fraction | float | None = None  # scale invariant λ > 0 (psi_plus/minus)
+    lam_sq: Fraction | None = None  # λ² > 0 (psi_plus/minus); λ may be irrational
+
+    @property
+    def lam(self) -> Fraction | None:
+        """λ as a Fraction; ValueError when λ is irrational."""
+        if self.lam_sq is None:
+            return None
+        root = _exact_sqrt(self.lam_sq)
+        if root is None:
+            raise ValueError(f"λ = sqrt({self.lam_sq}) is irrational")
+        return root
+
+    def _lam_text(self) -> str:
+        """λ as ``p/q`` when rational, else ``sqrt(λ²)``."""
+        root = _exact_sqrt(self.lam_sq)
+        return f"sqrt({self.lam_sq})" if root is None else str(root)
 
     def __str__(self) -> str:
         if self.kind == "unimodular":
             return f"Unimodular{{r={self.r}, m={self.m}}}"
         if self.kind == "psi_plus":
-            return f"PsiLambdaPlus{{λ={self.lam}}}"
+            return f"PsiLambdaPlus{{λ={self._lam_text()}}}"
         if self.kind == "psi_minus":
-            return f"PsiLambdaMinus{{λ={self.lam}}}"
+            return f"PsiLambdaMinus{{λ={self._lam_text()}}}"
         return {"psi_one": "PsiOne", "psi_zero": "PsiZero"}[self.kind]
-
-    def same_as(self, other: "BianchiLabel", tolerance: float = 1e-9) -> bool:
-        if self.kind != other.kind or (self.r, self.m) != (other.r, other.m):
-            return False
-        if self.lam is None or other.lam is None:
-            return self.lam is None and other.lam is None
-        if isinstance(self.lam, Fraction) and isinstance(other.lam, Fraction):
-            return self.lam == other.lam
-        return abs(float(self.lam) - float(other.lam)) <= tolerance
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.r is not None:
             out["r"] = self.r
             out["m"] = self.m
-        if self.lam is not None:
-            out["lambda"] = str(self.lam) if isinstance(self.lam, Fraction) else self.lam
+        if self.lam_sq is not None:
+            out["lambda"] = self._lam_text()
         return out
 
 
@@ -72,14 +82,27 @@ def unimodular_label(r: int, m: int) -> BianchiLabel:
     return BianchiLabel("unimodular", r=r, m=m)
 
 
-def psi_label(kind: str, lam=None) -> BianchiLabel:
-    if kind in ("psi_plus", "psi_minus"):
-        if lam is None or (isinstance(lam, Fraction) and lam <= 0) or float(lam) <= 0:
-            raise ValueError("λ must be positive")
-        return BianchiLabel(kind, lam=lam if isinstance(lam, float) else Fraction(lam))
+def psi_label(kind: str, lam: Rational | None = None) -> BianchiLabel:
+    """A non-unimodular label; Ψ±_λ take an exact positive rational λ."""
+    if kind in LAMBDA_KINDS:
+        if not isinstance(lam, Rational) or lam <= 0:
+            raise ValueError("λ must be a positive rational")
+        return BianchiLabel(kind, lam_sq=Fraction(lam) ** 2)
     if kind in ("psi_one", "psi_zero"):
         return BianchiLabel(kind)
     raise ValueError(f"unknown label kind {kind!r}")
+
+
+def parse_psi_label(kind: str, lam: str | None) -> BianchiLabel:
+    """A non-unimodular label with λ as text: ``p/q``, or ``sqrt(q)`` for λ² = q."""
+    if not isinstance(lam, str):
+        return psi_label(kind, lam)
+    if not (kind in LAMBDA_KINDS and lam.startswith("sqrt(") and lam.endswith(")")):
+        return psi_label(kind, Fraction(lam))
+    lam_sq = Fraction(lam[5:-1])
+    if lam_sq <= 0:
+        raise ValueError("λ must be positive")
+    return BianchiLabel(kind, lam_sq=lam_sq)
 
 
 # -- generating form ----------------------------------------------------------------
@@ -130,13 +153,13 @@ def is_unimodular(p: NLieStructure) -> bool:
 
 # -- classification ----------------------------------------------------------------------
 
-def _exact_sqrt(x: Fraction) -> Fraction | float:
-    """√x as a Fraction when exact, else a float."""
+def _exact_sqrt(x: Fraction) -> Fraction | None:
+    """√x as a Fraction when it is rational, else None."""
     num, den = x.numerator, x.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
-    return math.sqrt(num / den)
+    return None
 
 
 def _standardize_skew(k: linalg.Matrix) -> linalg.Matrix:
@@ -203,8 +226,7 @@ def classify(p: NLieStructure) -> BianchiLabel:
     d = linalg.det(s2)
     if d == 0:
         return psi_label("psi_one")
-    lam = _exact_sqrt(abs(d))
-    return psi_label("psi_plus" if d > 0 else "psi_minus", lam)
+    return BianchiLabel("psi_plus" if d > 0 else "psi_minus", lam_sq=abs(d))
 
 
 def synthesize(label: BianchiLabel, arity: int) -> NLieStructure:
@@ -223,12 +245,14 @@ def synthesize(label: BianchiLabel, arity: int) -> NLieStructure:
         if dim < 2:
             raise ValueError("Ψ-family labels need dimension ≥ 2")
         a[0][1], a[1][0] = Fraction(-1, 2), Fraction(1, 2)
-        if label.kind in ("psi_plus", "psi_minus"):
-            lam = Fraction(label.lam)
-            if lam <= 0:
+        if label.kind in LAMBDA_KINDS:
+            if label.lam_sq is None or label.lam_sq <= 0:
                 raise ValueError("λ must be positive")
-            a[0][0] = lam
-            a[1][1] = lam if label.kind == "psi_plus" else -lam
+            # diag(λ, ±λ) for rational λ, else diag(λ², ±1): determinant ±λ²
+            sign = 1 if label.kind == "psi_plus" else -1
+            lam = _exact_sqrt(label.lam_sq)
+            a[0][0], a[1][1] = ((lam, sign * lam) if lam is not None
+                                else (label.lam_sq, Fraction(sign)))
         elif label.kind == "psi_one":
             a[0][0] = Fraction(1)
         elif label.kind != "psi_zero":
@@ -236,10 +260,10 @@ def synthesize(label: BianchiLabel, arity: int) -> NLieStructure:
     return algebra_from_form(a, arity)
 
 
-def is_isomorphic(p: NLieStructure, q: NLieStructure, tolerance: float = 1e-9) -> bool:
+def is_isomorphic(p: NLieStructure, q: NLieStructure) -> bool:
     if (p.dim, p.arity) != (q.dim, q.arity):
         raise ValueError("dimension/arity mismatch")
-    return classify(p).same_as(classify(q), tolerance)
+    return classify(p) == classify(q)
 
 
 # -- derivations ---------------------------------------------------------------------------
@@ -304,7 +328,4 @@ def label_from_json(data: Mapping) -> BianchiLabel:
     kind = data["kind"]
     if kind == "unimodular":
         return unimodular_label(int(data["r"]), int(data["m"]))
-    lam = data.get("lambda")
-    if lam is not None and not isinstance(lam, float):
-        lam = Fraction(lam)
-    return psi_label(kind, lam)
+    return parse_psi_label(kind, data.get("lambda"))

@@ -147,10 +147,9 @@ def cmd_synthesize(args) -> int:
                 raise InputError("unimodular labels need --r and --m")
             label = bianchi.unimodular_label(args.r, args.m)
         else:
-            lam = Fraction(args.lam) if args.lam is not None else None
-            label = bianchi.psi_label(args.kind, lam)
+            label = bianchi.parse_psi_label(args.kind, args.lam)
         p = bianchi.synthesize(label, args.arity)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
     print(json.dumps(nlie_to_json(p), indent=2))
     return 0
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arity", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--lambda", dest="lam")
+    p.add_argument("--lambda", dest="lam", help="λ as p/q, or sqrt(q) for λ² = q")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("compat", help="compatibility of two structures")

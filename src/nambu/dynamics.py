@@ -4,123 +4,22 @@ magnetized spinning particle on R³ and the Kepler problem in action-angle
 coordinates.
 
 The symbolic core stays polynomial.  The q-deformed spin bracket needs
-negative powers of S₃ and the Kepler tensor carries the rational prefactor
-ν = 2mk²/(ΣJ)³; both are confined to a minimal Laurent/pointwise layer that
-never feeds back into the exact verifiers.
+negative powers of S₃, which ``Poly`` represents exactly (its exponents may be
+negative internally; file input may not carry them).  The Kepler tensor's
+rational prefactor ν = 2mk²/(ΣJ)³ is evaluated pointwise and never feeds back
+into the exact verifiers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .multivector import MultiVector
 from .npoisson import is_n_poisson
 from .poly import Poly
-
-
-# -- a minimal Laurent-polynomial layer ------------------------------------------
-
-class LaurentPoly:
-    """Sparse polynomial allowing negative exponents; rational coefficients.
-
-    Supports just enough arithmetic for the deformed spin bracket tables:
-    add, subtract, multiply, partial derivatives and evaluation.
-    """
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms: Mapping[tuple, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for exps, coef in terms.items():
-                coef = Fraction(coef)
-                if coef != 0:
-                    clean[tuple(exps)] = coef
-        self.num_vars = num_vars
-        self.terms = clean
-
-    @staticmethod
-    def from_poly(p: Poly) -> "LaurentPoly":
-        return LaurentPoly(p.num_vars, p.terms)
-
-    @staticmethod
-    def monomial(num_vars: int, exps: Sequence[int], coef=1) -> "LaurentPoly":
-        return LaurentPoly(num_vars, {tuple(exps): Fraction(coef)})
-
-    def to_poly(self) -> Poly:
-        if any(e < 0 for exps in self.terms for e in exps):
-            raise ValueError("negative exponents present")
-        return Poly(self.num_vars, self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            other = LaurentPoly.from_poly(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, frozenset(self.terms.items())))
-
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, Poly):
-            other = LaurentPoly.from_poly(other)
-        terms = dict(self.terms)
-        for exps, coef in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coef
-        return LaurentPoly(self.num_vars, terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly)
-                       else -LaurentPoly.from_poly(other))
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, Poly):
-            other = LaurentPoly.from_poly(other)
-        if not isinstance(other, LaurentPoly):
-            c = Fraction(other)
-            return LaurentPoly(self.num_vars, {e: c * v for e, v in self.terms.items()})
-        terms: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.num_vars, terms)
-
-    __rmul__ = __mul__
-
-    def partial(self, index: int) -> "LaurentPoly":
-        terms: dict[tuple, Fraction] = {}
-        for exps, coef in self.terms.items():
-            k = exps[index]
-            if k:
-                e = list(exps)
-                e[index] = k - 1
-                e = tuple(e)
-                terms[e] = terms.get(e, Fraction(0)) + coef * k
-        return LaurentPoly(self.num_vars, terms)
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for exps, coef in self.terms.items():
-            v = float(coef)
-            for x, e in zip(point, exps):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.terms})"
 
 
 # -- systems --------------------------------------------------------------------
@@ -255,32 +154,15 @@ def spin_closed_form(x0: Sequence[float], b3: float, mu: float, t: float) -> lis
     return [c * x0[0] + s * x0[1], -s * x0[0] + c * x0[1], x0[2]]
 
 
-def hereditary_poisson_table(f, big_f) -> list[list]:
+def hereditary_poisson_table(f: Poly, big_f: Poly) -> list[list[Poly]]:
     """Pairwise brackets {S_j,S_k} = f · ε_{jkl} ∂F/∂S_l of the ternary
-    structure f·∂₁∧∂₂∧∂₃ with the function F frozen in one slot.
-
-    Accepts Poly or LaurentPoly inputs; returns Poly entries whenever both
-    inputs are polynomial.
-    """
-    want_poly = isinstance(f, Poly) and isinstance(big_f, Poly)
-    if isinstance(f, Poly):
-        f = LaurentPoly.from_poly(f)
-    if isinstance(big_f, Poly):
-        big_f = LaurentPoly.from_poly(big_f)
-    grads = [big_f.partial(i) for i in range(3)]
-    zero = LaurentPoly(3)
-    table = [[zero for _ in range(3)] for _ in range(3)]
-    epsilon = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-               (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
-    for j in range(3):
-        for k in range(3):
-            if j == k:
-                continue
-            l = 3 - j - k
-            entry = f * grads[l] * epsilon[(j, k, l)]
-            table[j][k] = entry
-    if want_poly:
-        table = [[entry.to_poly() for entry in row] for row in table]
+    structure f·∂₁∧∂₂∧∂₃ with the function F frozen in one slot; f and F may
+    carry negative exponents, as the deformed spin brackets do."""
+    grads = big_f.gradient()
+    table = [[Poly.zero(3) for _ in range(3)] for _ in range(3)]
+    for j, k, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        entry = f * grads[l]
+        table[j][k], table[k][j] = entry, -entry
     return table
 
 

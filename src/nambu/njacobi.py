@@ -183,41 +183,6 @@ def canonical_bracket(m: int, n: int, fs: Sequence[Poly]) -> Poly:
     return JacobiOp(nabla, box).apply(fs)
 
 
-def raw_jacobi_identity_holds(op: JacobiOp, max_slot_degree: int = 2) -> tuple[bool, tuple | None]:
-    """Independent cross-check: expand the n-ary Jacobi identity
-
-    Δ_{u₁,…,u_{n−1}}(Δ(v₁,…,v_n)) = Σᵢ Δ(v₁,…,Δ_{u…}(vᵢ),…,v_n)
-
-    directly on tuples of monomials of degree ≤ max_slot_degree, where
-    Δ_{u…}(g) = Δ(u₁,…,u_{n−1},g).  Slower than the defect route but makes no
-    use of the decomposition formulas.
-    """
-    from .npoisson import slot_monomials
-    n = op.arity
-    monos = slot_monomials(op.num_vars, max_slot_degree)
-    apply_cache: dict[tuple[Poly, ...], Poly] = {}
-
-    def ap(args: tuple[Poly, ...]) -> Poly:
-        value = apply_cache.get(args)
-        if value is None:
-            value = op.apply(list(args))
-            apply_cache[args] = value
-        return value
-
-    for us in itertools.combinations(monos, n - 1):
-        for vs in itertools.combinations(monos, n):
-            inner = ap(tuple(vs))
-            lhs = op.apply(list(us) + [inner])
-            rhs = Poly.zero(op.num_vars)
-            for i in range(n):
-                args = list(vs)
-                args[i] = ap(tuple(us) + (vs[i],))
-                rhs = rhs + op.apply(args)
-            if lhs != rhs:
-                return False, (us, vs)
-    return True, None
-
-
 def jacobiop_to_json(op: JacobiOp) -> dict:
     return {"nabla": multivector_to_json(op.nabla),
             "box": multivector_to_json(op.box)}

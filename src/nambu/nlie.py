@@ -27,8 +27,9 @@ Sparse = dict[int, Fraction]             # nonzero entries by index
 Minors = dict[IndexTuple, Fraction]      # a wedge product on increasing tuples
 Entries = Iterable[tuple[int, Fraction]]  # (index, value) pairs of a vector
 
-# (u, w) basis tuple pairs a check may visit: far above every fixture, test
-# and benchmark instance (a few thousand), far below C(30,14)·C(30,15) ≈ 2·10¹⁶.
+# (u, w) basis tuple pairs a check may visit, and brackets ``hereditary`` may
+# evaluate: far above every fixture, test and benchmark instance (a few
+# thousand), far below C(30,14)·C(30,15) ≈ 2·10¹⁶.
 MAX_TUPLE_PAIRS = 10**6
 
 
@@ -265,8 +266,12 @@ class NLieStructure:
         k = len(us)
         if k >= self.arity:
             raise ValueError("must freeze fewer arguments than the arity")
-        u_vecs = [_to_vec(u, self.dim) for u in us]
         new_arity = self.arity - k
+        count = math.comb(self.dim, new_arity)
+        if count > MAX_TUPLE_PAIRS:
+            raise ValueError(f"dimension {self.dim}, arity {new_arity}: {count} "
+                             f"brackets to evaluate, above the limit {MAX_TUPLE_PAIRS}")
+        u_vecs = [_to_vec(u, self.dim) for u in us]
         consts = {}
         basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
         for idx in itertools.combinations(range(self.dim), new_arity):

@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial in ``m`` variables is a map from exponent tuples (length ``m``,
-non-negative ints) to nonzero ``Fraction`` coefficients.  All arithmetic is
-exact; this is the coefficient ring for every symbolic object in the package.
+A polynomial in ``m`` variables is a map from exponent tuples (length ``m``)
+to nonzero ``Fraction`` coefficients.  All arithmetic is exact; this is the
+coefficient ring for every symbolic object in the package.  Exponents may be
+negative, so the same class is the Laurent ring that the deformed spin
+brackets of ``dynamics`` need; the text and JSON input forms accept only
+non-negative exponents.
 
 Text form: ``"3/2 x1^2 x3 - x2"`` (1-based variable names).
 JSON form: ``[{"coef": "3/2", "exps": [2, 0, 1]}, ...]``.
@@ -234,7 +237,7 @@ class Poly:
         parts = []
         for exps, coef in self.sorted_terms():
             factors = [
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                f"x{i + 1}" + (f"^{e}" if e != 1 else "")
                 for i, e in enumerate(exps)
                 if e
             ]
@@ -266,6 +269,8 @@ class Poly:
         terms: dict[Exponent, Fraction] = {}
         for item in data:
             exps = tuple(int(e) for e in item["exps"])
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {list(exps)}")
             coef = Fraction(item["coef"])
             terms[exps] = terms.get(exps, Fraction(0)) + coef
         return Poly(num_vars, terms)

@@ -31,6 +31,41 @@ def fi_search_oracle(tensor):
     return True, None
 
 
+def raw_jacobi_oracle(op, max_slot_degree=2):
+    """The n-ary Jacobi identity of a Jacobi operator by direct expansion:
+
+    Δ_{u₁,…,u_{n−1}}(Δ(v₁,…,v_n)) = Σᵢ Δ(v₁,…,Δ_{u…}(vᵢ),…,v_n)
+
+    on tuples of monomials of degree ≤ max_slot_degree, where
+    Δ_{u…}(g) = Δ(u₁,…,u_{n−1},g).  Slower than the defect route but makes no
+    use of the decomposition formulas.  Returns (True, None) or
+    (False, first (us, vs)).
+    """
+    n = op.arity
+    monos = slot_monomials(op.num_vars, max_slot_degree)
+    apply_cache = {}
+
+    def ap(args):
+        value = apply_cache.get(args)
+        if value is None:
+            value = op.apply(list(args))
+            apply_cache[args] = value
+        return value
+
+    for us in itertools.combinations(monos, n - 1):
+        for vs in itertools.combinations(monos, n):
+            inner = ap(tuple(vs))
+            lhs = op.apply(list(us) + [inner])
+            rhs = Poly.zero(op.num_vars)
+            for i in range(n):
+                args = list(vs)
+                args[i] = ap(tuple(us) + (vs[i],))
+                rhs = rhs + op.apply(args)
+            if lhs != rhs:
+                return False, (us, vs)
+    return True, None
+
+
 # -- n-Lie oracles: the determinant bracket and the per-tuple loops ----------
 
 def det_bracket(p, vs):

@@ -3,9 +3,12 @@ bilinear forms, derivation algebras, canonical-form synthesis, and the
 quadric-generated bracket embedding."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (rand_invertible_matrix, rand_symmetric_matrix,
                       rand_unimodular_matrix)
@@ -78,7 +81,7 @@ class TestClassify:
             labels += [psi_label("psi_plus", lam), psi_label("psi_minus", lam)]
         labels += [psi_label("psi_one"), psi_label("psi_zero")]
         for label in labels:
-            assert classify(synthesize(label, 3)).same_as(label)
+            assert classify(synthesize(label, 3)) == label
 
     def test_basis_change_invariance(self, rng):
         samples = [atomic4(), vector_product_algebra(3),
@@ -90,7 +93,7 @@ class TestClassify:
                     c = rand_invertible_matrix(rng, 4)
                 else:
                     c = rand_unimodular_matrix(rng, 4)
-                assert classify(p.change_basis(c)).same_as(base)
+                assert classify(p.change_basis(c)) == base
 
     def test_invalid_algebra_rejected(self):
         vp = vector_product_algebra(3)
@@ -235,10 +238,78 @@ class TestLabelSerialization:
     def test_round_trips(self):
         for label in (unimodular_label(3, 2), psi_label("psi_plus", Fraction(7, 3)),
                       psi_label("psi_zero")):
-            assert label_from_json(label.to_json()).same_as(label)
+            assert label_from_json(label.to_json()) == label
 
-    def test_same_as_tolerance(self):
-        a = psi_label("psi_plus", 2.0)
-        b = psi_label("psi_plus", 2.0 + 1e-12)
-        assert a.same_as(b)
-        assert not a.same_as(psi_label("psi_plus", 2.1))
+    def test_float_lambda_rejected(self):
+        for kind in ("psi_plus", "psi_minus"):
+            with pytest.raises(ValueError):
+                psi_label(kind, 2.0)
+            with pytest.raises(ValueError):
+                label_from_json({"kind": kind, "lambda": 1.4142135623730951})
+
+    def test_rational_lambda_text(self):
+        label = psi_label("psi_minus", Fraction(7, 3))
+        assert str(label) == "PsiLambdaMinus{λ=7/3}"
+        assert label.to_json() == {"kind": "psi_minus", "lambda": "7/3"}
+        assert label_from_json({"kind": "psi_minus", "lambda": "sqrt(49/9)"}) == label
+
+    def test_irrational_lambda_text(self):
+        label = classify(psi_algebra(Fraction(2)))
+        assert str(label) == "PsiLambdaPlus{λ=sqrt(2)}"
+        assert label.to_json() == {"kind": "psi_plus", "lambda": "sqrt(2)"}
+        with pytest.raises(ValueError, match="irrational"):
+            label.lam
+
+    @pytest.mark.parametrize("text", ["sqrt(0)", "sqrt(-2)", "0", "-1/2", "sqrt(x)"])
+    def test_invalid_lambda_text(self, text):
+        with pytest.raises(ValueError):
+            label_from_json({"kind": "psi_plus", "lambda": text})
+
+
+# -- exact λ: the invariant is the rational λ², never a rounded root ----------
+
+def psi_algebra(lam_sq, sign=1, arity=3):
+    """The algebra of the standard skew block plus diag(λ², ±1): the label
+    Ψ±_λ with λ² given exactly, rational or not."""
+    form = zeros(arity + 1, arity + 1)
+    form[0][1], form[1][0] = Fraction(-1, 2), Fraction(1, 2)
+    form[0][0], form[1][1] = Fraction(lam_sq), Fraction(sign)
+    return algebra_from_form(form, arity)
+
+
+class TestExactLambda:
+    def test_nearby_invariants_are_not_isomorphic(self):
+        a = psi_algebra(Fraction(2))
+        b = psi_algebra(Fraction(2) + Fraction(1, 10**15))
+        assert not is_isomorphic(a, b)
+        assert classify(a) != classify(b)
+
+    @pytest.mark.parametrize("lam_sq", [Fraction(2), Fraction(3, 5), Fraction(8)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_round_trips_keep_lambda_squared(self, lam_sq, sign):
+        label = classify(psi_algebra(lam_sq, sign))
+        assert label.kind == ("psi_plus" if sign == 1 else "psi_minus")
+        assert label.lam_sq == lam_sq
+        assert classify(synthesize(label, 3)) == label
+        assert label_from_json(label.to_json()) == label
+        q = synthesize(label, 3).change_basis(rand_unimodular_matrix(random.Random(7), 4))
+        assert is_isomorphic(q, psi_algebra(lam_sq, sign))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+       sign=st.sampled_from([1, -1]),
+       a=st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+       b=st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       seed=st.integers(0, 2**16))
+def test_determinant_is_lambda_squared(q, sign, a, b, seed):
+    """A symmetric block [[a, b], [b, c]] with ac − b² = ±q, behind a
+    determinant-1 basis change, classifies to λ² = q exactly."""
+    c = (sign * q + b * b) / a
+    form = zeros(4, 4)
+    form[0][0], form[0][1] = a, b - Fraction(1, 2)
+    form[1][0], form[1][1] = b + Fraction(1, 2), c
+    p = algebra_from_form(form, 3).change_basis(rand_unimodular_matrix(random.Random(seed), 4))
+    label = classify(p)
+    assert label.kind == ("psi_plus" if sign == 1 else "psi_minus")
+    assert label.lam_sq == q

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -79,18 +80,25 @@ class TestCheckNlie:
         assert code == 2 and not out
         assert "dimension must be at least 1" in err
 
-    @pytest.mark.parametrize("verb", ["check-nlie", "compat", "classify"])
-    def test_work_bound(self, capsys, tmp_path, verb):
-        """C(30,14)·C(30,15) tuple pairs are refused before any work, even for
-        the zero structure; classify checks the identity first."""
+    @pytest.mark.parametrize("verb, extra, count", [
+        ("check-nlie", [], comb(30, 14) * comb(30, 15)),
+        ("compat", [], comb(30, 14) * comb(30, 15)),
+        ("classify", [], comb(30, 14) * comb(30, 15)),
+        ("hereditary", ["--freeze", ",".join(["1"] * 30)], comb(30, 14)),
+    ], ids=["check-nlie", "compat", "classify", "hereditary"])
+    def test_work_bound(self, capsys, tmp_path, verb, extra, count):
+        """C(30,14)·C(30,15) tuple pairs, or C(30,14) brackets for one frozen
+        vector, are refused before any work, even for the zero structure;
+        classify checks the identity first."""
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"dim": 30, "arity": 15}))
         start = time.perf_counter()
-        code, out, err = run(capsys, verb, *[str(big)] * (2 if verb == "compat" else 1))
+        code, out, err = run(capsys, verb, *[str(big)] * (2 if verb == "compat" else 1),
+                             *extra)
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
-        assert str(comb(30, 14) * comb(30, 15)) in err
-        assert comb(30, 14) * comb(30, 15) > MAX_TUPLE_PAIRS
+        assert str(count) in err
+        assert count > MAX_TUPLE_PAIRS
 
 
 @pytest.mark.parametrize("argv, name, path", [
@@ -104,16 +112,37 @@ class TestCheckNlie:
 ], ids=["check-nlie", "compat", "check-poisson", "check-jacobi", "integrate"])
 def test_zero_denominator_is_input_error(capsys, tmp_path, argv, name, path):
     """A "1/0" rational in an input file exits 2 with a message, not a traceback."""
+    bad = write_altered(tmp_path, name, path, "1/0")
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "Fraction(1, 0)" in err
+
+
+@pytest.mark.parametrize("argv, name, path", [
+    (["check-poisson"], "atomic_tensor.json", ("components", 0, "poly", 0, "exps", 2)),
+    (["check-jacobi"], "jacobi_pair.json",
+     ("nabla", "components", 0, "poly", 0, "exps", 2)),
+    (["integrate", "--x0", "1,0", "--steps", "2", "--system"], "oscillator_system.json",
+     ("hamiltonians", 0, 0, "exps", 1)),
+], ids=["check-poisson", "check-jacobi", "integrate"])
+def test_negative_exponent_is_input_error(capsys, tmp_path, argv, name, path):
+    """Polynomials in input files have non-negative exponents: -1 exits 2."""
+    bad = write_altered(tmp_path, name, path, -1)
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "negative exponent" in err
+
+
+def write_altered(tmp_path, name, path, value):
+    """A copy of the demo file ``name`` with the entry at ``path`` set to ``value``."""
     data = json.loads((DATA / name).read_text())
     parent = data
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = "1/0"
+    parent[path[-1]] = value
     bad = tmp_path / name
     bad.write_text(json.dumps(data))
-    code, out, err = run(capsys, *argv, str(bad))
-    assert code == 2 and not out
-    assert err.startswith("error:") and "Fraction(1, 0)" in err
+    return bad
 
 
 class TestCheckPoisson:
@@ -208,6 +237,17 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(bad))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("path", [
+        DATA / "atomic_3lie.json", DATA / "vector_product_3.json",
+        DATA / "skew_psi_zero.json", GOLDEN / "psi_plus_7_3.json",
+        GOLDEN / "psi_minus_1_2.json"], ids=lambda path: path.stem)
+    def test_output_matches_golden(self, capsys, path):
+        """Ψ±_λ behind a basis change (λ = 7/3 for arity 3, λ = 1/2 for
+        arity 4), the unimodular fixtures and Ψ₀."""
+        code, out, _ = run(capsys, "--json", "classify", str(path))
+        assert code == 0
+        assert out == (GOLDEN / f"classify_{path.stem}.json").read_text()
+
 
 class TestDerivations:
     def test_vector_product_dimension(self, capsys):
@@ -237,6 +277,35 @@ class TestSynthesize:
         code, _, err = run(capsys, "synthesize", "--kind", "psi_plus",
                            "--arity", "3", "--lambda", "-1")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("lam", ["1/0", "sqrt(0)", "sqrt(-2)", "sqrt(x)", "x"])
+    def test_malformed_lambda(self, capsys, lam):
+        code, out, err = run(capsys, "synthesize", "--kind", "psi_minus",
+                             "--arity", "3", "--lambda", lam)
+        assert code == 2 and not out and err.startswith("error:")
+
+    def test_irrational_lambda(self, capsys):
+        code, out, _ = run(capsys, "synthesize", "--kind", "psi_minus",
+                           "--arity", "3", "--lambda", "sqrt(8/3)")
+        assert code == 0
+        from nambu.bianchi import classify
+        label = classify(nlie_from_json(json.loads(out)))
+        assert label.kind == "psi_minus" and label.lam_sq == Fraction(8, 3)
+        assert str(label) == "PsiLambdaMinus{λ=sqrt(8/3)}"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("psi_plus_7_3", ["--kind", "psi_plus", "--arity", "3", "--lambda", "7/3"]),
+        ("psi_minus_1_2", ["--kind", "psi_minus", "--arity", "4", "--lambda", "1/2"]),
+        ("psi_plus_2", ["--kind", "psi_plus", "--arity", "3", "--lambda", "2"]),
+        ("unimodular_3_2", ["--kind", "unimodular", "--arity", "3", "--r", "3",
+                            "--m", "2"]),
+        ("psi_one", ["--kind", "psi_one", "--arity", "3"]),
+        ("psi_zero", ["--kind", "psi_zero", "--arity", "3"]),
+    ])
+    def test_output_matches_golden(self, capsys, name, argv):
+        code, out, _ = run(capsys, "synthesize", *argv)
+        assert code == 0
+        assert out == (GOLDEN / f"synthesize_{name}.json").read_text()
 
 
 class TestCompat:

@@ -287,6 +287,14 @@ class TestInputBounds:
                 check()
         assert comb(8, 2) * comb(8, 3) < MAX_TUPLE_PAIRS
 
+    def test_hereditary_bracket_limit(self):
+        """Freezing one vector of a 15-ary structure on 30 dimensions needs
+        C(30,14) brackets: refused before the first; C(8,2) = 28 is fine."""
+        big = NLieStructure.zero(30, 15)
+        with pytest.raises(ValueError, match=f"{comb(30, 14)} brackets.*above the limit"):
+            big.hereditary([e(30, 0)])
+        assert NLieStructure.zero(8, 3).hereditary([e(8, 0)]).is_zero()
+
 
 class TestSerialization:
     def test_round_trip(self, rng):

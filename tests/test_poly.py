@@ -133,6 +133,15 @@ class TestSerialization:
         p = Fraction(3, 2) * X1**2 * X3 - X2
         assert Poly.parse(str(p), 3) == p
 
+    def test_text_form_of_negative_exponents(self):
+        assert str(Poly.monomial(3, (0, 0, -2))) == "x3^-2"
+        assert str(Poly.monomial(3, (1, 0, -1), 3)) == "3 x1 x3^-1"
+        assert str(Poly.monomial(3, (2, 1, 0), -1) + 3) == "3 - x1^2 x2"
+
+    def test_negative_exponent_in_json_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Poly.from_json([{"coef": "1", "exps": [0, 0, -1]}], 3)
+
     def test_parse_plain_terms(self):
         assert Poly.parse("x1^2 x3 - 2 x2 + 7", 3) == \
             X1**2 * X3 - 2 * X2 + Poly.const(3, 7)
