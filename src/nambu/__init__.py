@@ -2,8 +2,7 @@
 n-Jacobi operators on a single coordinate chart."""
 
 from .poly import Poly
-from .multivector import (MultiVector, OneForm, derived_rank,
-                          derived_pairing_vanishes, is_decomposable)
+from .multivector import MultiVector, OneForm, derived_rank, is_decomposable
 from .nlie import NLieStructure, vector_product_algebra
 from .npoisson import (casimir_polynomials, dual_nvector, fi_defect,
                        is_n_poisson, scale, wedge_compat_check)
@@ -23,7 +22,7 @@ __all__ = [
     "Poly", "MultiVector", "OneForm", "NLieStructure", "JacobiOp",
     "BianchiLabel", "NambuSystem", "SpinSystem", "KeplerSystem",
     "Trajectory",
-    "derived_rank", "derived_pairing_vanishes", "is_decomposable",
+    "derived_rank", "is_decomposable",
     "vector_product_algebra", "casimir_polynomials", "dual_nvector",
     "fi_defect", "is_n_poisson", "scale", "wedge_compat_check",
     "canonical_bracket", "from_poisson_and_form", "insert_unity",

@@ -89,15 +89,17 @@ def psi_label(kind: str, lam: Rational | None = None) -> BianchiLabel:
             raise ValueError("λ must be a positive rational")
         return BianchiLabel(kind, lam_sq=Fraction(lam) ** 2)
     if kind in ("psi_one", "psi_zero"):
+        if lam is not None:
+            raise ValueError(f"{kind} takes no λ")
         return BianchiLabel(kind)
     raise ValueError(f"unknown label kind {kind!r}")
 
 
 def parse_psi_label(kind: str, lam: str | None) -> BianchiLabel:
     """A non-unimodular label with λ as text: ``p/q``, or ``sqrt(q)`` for λ² = q."""
-    if not isinstance(lam, str):
+    if not (isinstance(lam, str) and kind in LAMBDA_KINDS):
         return psi_label(kind, lam)
-    if not (kind in LAMBDA_KINDS and lam.startswith("sqrt(") and lam.endswith(")")):
+    if not (lam.startswith("sqrt(") and lam.endswith(")")):
         return psi_label(kind, Fraction(lam))
     lam_sq = Fraction(lam[5:-1])
     if lam_sq <= 0:
@@ -326,6 +328,10 @@ def witt_embedding_check() -> tuple[bool, dict[str, Poly]]:
 
 def label_from_json(data: Mapping) -> BianchiLabel:
     kind = data["kind"]
+    keys = {"unimodular": {"r", "m"}, **dict.fromkeys(LAMBDA_KINDS, {"lambda"})}
+    stray = set(data) - {"kind"} - keys.get(kind, set())
+    if stray:
+        raise ValueError(f"unexpected keys {sorted(stray)} for kind {kind!r}")
     if kind == "unimodular":
         return unimodular_label(int(data["r"]), int(data["m"]))
     return parse_psi_label(kind, data.get("lambda"))

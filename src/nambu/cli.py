@@ -143,10 +143,12 @@ def cmd_derivations(args) -> int:
 def cmd_synthesize(args) -> int:
     try:
         if args.kind == "unimodular":
-            if args.r is None or args.m is None:
-                raise InputError("unimodular labels need --r and --m")
+            if args.r is None or args.m is None or args.lam is not None:
+                raise InputError("unimodular labels take --r and --m, not --lambda")
             label = bianchi.unimodular_label(args.r, args.m)
         else:
+            if args.r is not None or args.m is not None:
+                raise InputError(f"{args.kind} labels take no --r or --m")
             label = bianchi.parse_psi_label(args.kind, args.lam)
         p = bianchi.synthesize(label, args.arity)
     except (ValueError, ZeroDivisionError) as exc:
@@ -223,6 +225,8 @@ def cmd_integrate(args) -> int:
         raise InputError("--x0 is required")
     x0 = _rationals(args.x0, "--x0", dim)
     try:
+        if args.builtin == "kepler":
+            sys_.nu(x0)  # ΣJ is conserved, so only the start can be singular
         traj = dynamics.rk4_integrate(field, x0, args.step, args.steps, monitors)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"cannot integrate: {exc}") from exc

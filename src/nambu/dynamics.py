@@ -86,8 +86,9 @@ def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     ``monitors`` are polynomials evaluated once on every state; the drift
     rows and their running maximum are kept in the ``Trajectory``.  Drift
     is reported, never corrected.  ``h`` must be finite and positive.  A
-    step whose state is not finite, or overflows while being computed,
-    ends the run with ``ok=False``; the states before it are kept.
+    step whose state is not finite, or overflows or meets a pole of the
+    field while being computed, ends the run with ``ok=False``; the states
+    before it are kept.
     """
     if not (math.isfinite(h) and h > 0) or steps < 1:
         raise ValueError("need a finite h > 0 and steps ≥ 1")
@@ -114,7 +115,7 @@ def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
                 raise OverflowError
             row = [abs(mon.evaluate_float(state) - v)
                    for mon, v in zip(monitors, initial)]
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             return Trajectory(times, states, drift, rows, ok=False,
                               error=f"non-finite state at t={t}")
         times.append(t)

@@ -2,13 +2,17 @@
 
 Matrices are lists of lists of ``Fraction``.  Provides the handful of exact
 routines the rest of the package needs: rank, nullspace, inverse, determinant,
-and congruence diagonalization of symmetric bilinear forms.
+and congruence diagonalization of symmetric bilinear forms.  One routine is
+generic over the coefficient ring: ``wedge_minors`` builds wedge products as
+signed minors, for ``Fraction`` vectors (n-Lie brackets) and for ``Poly``
+gradients (multi-derivations) alike.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 Matrix = list[list[Fraction]]
@@ -109,20 +113,6 @@ def nullspace(a: Matrix, cols: int | None = None) -> list[Vector]:
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of ``a x = b``, or None if inconsistent."""
-    rows = len(a)
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    n_cols = len(a[0]) if rows else 0
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][-1]
-    return x
-
-
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
     aug = [a[i][:] + identity(n)[i] for i in range(n)]
@@ -152,12 +142,30 @@ def det(a: Matrix) -> Fraction:
     return result
 
 
-def in_span(basis: list[Vector], v: Vector) -> bool:
-    """Whether ``v`` lies in the rational span of ``basis``."""
-    if not basis:
-        return all(x == 0 for x in v)
-    a = transpose([b[:] for b in basis])
-    return solve(a, v) is not None
+def wedge_minors(minors: dict, vecs: Iterable[Iterable[tuple[int, object]]]) -> dict:
+    """minors ∧ v for each v of ``vecs`` in turn, over any ring with ``+``,
+    ``*`` and unary ``−``.
+
+    A wedge is a map from strictly increasing index tuples to its minors
+    (``{(): 1}`` is the empty wedge); each v gives its nonzero (index, entry)
+    pairs and is walked once per minor, so it must not be an iterator.  e_i
+    placed behind the larger indices of a tuple flips the sign once for each.
+    Only nonzero entries are visited, so the wedge of k basis vectors is one
+    minor; values may hold zeros.
+    """
+    for vec in vecs:
+        out: dict = {}
+        for key, coef in minors.items():
+            for i, x in vec:
+                pos = bisect_left(key, i)
+                if pos < len(key) and key[pos] == i:
+                    continue
+                new = key[:pos] + (i,) + key[pos:]
+                term = coef * x if (len(key) - pos) % 2 == 0 else -coef * x
+                prev = out.get(new)
+                out[new] = term if prev is None else prev + term
+        minors = out
+    return minors
 
 
 def congruent_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:

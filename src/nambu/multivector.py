@@ -5,11 +5,15 @@ increasing index tuples (i₁<…<i_k), 0-based, to ``Poly`` coefficients.  The
 module provides the calculus used everywhere else: wedge product, contraction
 with differentials and 1-forms, Hamiltonian vector fields, Lie derivative,
 the Schouten bracket of multi-derivations, derived vectors, rank at a point,
-and the decomposability tests.
+and the decomposability test.
 
-The multi-derivation attached to a multivector is
-``V(f₁,…,f_k) = Σ_I p_I · det‖∂f_a/∂x_{i_b}‖`` and contraction is arranged so
-that ``df_k⌋…⌋df₁⌋V = V(f₁,…,f_k)``.
+The multi-derivation attached to a multivector is the pairing
+``V(f₁,…,f_k) = Σ_I p_I · (df₁∧…∧df_k)_I``, the same signed-minor pairing
+the n-Lie bracket uses for its structure constants: ``apply`` builds the
+wedge of the gradients once with ``linalg.wedge_minors`` and looks each
+component up in it, so coordinate slots cost a single minor.  Contraction is
+arranged so that ``df_k⌋…⌋df₁⌋V = V(f₁,…,f_k)``; contraction with coordinate
+covectors (``derived``) only drops indices.
 """
 
 from __future__ import annotations
@@ -227,26 +231,44 @@ class MultiVector:
         return out
 
     def derived(self, covector_indices: Sequence[int]) -> "MultiVector":
-        """V_{a₁,…,a_j}: contraction with constant coordinate covectors dx_a."""
-        out = self
-        for a in covector_indices:
-            out = out.contract_form([Poly.const(self.num_vars, 1 if i == a else 0)
-                                     for i in range(self.num_vars)])
-        return out
+        """V_{a₁,…,a_j}: contraction with constant coordinate covectors dx_a.
+
+        dx_a⌋ drops a from each index tuple holding it, at position t, with
+        sign (−1)^t; distinct tuples stay distinct, so nothing accumulates.
+        """
+        if len(covector_indices) > self.degree:
+            raise ValueError("cannot contract a degree-0 multivector")
+        comps: dict[IndexTuple, Poly] = {}
+        for idx, poly in self.components.items():
+            sign = 1
+            for a in covector_indices:
+                if a not in idx:
+                    break
+                t = idx.index(a)
+                idx = idx[:t] + idx[t + 1:]
+                if t & 1:
+                    sign = -sign
+            else:
+                comps[idx] = poly if sign == 1 else -poly
+        return MultiVector(self.num_vars, self.degree - len(covector_indices), comps)
 
     # -- evaluation as a multi-derivation -------------------------------------
 
     def apply(self, fs: Sequence[Poly]) -> Poly:
-        """V(f₁,…,f_k) = Σ_I p_I · det‖∂f_a/∂x_{i_b}‖."""
+        """V(f₁,…,f_k) = Σ_I p_I · (df₁∧…∧df_k)_I, the minors det‖∂f_a/∂x_{i_b}‖."""
         if len(fs) != self.degree:
             raise ValueError(f"expected {self.degree} functions, got {len(fs)}")
-        if self.degree == 0:
-            return self.components.get((), Poly.zero(self.num_vars))
-        grads = [f.gradient() for f in fs]
         total = Poly.zero(self.num_vars)
+        if self.degree == 0:
+            return self.components.get((), total)
+        # only minors on the coordinates V involves can meet a component
+        support = {i for idx in self.components for i in idx}
+        grads = [[(i, d) for i in support if not (d := f.partial(i)).is_zero()]
+                 for f in fs]
+        wedge = linalg.wedge_minors({(i,): d for i, d in grads[0]}, grads[1:])
         for idx, poly in self.components.items():
-            d = _poly_det([[grads[a][i] for i in idx] for a in range(len(fs))])
-            if not d.is_zero():
+            d = wedge.get(idx)
+            if d is not None and not d.is_zero():
                 total = total + poly * d
         return total
 
@@ -266,15 +288,22 @@ class MultiVector:
         if self.degree != 1:
             raise ValueError("Lie derivative requires a degree-1 field")
         self._check_compatible(v)
-        x = self.vector_coeffs()
+        x = [(j, c) for (j,), c in self.components.items()]
+        # L_X(p ∂_I) = X(p) ∂_I − p Σ_t Σ_j ∂_{i_t}x_j ∂_{I with i_t → j}; the
+        # Jacobian ∂_i x_j is taken once, for j in the support of X and i in v's
+        jacobian = {i: [(j, d) for j, c in x if not (d := c.partial(i)).is_zero()]
+                    for i in {i for idx in v.components for i in idx}}
         terms: list[tuple[Sequence[int], Poly]] = []
         for idx, poly in v.components.items():
-            terms.append((idx, self.apply([poly])))
+            flow = Poly.zero(self.num_vars)  # X(p)
+            for j, c in x:
+                d = poly.partial(j)
+                if not d.is_zero():
+                    flow = flow + c * d
+            terms.append((idx, flow))
             for t, i in enumerate(idx):
-                for j in range(self.num_vars):
-                    dxj = x[j].partial(i)
-                    if not dxj.is_zero():
-                        terms.append((idx[:t] + (j,) + idx[t + 1:], -(poly * dxj)))
+                for j, d in jacobian[i]:
+                    terms.append((idx[:t] + (j,) + idx[t + 1:], -(poly * d)))
         return MultiVector.from_terms(self.num_vars, v.degree, terms)
 
     # -- Schouten bracket --------------------------------------------------------
@@ -299,26 +328,6 @@ class MultiVector:
             if not value.is_zero():
                 comps[idx] = value
         return MultiVector(self.num_vars, degree, comps)
-
-
-def _poly_det(rows: list[list[Poly]]) -> Poly:
-    """Determinant of a small matrix of polynomials by cofactor expansion."""
-    n = len(rows)
-    if n == 0:
-        return Poly.const(0, 1)
-    num_vars = rows[0][0].num_vars
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Poly.zero(num_vars)
-    for c in range(n):
-        if rows[0][c].is_zero():
-            continue
-        minor = [[row[j] for j in range(n) if j != c] for row in rows[1:]]
-        cof = rows[0][c] * _poly_det(minor)
-        total = total + (cof if c % 2 == 0 else -cof)
-    return total
 
 
 def _schouten_value(a: MultiVector, b: MultiVector, fs: list[Poly]) -> Poly:
@@ -379,29 +388,6 @@ def is_decomposable(v: MultiVector) -> bool:
     return True
 
 
-def derived_pairing_vanishes(v: MultiVector) -> bool:
-    """Sufficient decomposability condition for degree k > 2:
-
-    V_{a,c₁,…,c_{k−2}} ∧ V_b + V_{b,c₁,…,c_{k−2}} ∧ V_a = 0
-    for all constant coordinate covectors a, b, c₁,…,c_{k−2}.
-    """
-    k = v.degree
-    if k <= 2:
-        raise ValueError("condition requires degree > 2")
-    if v.is_zero():
-        return True
-    m = v.num_vars
-    singles = [v.derived((b,)) for b in range(m)]
-    for cs in itertools.combinations(range(m), k - 2):
-        for a in range(m):
-            for b in range(a, m):
-                lhs = v.derived((a,) + cs).wedge(singles[b]) \
-                    + v.derived((b,) + cs).wedge(singles[a])
-                if not lhs.is_zero():
-                    return False
-    return True
-
-
 # -- 1-forms ---------------------------------------------------------------------
 
 class OneForm:
@@ -425,30 +411,6 @@ class OneForm:
     def differential(f: Poly) -> "OneForm":
         return OneForm(f.gradient())
 
-    @staticmethod
-    def from_matrix(a: Sequence[Sequence]) -> "OneForm":
-        """The linear form α = Σ a_ij x_j dx_i from a square matrix."""
-        n = len(a)
-        comps = []
-        for i in range(n):
-            p = Poly.zero(n)
-            for j in range(n):
-                if a[i][j]:
-                    p = p + Fraction(a[i][j]) * Poly.var(n, j)
-            comps.append(p)
-        return OneForm(comps)
-
-    def linear_matrix(self) -> list[list[Fraction]]:
-        """Matrix a_ij of a form with linear coefficients: αᵢ = Σ a_ij x_j."""
-        n = self.num_vars
-        out = linalg.zeros(n, n)
-        for i, c in enumerate(self.components):
-            for exps, coef in c.terms.items():
-                if sum(exps) != 1:
-                    raise ValueError("form coefficients are not linear")
-                out[i][exps.index(1)] = coef
-        return out
-
     def exterior_derivative(self) -> list[list[Poly]]:
         """Skew matrix (dα)_{ij} = ∂α_j/∂x_i − ∂α_i/∂x_j."""
         m = self.num_vars
@@ -459,16 +421,6 @@ class OneForm:
         d = self.exterior_derivative()
         return all(d[i][j].is_zero()
                    for i in range(self.num_vars) for j in range(i + 1, self.num_vars))
-
-    def wedge_d_self_is_zero(self) -> bool:
-        """Whether α∧dα vanishes identically (the integrability test)."""
-        d = self.exterior_derivative()
-        a = self.components
-        for i, j, k in itertools.combinations(range(self.num_vars), 3):
-            comp = a[i] * d[j][k] - a[j] * d[i][k] + a[k] * d[i][j]
-            if not comp.is_zero():
-                return False
-        return True
 
     def to_json(self) -> dict:
         return {"num_vars": self.num_vars,

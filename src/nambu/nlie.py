@@ -2,20 +2,20 @@
 
 An ``NLieStructure`` stores the bracket values on increasing basis tuples;
 total skew-symmetry and multilinearity recover everything else.  The bracket
-forms no determinant: it row-reduces its arguments, builds v₁∧…∧v_n one
-argument at a time as signed minors on increasing index tuples, visiting only
-nonzero entries, and pairs them with the constants: a basis tuple costs one
-lookup.  One kernel, ``_defect``, computes D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n)
-from the sparse columns of D.  The n-ary Jacobi identity, ``is_derivation``
-and the compatibility conditions of every order between two structures are
-that kernel with different D and Q, each inner derivation built once per tuple.
+forms no determinant: it row-reduces its arguments, builds v₁∧…∧v_n with
+``linalg.wedge_minors``, the package's one wedge kernel (signed minors on
+increasing index tuples, visiting only nonzero entries), and pairs them with
+the constants: a basis tuple costs one lookup.  One kernel, ``_defect``,
+computes D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n) from the sparse columns of D.
+The n-ary Jacobi identity, ``is_derivation`` and the compatibility conditions
+of every order between two structures are that kernel with different D and
+Q, each inner derivation built once per tuple.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -62,23 +62,6 @@ def _reduced(vs: Sequence[Sequence], dim: int) -> list[list[tuple[int, Fraction]
     return [_entries(row) for row in rows]
 
 
-def _wedge(minors: Minors, vecs: Iterable[Entries]) -> Minors:
-    """minors ∧ v for each v of ``vecs`` in turn; e_i placed behind the
-    larger indices of an increasing tuple flips the sign once for each."""
-    for vec in vecs:
-        out: Minors = {}
-        for key, coef in minors.items():
-            for i, x in vec:
-                pos = bisect_left(key, i)
-                if pos < len(key) and key[pos] == i:
-                    continue
-                new = key[:pos] + (i,) + key[pos:]
-                term = coef * x if (len(key) - pos) % 2 == 0 else -coef * x
-                out[new] = out.get(new, 0) + term
-        minors = out
-    return minors
-
-
 def _apply(cols: Sequence[Sparse], vec: Entries) -> Sparse:
     """D·v for D given by its sparse columns."""
     out: Sparse = {}
@@ -96,12 +79,13 @@ def _defect(terms: Sequence[tuple[Sequence[Sparse], "NLieStructure"]],
     n = len(ws)
     out: Sparse = {}
     for cols, q in terms:
-        for r, x in _apply(cols, q._pair(_wedge({(): 1}, ws)).items()).items():
+        for r, x in _apply(cols, q._pair(linalg.wedge_minors({(): 1}, ws)).items()).items():
             out[r] = out.get(r, 0) + x
     for i in range(n):
-        rest = _wedge({(): -1 if (n - 1 - i) % 2 else 1}, ws[:i] + ws[i + 1:])
+        rest = linalg.wedge_minors({(): -1 if (n - 1 - i) % 2 else 1}, ws[:i] + ws[i + 1:])
         for cols, q in terms:
-            for r, x in q._pair(_wedge(rest, [_apply(cols, ws[i]).items()])).items():
+            moved = [_apply(cols, ws[i]).items()]
+            for r, x in q._pair(linalg.wedge_minors(rest, moved)).items():
                 out[r] = out.get(r, 0) - x
     return out
 
@@ -257,8 +241,8 @@ class NLieStructure:
     def _frozen(self, u_args: Sequence[Entries]) -> dict[IndexTuple, Sparse]:
         """[u₁,…,u_k,e_I] for every increasing basis tuple I of length n − k,
         the wedge of the u's built once: for k = n − 1, the columns of ad_{u…}."""
-        frozen = _wedge({(): 1}, u_args)
-        return {idx: self._pair(_wedge(frozen, [[(i, 1)] for i in idx]))
+        frozen = linalg.wedge_minors({(): 1}, u_args)
+        return {idx: self._pair(linalg.wedge_minors(frozen, [[(i, 1)] for i in idx]))
                 for idx in itertools.combinations(range(self.dim), self.arity - len(u_args))}
 
     def hereditary(self, us: Sequence[Sequence]) -> "NLieStructure":

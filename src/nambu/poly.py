@@ -76,22 +76,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_vars(self, other: "Poly") -> None:

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.linalg import det, identity, mat, mat_vec
-from nambu.multivector import MultiVector
+from nambu.linalg import det, identity, mat, mat_vec, rref, transpose, zeros
+from nambu.multivector import MultiVector, OneForm, merge_sign
 from nambu.nlie import NLieStructure
 from nambu.npoisson import fi_defect, slot_monomials
 from nambu.poly import Poly
@@ -64,6 +64,159 @@ def raw_jacobi_oracle(op, max_slot_degree=2):
             if lhs != rhs:
                 return False, (us, vs)
     return True, None
+
+
+# -- multivector oracles: determinant apply and per-component loops ----------
+
+def poly_det(rows):
+    """Determinant of a small matrix of polynomials by cofactor expansion."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = Poly.zero(rows[0][0].num_vars)
+    for c in range(n):
+        if rows[0][c].is_zero():
+            continue
+        minor = [[row[j] for j in range(n) if j != c] for row in rows[1:]]
+        cof = rows[0][c] * poly_det(minor)
+        total = total + (cof if c % 2 == 0 else -cof)
+    return total
+
+
+def apply_oracle(v, fs):
+    """V(f₁,…,f_k) = Σ_I p_I · det‖∂f_a/∂x_{i_b}‖, one determinant per
+    component: the test reference for ``MultiVector.apply``."""
+    assert len(fs) == v.degree
+    if v.degree == 0:
+        return v.coefficient(())
+    grads = [f.gradient() for f in fs]
+    total = Poly.zero(v.num_vars)
+    for idx, poly in v.components.items():
+        total = total + poly * poly_det([[g[i] for i in idx] for g in grads])
+    return total
+
+
+def derived_oracle(v, covector_indices):
+    """V_{a₁,…,a_j} by contraction with constant 1-forms dx_a, one at a time."""
+    m = v.num_vars
+    for a in covector_indices:
+        v = v.contract_form([Poly.const(m, 1 if i == a else 0) for i in range(m)])
+    return v
+
+
+def lie_derivative_oracle(x, v):
+    """L_X(V) component by component, with every ∂ᵢxⱼ taken afresh and X(p)
+    from the determinant apply."""
+    coeffs = x.vector_coeffs()
+    terms = []
+    for idx, poly in v.components.items():
+        terms.append((idx, apply_oracle(x, [poly])))
+        for t, i in enumerate(idx):
+            for j in range(v.num_vars):
+                dxj = coeffs[j].partial(i)
+                if not dxj.is_zero():
+                    terms.append((idx[:t] + (j,) + idx[t + 1:], -(poly * dxj)))
+    return MultiVector.from_terms(v.num_vars, v.degree, terms)
+
+
+def schouten_oracle(a, b):
+    """⌈A,B⌉ on every coordinate tuple by the formula of ``schouten``,
+    evaluated with the determinant apply."""
+    k, l = a.degree, b.degree
+    xs = Poly.variables(a.num_vars)
+    comps = {}
+    for idx in itertools.combinations(range(a.num_vars), k + l - 1):
+        fs = [xs[i] for i in idx]
+        positions = range(len(fs))
+        total = Poly.zero(a.num_vars)
+        for i_set in itertools.combinations(positions, k - 1):
+            comp = tuple(p for p in positions if p not in i_set)
+            inner = apply_oracle(b, [fs[p] for p in comp])
+            term = apply_oracle(a, [fs[p] for p in i_set] + [inner])
+            total = total + term * merge_sign(i_set, comp)
+        for j_set in itertools.combinations(positions, k):
+            comp = tuple(p for p in positions if p not in j_set)
+            inner = apply_oracle(a, [fs[p] for p in j_set])
+            term = apply_oracle(b, [inner] + [fs[p] for p in comp])
+            total = total - term * merge_sign(j_set, comp)
+        comps[idx] = total
+    return MultiVector(a.num_vars, k + l - 1, comps)
+
+
+def derived_pairing_vanishes(v):
+    """Sufficient decomposability condition for degree k > 2:
+
+    V_{a,c₁,…,c_{k−2}} ∧ V_b + V_{b,c₁,…,c_{k−2}} ∧ V_a = 0
+    for all constant coordinate covectors a, b, c₁,…,c_{k−2}.
+    """
+    k = v.degree
+    if k <= 2:
+        raise ValueError("condition requires degree > 2")
+    if v.is_zero():
+        return True
+    m = v.num_vars
+    singles = [v.derived((b,)) for b in range(m)]
+    for cs in itertools.combinations(range(m), k - 2):
+        for a in range(m):
+            for b in range(a, m):
+                lhs = v.derived((a,) + cs).wedge(singles[b]) \
+                    + v.derived((b,) + cs).wedge(singles[a])
+                if not lhs.is_zero():
+                    return False
+    return True
+
+
+# -- 1-form helpers ----------------------------------------------------------
+
+def oneform_from_matrix(a):
+    """The linear form α = Σ a_ij x_j dx_i from a square matrix."""
+    n = len(a)
+    return OneForm([sum((Fraction(a[i][j]) * Poly.var(n, j) for j in range(n) if a[i][j]),
+                        Poly.zero(n)) for i in range(n)])
+
+
+def oneform_linear_matrix(alpha):
+    """Matrix a_ij of a form with linear coefficients: αᵢ = Σ a_ij x_j."""
+    out = zeros(alpha.num_vars, alpha.num_vars)
+    for i, c in enumerate(alpha.components):
+        for exps, coef in c.terms.items():
+            if sum(exps) != 1:
+                raise ValueError("form coefficients are not linear")
+            out[i][exps.index(1)] = coef
+    return out
+
+
+def wedge_d_self_is_zero(alpha):
+    """Whether α∧dα vanishes identically (the integrability test)."""
+    d = alpha.exterior_derivative()
+    a = alpha.components
+    return all((a[i] * d[j][k] - a[j] * d[i][k] + a[k] * d[i][j]).is_zero()
+               for i, j, k in itertools.combinations(range(alpha.num_vars), 3))
+
+
+# -- linear systems ----------------------------------------------------------
+
+def solve(a, b):
+    """One exact solution of ``a x = b``, or None if inconsistent."""
+    rows = len(a)
+    aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
+    red, pivots = rref(aug)
+    n_cols = len(a[0]) if rows else 0
+    if n_cols in pivots:
+        return None
+    x = [Fraction(0)] * n_cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][-1]
+    return x
+
+
+def in_span(basis, v):
+    """Whether ``v`` lies in the rational span of ``basis``."""
+    if not basis:
+        return all(x == 0 for x in v)
+    return solve(transpose([b[:] for b in basis]), v) is not None
 
 
 # -- n-Lie oracles: the determinant bracket and the per-tuple loops ----------

@@ -4,7 +4,7 @@ tolerances appear in the floating-point integration checks."""
 
 from fractions import Fraction
 
-from conftest import (fi_search_oracle, rand_4dim_3lie,
+from conftest import (fi_search_oracle, in_span, rand_4dim_3lie,
                       rand_decomposable_tensor, rand_invertible_matrix,
                       rand_jacobi_pair, rand_poly, rand_vectors,
                       raw_jacobi_oracle)
@@ -12,7 +12,7 @@ from nambu.bianchi import (classify, derivation_algebra, psi_label,
                            synthesize, unimodular_label, witt_embedding_check)
 from nambu.dynamics import (KeplerSystem, SpinSystem, field_function,
                             rk4_integrate, spin_closed_form)
-from nambu.linalg import in_span, zeros
+from nambu.linalg import zeros
 from nambu.multivector import MultiVector, is_decomposable
 from nambu.njacobi import JacobiOp, insert_unity, is_n_jacobi, s_op
 from nambu.nlie import NLieStructure, vector_product_algebra

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (rand_invertible_matrix, rand_symmetric_matrix,
+from conftest import (in_span, rand_invertible_matrix, rand_symmetric_matrix,
                       rand_unimodular_matrix)
 from nambu.bianchi import (algebra_from_form, classify, derivation_algebra,
                            generating_form, is_isomorphic, is_unimodular,
                            label_from_json, psi_label, synthesize,
                            unimodular_label, witt_embedding_check)
 from nambu.linalg import (congruent_diagonalize, identity, inverse, mat,
-                          mat_mul, mat_sub, in_span, transpose, zeros)
+                          mat_mul, mat_sub, transpose, zeros)
 from nambu.nlie import NLieStructure, vector_product_algebra
 from nambu.poly import Poly
 
@@ -126,6 +126,8 @@ class TestSynthesize:
             psi_label("psi_plus", Fraction(-1))
         with pytest.raises(ValueError):
             psi_label("psi_plus")  # λ required
+        with pytest.raises(ValueError):
+            psi_label("psi_one", Fraction(5))  # λ refused
 
 
 class TestIsomorphism:
@@ -264,6 +266,17 @@ class TestLabelSerialization:
     def test_invalid_lambda_text(self, text):
         with pytest.raises(ValueError):
             label_from_json({"kind": "psi_plus", "lambda": text})
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "psi_zero", "lambda": "3"},
+        {"kind": "psi_one", "lambda": "sqrt(2)"},
+        {"kind": "psi_plus", "lambda": "2", "r": 3},
+        {"kind": "unimodular", "r": 3, "m": 2, "lambda": "1"},
+        {"kind": "psi_zero", "extra": None},
+    ])
+    def test_malformed_label_rejected(self, data):
+        with pytest.raises(ValueError):
+            label_from_json(data)
 
 
 # -- exact λ: the invariant is the rational λ², never a rounded root ----------

@@ -273,6 +273,18 @@ class TestSynthesize:
                            "--arity", "3")
         assert code == 2 and "--r and --m" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "psi_one", "--lambda", "5"],
+        ["--kind", "psi_zero", "--lambda", "sqrt(2)"],
+        ["--kind", "psi_plus", "--lambda", "2", "--r", "3"],
+        ["--kind", "psi_minus", "--lambda", "2", "--m", "1"],
+        ["--kind", "psi_zero", "--r", "1", "--m", "1"],
+        ["--kind", "unimodular", "--r", "3", "--m", "2", "--lambda", "5"],
+    ])
+    def test_parameters_of_another_kind(self, capsys, argv):
+        code, out, err = run(capsys, "synthesize", "--arity", "3", *argv)
+        assert code == 2 and not out and err.startswith("error:")
+
     def test_invalid_lambda(self, capsys):
         code, _, err = run(capsys, "synthesize", "--kind", "psi_plus",
                            "--arity", "3", "--lambda", "-1")

@@ -208,6 +208,12 @@ class TestRK4:
         assert not traj.ok and "non-finite" in traj.error
         assert traj.states == [[1e160]] and traj.drift_rows == [[0.0]]
 
+    def test_pole_aborts(self):
+        # dx/dt = 1/x meets its pole at the start
+        field = MultiVector(1, 1, {(0,): Poly.monomial(1, (-1,), 1)})
+        traj = rk4_integrate(field, [0.0], 0.1, 10)
+        assert not traj.ok and traj.states == [[0.0]] and traj.times == [0.0]
+
     def test_drift_rows_follow_states(self):
         sys_ = SpinSystem((Fraction(1, 3), Fraction(-2), Fraction(1, 2)),
                           Fraction(3, 2))

@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
-from conftest import rand_invertible_matrix, rand_symmetric_matrix
-from nambu.linalg import (congruent_diagonalize, det, identity, in_span,
-                          inverse, mat, mat_mul, mat_vec, nullspace, rank,
-                          signature, solve, transpose)
+from conftest import in_span, rand_invertible_matrix, rand_symmetric_matrix, solve
+from nambu.linalg import (congruent_diagonalize, det, identity, inverse, mat,
+                          mat_mul, mat_vec, nullspace, rank, signature,
+                          transpose)
 
 
 def test_det_and_inverse(rng):

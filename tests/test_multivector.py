@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_multivector, rand_poly
-from nambu.multivector import (MultiVector, OneForm, derived_pairing_vanishes,
-                               derived_rank, is_decomposable, merge_sign,
+from conftest import (apply_oracle, derived_oracle, derived_pairing_vanishes,
+                      lie_derivative_oracle, oneform_from_matrix,
+                      oneform_linear_matrix, rand_decomposable_tensor,
+                      rand_multivector, rand_poly, schouten_oracle,
+                      wedge_d_self_is_zero)
+from nambu.multivector import (MultiVector, OneForm, derived_rank,
+                               is_decomposable, merge_sign,
                                multivector_from_json, multivector_to_json,
                                sort_indices)
 from nambu.poly import Poly
@@ -210,6 +214,52 @@ class TestSchouten:
             assert total.is_zero()
 
 
+def rand_slots(rng, m, k):
+    """k slot functions, each a coordinate or a random quadratic polynomial."""
+    xs = Poly.variables(m)
+    return [rng.choice(xs) if rng.random() < 0.5 else rand_poly(rng, m)
+            for _ in range(k)]
+
+
+class TestAgainstOracles:
+    """The wedge-minor ``apply``, the index-contraction ``derived``, the
+    once-differentiated Lie derivative and the Schouten bracket against the
+    determinant and per-component references of conftest, on seeded random
+    multivectors of degree 1–6 on up to 6 variables."""
+
+    CASES = [(m, k) for m in range(1, 7) for k in range(1, m + 1)]
+
+    def test_apply(self, rng):
+        for m, k in self.CASES:
+            for _ in range(4):
+                v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+                fs = rand_slots(rng, m, k)
+                assert v.apply(fs) == apply_oracle(v, fs)
+
+    def test_derived(self, rng):
+        for m, k in self.CASES:
+            v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+            for j in range(k + 1):
+                covs = [rng.randrange(m) for _ in range(j)]  # any order, repeats
+                assert v.derived(covs) == derived_oracle(v, covs)
+        with pytest.raises(ValueError):
+            MultiVector.basis(3, (0,)).derived((0, 1))
+
+    def test_lie_derivative(self, rng):
+        for m, k in self.CASES:
+            for _ in range(2):
+                x = rand_multivector(rng, m, 1, max_degree=2, density=0.7)
+                v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+                assert x.lie_derivative_of(v) == lie_derivative_oracle(x, v)
+
+    def test_schouten(self, rng):
+        for m, k in self.CASES:
+            l = rng.randint(1, m + 1 - k)
+            a = rand_multivector(rng, m, k, density=0.7)
+            b = rand_multivector(rng, m, l, density=0.7)
+            assert a.schouten(b) == schouten_oracle(a, b)
+
+
 class TestDerivedVectors:
     def test_rank_of_constant_blade(self):
         v = MultiVector.basis(3, (0, 1, 2))
@@ -238,7 +288,6 @@ class TestDerivedVectors:
 
     def test_decomposable_implies_rank_zero_or_degree(self, rng):
         for _ in range(3):
-            from conftest import rand_decomposable_tensor
             v = rand_decomposable_tensor(rng, 4)
             assert is_decomposable(v)
             for _ in range(20):
@@ -246,10 +295,21 @@ class TestDerivedVectors:
                 assert derived_rank(v, point) in (0, 3)
 
     def test_pairing_condition(self, rng):
-        from conftest import rand_decomposable_tensor
+        # the pairing is merely sufficient: vanishing implies decomposable
         assert derived_pairing_vanishes(rand_decomposable_tensor(rng, 5))
         assert not derived_pairing_vanishes(blades_sum())
         assert derived_pairing_vanishes(MultiVector.zero(6, 3))
+        vanished = 0
+        for _ in range(12):
+            m, k = rng.choice([(5, 3), (6, 3), (6, 4)])
+            v = rng.choice([rand_decomposable_tensor(rng, m, k, coef_degree=1),
+                            rand_multivector(rng, m, k, density=0.3),
+                            MultiVector.basis(m, tuple(range(k)), rand_poly(rng, m))
+                            + MultiVector.basis(m, tuple(range(m - k, m)))])
+            if derived_pairing_vanishes(v):
+                vanished += 1
+                assert is_decomposable(v)
+        assert vanished
 
     def test_pairing_needs_degree_above_two(self):
         with pytest.raises(ValueError):
@@ -268,17 +328,17 @@ class TestOneForm:
         d = alpha.exterior_derivative()
         assert d[0][1] == Poly.const(4, 1)
         assert not alpha.is_closed()
-        assert alpha.wedge_d_self_is_zero()
+        assert wedge_d_self_is_zero(alpha)
 
     def test_contact_form(self):
         alpha = OneForm([Poly.var(3, 2), Poly.const(3, 1), Poly.zero(3)])
         assert not alpha.is_closed()
-        assert not alpha.wedge_d_self_is_zero()
+        assert not wedge_d_self_is_zero(alpha)
 
     def test_linear_matrix_round_trip(self, rng):
         from conftest import rand_symmetric_matrix
         a = rand_symmetric_matrix(rng, 3)
-        assert OneForm.from_matrix(a).linear_matrix() == a
+        assert oneform_linear_matrix(oneform_from_matrix(a)) == a
 
 
 class TestSerialization:
