@@ -197,6 +197,19 @@ class TestCheckPoisson:
         code, _, err = run(capsys, "check-poisson", str(path))
         assert code == 2 and "degree" in err
 
+    @pytest.mark.parametrize("name", ["fractional_casimirs", "nonintegrable"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output_matches_golden(self, capsys, name, as_json):
+        # f·(2∂1 − ∂4)∧(∂2 + 3∂4)∧∂3 has Casimirs in x1 − 6x2 + 2x4 with
+        # non-integral coefficients; ½(x5² + ¾)∂1∧∂2∧(∂3 + ⅔x1∂4) is
+        # decomposable but not integrable, so it fails with a witness
+        argv = ["--json"] if as_json else []
+        code, out, _ = run(capsys, *argv, "check-poisson", str(GOLDEN / f"{name}.json"),
+                           "--max-degree", "2")
+        assert code == (0 if name == "fractional_casimirs" else 1)
+        suffix = "json" if as_json else "txt"
+        assert out == (GOLDEN / f"check_poisson_{name}.{suffix}").read_text()
+
 
 class TestCheckJacobi:
     def test_valid_pair(self, capsys):
@@ -213,6 +226,17 @@ class TestCheckJacobi:
         assert code == 1
         assert data["verdict"] is False
         assert data["witness"] is not None
+
+    @pytest.mark.parametrize("name", ["gradient_extension", "rational_pair"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output_matches_golden(self, capsys, name, as_json):
+        # ∇ + s(∇_h) with quadratic rational f and h is n-Jacobi; the
+        # arbitrary rational pair is not
+        argv = ["--json"] if as_json else []
+        code, out, _ = run(capsys, *argv, "check-jacobi", str(GOLDEN / f"{name}.json"))
+        assert code == (0 if name == "gradient_extension" else 1)
+        suffix = "json" if as_json else "txt"
+        assert out == (GOLDEN / f"check_jacobi_{name}.{suffix}").read_text()
 
 
 class TestClassify:
