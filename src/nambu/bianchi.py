@@ -128,7 +128,7 @@ def generating_form(p: NLieStructure) -> linalg.Matrix:
         for exps, coef in poly.terms.items():
             if sum(exps) != 1:
                 raise ValueError("tensor coefficients are not linear")
-            out[i][exps.index(1)] = sign * coef
+            out[i][exps.index(1)] = Fraction(sign * coef)
     return out
 
 

@@ -27,10 +27,10 @@ Sparse = dict[int, Fraction]             # nonzero entries by index
 Minors = dict[IndexTuple, Fraction]      # a wedge product on increasing tuples
 Entries = Iterable[tuple[int, Fraction]]  # (index, value) pairs of a vector
 
-# (u, w) basis tuple pairs a check may visit, and brackets ``hereditary`` may
-# evaluate: far above every fixture, test and benchmark instance (a few
-# thousand), far below C(30,14)·C(30,15) ≈ 2·10¹⁶.
-MAX_TUPLE_PAIRS = 10**6
+# Estimated work a check or ``hereditary`` may do (see ``_bound_work``): far
+# above every fixture, test and benchmark instance (below 10⁵), and about 10 s
+# of the slowest kind of work (zero constants, arity 7).
+MAX_WORK = 2 * 10**7
 
 
 def _to_vec(v: Sequence, dim: int) -> Vector:
@@ -90,13 +90,24 @@ def _defect(terms: Sequence[tuple[Sequence[Sparse], "NLieStructure"]],
     return out
 
 
-def _bound_tuple_pairs(dim: int, arity: int) -> None:
-    """Raise ValueError if a check would visit more than MAX_TUPLE_PAIRS
-    (u, w) pairs of basis tuples."""
-    count = math.comb(dim, arity - 1) * math.comb(dim, arity)
-    if count > MAX_TUPLE_PAIRS:
-        raise ValueError(f"dimension {dim}, arity {arity}: {count} (u, w) basis "
-                         f"tuple pairs to check, above the limit {MAX_TUPLE_PAIRS}")
+def _bound_work(dim: int, arity: int, count: int, what: str,
+                structures: Iterable["NLieStructure"]) -> None:
+    """Raise ValueError if ``count`` steps (tuple pairs or brackets) would do
+    more than MAX_WORK work.  Each step builds ``arity`` wedges, each of up to
+    ``arity`` arguments and paired with the nonzero constants of
+    ``structures``: count × arity × (arity + nonzero constants)."""
+    nnz = sum(len(entries) for p in structures for entries in p._sparse.values())
+    work = count * arity * (arity + nnz)
+    if work > MAX_WORK:
+        raise ValueError(f"dimension {dim}, arity {arity}: {count} {what} with {nnz} "
+                         f"nonzero structure constants, work {work}, "
+                         f"above the limit {MAX_WORK}")
+
+
+def _bound_tuple_pairs(dim: int, arity: int, structures: Iterable["NLieStructure"]) -> None:
+    """``_bound_work`` for a check over all (u, w) pairs of basis tuples."""
+    _bound_work(dim, arity, math.comb(dim, arity - 1) * math.comb(dim, arity),
+                "(u, w) basis tuple pairs", structures)
 
 
 def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
@@ -104,7 +115,7 @@ def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
     """First (us, ws) of increasing basis tuples, in lexicographic order with
     us outer, where the kernel with the terms (ad^P_{u…}, Q) for (P, Q) in
     ``pairs`` is nonzero; None if there is none."""
-    _bound_tuple_pairs(dim, arity)
+    _bound_tuple_pairs(dim, arity, [q for _, q in pairs])
     basis = [[(i, 1)] for i in range(dim)]
     w_tuples = list(itertools.combinations(range(dim), arity))
     for us in itertools.combinations(range(dim), arity - 1):
@@ -251,10 +262,8 @@ class NLieStructure:
         if k >= self.arity:
             raise ValueError("must freeze fewer arguments than the arity")
         new_arity = self.arity - k
-        count = math.comb(self.dim, new_arity)
-        if count > MAX_TUPLE_PAIRS:
-            raise ValueError(f"dimension {self.dim}, arity {new_arity}: {count} "
-                             f"brackets to evaluate, above the limit {MAX_TUPLE_PAIRS}")
+        _bound_work(self.dim, self.arity, math.comb(self.dim, new_arity),
+                    "brackets", [self])
         u_vecs = [_to_vec(u, self.dim) for u in us]
         consts = {}
         basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
@@ -332,7 +341,9 @@ class NLieStructure:
             raise ValueError("need equally many v's and w's")
         if not 1 <= k <= self.arity - 1:
             raise ValueError(f"order {k} out of range for arity {self.arity}")
-        _bound_tuple_pairs(self.dim, self.arity - k)
+        # before the hereditary structures exist, this structure's constants
+        # stand in for theirs; _first_defect checks again with theirs
+        _bound_tuple_pairs(self.dim, self.arity - k, [self])
         pairs = []
         for r in range(k):
             for rest in itertools.combinations(range(1, k), r):

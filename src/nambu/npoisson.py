@@ -202,7 +202,7 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
         block = rows[-len(result_exps):] if result_exps else []
         for c, p in enumerate(row):
             for e, coef in p.terms.items():
-                block[pos[e]][c] = coef
+                block[pos[e]][c] = Fraction(coef)
     if not rows:
         return basis
     kernel = linalg.nullspace(rows, cols=len(basis))

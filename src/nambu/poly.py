@@ -1,8 +1,14 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in ``m`` variables is a map from exponent tuples (length ``m``)
-to nonzero ``Fraction`` coefficients.  All arithmetic is exact; this is the
-coefficient ring for every symbolic object in the package.  Exponents may be
+to nonzero rational coefficients, each stored as an ``int`` when it is
+integral and as a ``Fraction`` otherwise (never a ``Fraction`` with
+denominator 1), so that integer coefficients take the cheap ``int``
+arithmetic.  ``int`` and ``Fraction`` compare and hash alike, so equality,
+hashing, text and JSON do not depend on the storage.  All arithmetic is
+exact; this is the coefficient ring for every symbolic object in the
+package.  Results of the ring operations are built by ``Poly._make``, which
+trusts its input; ``Poly(num_vars, terms)`` validates.  Exponents may be
 negative, so the same class is the Laurent ring that the deformed spin
 brackets of ``dynamics`` need; the text and JSON input forms accept only
 non-negative exponents.
@@ -15,31 +21,49 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
 Exponent = tuple[int, ...]
+Coef = int | Fraction
+
+
+def _coef(value) -> Coef:
+    """A rational scalar in stored form: ``int`` when integral."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("num_vars", "terms", "_hash", "_float_plan")
+    __slots__ = ("num_vars", "terms", "_hash", "_float_plan", "_grad")
 
-    def __init__(self, num_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+    def __init__(self, num_vars: int, terms: Mapping[Exponent, Coef] | None = None):
+        clean: dict[Exponent, Coef] = {}
         if terms:
             for exps, coef in terms.items():
                 if len(exps) != num_vars:
                     raise ValueError(
                         f"exponent tuple {exps} has length {len(exps)}, expected {num_vars}"
                     )
-                coef = Fraction(coef)
+                coef = _coef(coef)
                 if coef != 0:
                     clean[tuple(exps)] = coef
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _make(num_vars: int, terms: dict[Exponent, Coef]) -> "Poly":
+        """Wrap ``terms`` as they are: exponent tuples of length ``num_vars``
+        to nonzero coefficients in stored form.  The dict is not copied."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "num_vars", num_vars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -48,11 +72,12 @@ class Poly:
 
     @staticmethod
     def zero(num_vars: int) -> "Poly":
-        return Poly(num_vars)
+        return Poly._make(num_vars, {})
 
     @staticmethod
     def const(num_vars: int, value) -> "Poly":
-        return Poly(num_vars, {(0,) * num_vars: Fraction(value)})
+        value = _coef(value)
+        return Poly._make(num_vars, {(0,) * num_vars: value} if value else {})
 
     @staticmethod
     def var(num_vars: int, index: int) -> "Poly":
@@ -61,11 +86,11 @@ class Poly:
             raise IndexError(f"variable index {index} out of range for {num_vars} variables")
         exps = [0] * num_vars
         exps[index] = 1
-        return Poly(num_vars, {tuple(exps): Fraction(1)})
+        return Poly._make(num_vars, {tuple(exps): 1})
 
     @staticmethod
     def monomial(num_vars: int, exps: Sequence[int], coef=1) -> "Poly":
-        return Poly(num_vars, {tuple(exps): Fraction(coef)})
+        return Poly(num_vars, {tuple(exps): coef})
 
     @staticmethod
     def variables(num_vars: int) -> list["Poly"]:
@@ -88,15 +113,29 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.num_vars, other)
         self._check_vars(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for exps, coef in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coef
-        return Poly(self.num_vars, terms)
+            c = terms.get(exps)
+            if c is None:
+                terms[exps] = coef
+                continue
+            c += coef
+            if not c:
+                del terms[exps]  # each key comes once, so the order is kept
+            elif type(c) is int or c.denominator != 1:
+                terms[exps] = c
+            else:
+                terms[exps] = c.numerator
+        return Poly._make(self.num_vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -108,17 +147,20 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = Fraction(other)
+            c = _coef(other)
             if c == 0:
                 return Poly.zero(self.num_vars)
-            return Poly(self.num_vars, {e: c * v for e, v in self.terms.items()})
+            return Poly._make(self.num_vars, _stored({e: c * v for e, v in self.terms.items()}))
         self._check_vars(other)
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coef] = {}
+        get = terms.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.num_vars, terms)
+                e = tuple(map(add, e1, e2))
+                c = get(e)
+                terms[e] = c1 * c2 if c is None else c + c1 * c2
+        # sums are zeroed only after the loop, so the key order is kept
+        return Poly._make(self.num_vars, _stored(terms))
 
     __rmul__ = __mul__
 
@@ -140,18 +182,26 @@ class Poly:
         """Exact partial derivative with respect to x_index (0-based)."""
         if not 0 <= index < self.num_vars:
             raise IndexError(f"variable index {index} out of range")
-        terms: dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Coef] = {}
         for exps, coef in self.terms.items():
             k = exps[index]
             if k:
-                e = list(exps)
-                e[index] = k - 1
-                e = tuple(e)
-                terms[e] = terms.get(e, Fraction(0)) + coef * k
-        return Poly(self.num_vars, terms)
+                # distinct terms stay distinct, and coef · k is nonzero
+                c = coef * k
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[exps[:index] + (k - 1,) + exps[index + 1:]] = c
+        return Poly._make(self.num_vars, terms)
 
     def gradient(self) -> list["Poly"]:
-        return [self.partial(i) for i in range(self.num_vars)]
+        """The m partial derivatives, computed once per (immutable) object;
+        each call returns a new list."""
+        try:
+            grad = self._grad
+        except AttributeError:
+            grad = tuple(self.partial(i) for i in range(self.num_vars))
+            object.__setattr__(self, "_grad", grad)
+        return list(grad)
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -203,15 +253,16 @@ class Poly:
         return self.num_vars == other.num_vars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.num_vars, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     # -- serialization -----------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coef]]:
         """Terms in a canonical order: by total degree, then lexicographic."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
@@ -286,3 +337,9 @@ class Poly:
                     coef *= Fraction(factor)
             result = result + Poly.monomial(num_vars, exps, coef)
         return result
+
+
+def _stored(terms: dict[Exponent, Coef]) -> dict[Exponent, Coef]:
+    """``terms`` without zeros, integral ``Fraction`` values as ``int``."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}

@@ -66,6 +66,56 @@ def raw_jacobi_oracle(op, max_slot_degree=2):
     return True, None
 
 
+# -- polynomial reference: a plain dict of Fractions ---------------------------
+
+class RefPoly:
+    """The reference for ``Poly``'s ring operations: a dict from exponent
+    tuples to ``Fraction`` coefficients, every operation written out
+    directly, zeros dropped after each one."""
+
+    def __init__(self, num_vars, terms):
+        self.num_vars = num_vars
+        self.terms = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return RefPoly(self.num_vars, out)
+
+    def __neg__(self):
+        return RefPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefPoly):
+            return RefPoly(self.num_vars,
+                           {e: Fraction(other) * c for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return RefPoly(self.num_vars, out)
+
+    def __pow__(self, k):
+        out = RefPoly(self.num_vars, {(0,) * self.num_vars: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def partial(self, index):
+        out = {}
+        for e, c in self.terms.items():
+            if e[index]:
+                d = list(e)
+                d[index] -= 1
+                out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[index]
+        return RefPoly(self.num_vars, out)
+
+
 # -- multivector oracles: determinant apply and per-component loops ----------
 
 def poly_det(rows):

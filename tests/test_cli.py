@@ -5,6 +5,7 @@ JSON output mode."""
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from nambu import cli, npoisson
 from nambu.cli import main
 from nambu.multivector import MultiVector, multivector_to_json
-from nambu.nlie import MAX_TUPLE_PAIRS, nlie_from_json
+from nambu.nlie import MAX_WORK, nlie_from_json, nlie_to_json, vector_product_algebra
 from nambu.poly import Poly
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -98,7 +99,22 @@ class TestCheckNlie:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert str(count) in err
-        assert count > MAX_TUPLE_PAIRS
+        assert count > MAX_WORK
+
+    def test_work_bound_counts_constants(self, capsys, tmp_path):
+        """A hidden-basis 30-ary vector product needs only 14,415 (u, w)
+        tuple pairs, but each pair costs arity × its 961 nonzero constants:
+        refused at once, where it used to run for more than 30 s."""
+        rng = random.Random(30)
+        c = [[rng.randint(-2, 2) for _ in range(31)] for _ in range(31)]
+        hidden = vector_product_algebra(30).change_basis(c)
+        path = tmp_path / "hidden.json"
+        path.write_text(json.dumps(nlie_to_json(hidden)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-nlie", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert "14415 (u, w) basis tuple pairs with 961 nonzero" in err
 
 
 @pytest.mark.parametrize("argv, name, path", [

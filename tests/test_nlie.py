@@ -16,7 +16,7 @@ from nambu import linalg
 from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
                            synthesize, unimodular_label)
 from nambu.linalg import identity, mat, mat_mul, mat_sub, zeros
-from nambu.nlie import (MAX_TUPLE_PAIRS, NLieStructure, nlie_from_json,
+from nambu.nlie import (MAX_WORK, NLieStructure, nlie_from_json,
                         nlie_to_json, vector_product_algebra)
 
 
@@ -277,15 +277,26 @@ class TestInputBounds:
                 NLieStructure(dim, 2)
 
     def test_tuple_pair_limit(self):
-        """Checks that would visit more than MAX_TUPLE_PAIRS (u, w) pairs
-        refuse before any work; the largest structure in these tests needs
-        C(8,2)·C(8,3) = 1568."""
+        """Checks whose work estimate, (u, w) pairs × arity × (arity + nonzero
+        constants), exceeds MAX_WORK refuse before any work; the largest
+        structure in these tests, two 3-ary vector products on 8 dimensions,
+        needs C(8,2)·C(8,3) = 1568 pairs and 8 constants."""
         big = NLieStructure.zero(30, 15)
         for check in (big.check_n_jacobi, lambda: big.compat(big),
                       lambda: big.comp_condition_k([e(30, 0)], [e(30, 1)])):
             with pytest.raises(ValueError, match="above the limit"):
                 check()
-        assert comb(8, 2) * comb(8, 3) < MAX_TUPLE_PAIRS
+        assert comb(8, 2) * comb(8, 3) * 3 * (3 + 8) < MAX_WORK
+
+    def test_work_limit_counts_constants(self):
+        """A 30-ary vector product behind a shear needs only 14,415 tuple
+        pairs, but its 31 constants now hold 91 nonzero entries: refused."""
+        c = [[1 if i == j else 0 for j in range(31)] for i in range(31)]
+        c[0] = [1] * 31
+        hidden = vector_product_algebra(30).change_basis(c)
+        assert comb(31, 29) * comb(31, 30) == 14415
+        with pytest.raises(ValueError, match="14415 .*above the limit"):
+            hidden.check_n_jacobi()
 
     def test_hereditary_bracket_limit(self):
         """Freezing one vector of a 15-ary structure on 30 dimensions needs

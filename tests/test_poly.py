@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RefPoly
 from nambu.poly import Poly
 
 X1, X2, X3 = Poly.variables(3)
@@ -145,3 +146,74 @@ class TestSerialization:
     def test_parse_plain_terms(self):
         assert Poly.parse("x1^2 x3 - 2 x2 + 7", 3) == \
             X1**2 * X3 - 2 * X2 + Poly.const(3, 7)
+
+
+def assert_stored_form(p):
+    """Every coefficient is nonzero, and an int exactly when it is integral."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+# integral, half-integral and mixed coefficients; negative exponents too
+coefs = st.one_of(st.integers(-4, 4),
+                  st.integers(-4, 4).map(lambda k: Fraction(2 * k + 1, 2)),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=6))
+laurent_terms = st.lists(st.tuples(st.tuples(*[st.integers(-2, 3)] * 3), coefs),
+                         max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_terms, laurent_terms, coefs, st.integers(0, 3))
+def test_ring_operations_match_fraction_reference(a, b, c, k):
+    p, q = Poly(3, dict(a)), Poly(3, dict(b))
+    rp, rq = RefPoly(3, dict(a)), RefPoly(3, dict(b))
+    cases = [(p, rp), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+             (p * q, rp * rq), (p * c, rp * c), (c * p, rp * c),
+             (p + c, rp + RefPoly(3, {(0, 0, 0): c})), (p ** k, rp ** k)]
+    cases += [(p.partial(i), rp.partial(i)) for i in range(3)]
+    cases += list(zip(p.gradient(), [rp.partial(i) for i in range(3)], strict=True))
+    for got, want in cases:
+        assert_stored_form(got)
+        assert got.terms == want.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_terms, st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 3))
+def test_output_does_not_depend_on_storage(terms, point):
+    # the same polynomial with every coefficient stored as a Fraction
+    p = Poly(3, dict(terms))
+    as_fractions = Poly._make(3, {e: Fraction(c) for e, c in p.terms.items()})
+    assert str(p) == str(as_fractions)
+    assert p.to_json() == as_fractions.to_json()
+    if all(x for x in point) or all(e >= 0 for exps in p.terms for e in exps):
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value == as_fractions.evaluate(point)
+    floats = [float(x) or 0.5 for x in point]
+    assert repr(p.evaluate_float(floats)) == repr(as_fractions.evaluate_float(floats))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_terms)
+def test_equal_polys_hash_equal_across_input_types(terms):
+    from_ints = Poly(3, dict(terms))
+    from_fractions = Poly(3, {e: Fraction(c) for e, c in terms})
+    halved = (from_ints + from_ints) * Fraction(1, 2)
+    for p in (from_fractions, halved):
+        assert_stored_form(p)
+        assert p == from_ints and hash(p) == hash(from_ints)
+        assert p.terms == from_ints.terms
+    assert Poly.const(3, Fraction(4, 2)).terms == {(0, 0, 0): 2}
+    assert hash(Poly.const(3, Fraction(4, 2))) == hash(Poly.const(3, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(laurent_terms)
+def test_gradient_is_cached_but_not_shared(terms):
+    p = Poly(3, dict(terms))
+    grad = p.gradient()
+    expected = list(grad)
+    grad[0] = Poly.const(3, 99)
+    grad.append(Poly.const(3, 1))
+    assert p.gradient() == expected
+    assert p.gradient() is not p.gradient()
