@@ -279,14 +279,14 @@ class TestInputBounds:
     def test_tuple_pair_limit(self):
         """Checks whose work estimate, (u, w) pairs × arity × (arity + nonzero
         constants), exceeds MAX_WORK refuse before any work; the largest
-        structure in these tests, two 3-ary vector products on 8 dimensions,
-        needs C(8,2)·C(8,3) = 1568 pairs and 8 constants."""
+        estimate in these tests is the third-order compatibility condition
+        on R⁶: C(6,1)·C(6,2) = 90 pairs of arity 2 over 378 constants."""
         big = NLieStructure.zero(30, 15)
         for check in (big.check_n_jacobi, lambda: big.compat(big),
                       lambda: big.comp_condition_k([e(30, 0)], [e(30, 1)])):
             with pytest.raises(ValueError, match="above the limit"):
                 check()
-        assert comb(8, 2) * comb(8, 3) * 3 * (3 + 8) < MAX_WORK
+        assert comb(6, 1) * comb(6, 2) * 2 * (2 + 378) < MAX_WORK
 
     def test_work_limit_counts_constants(self):
         """A 30-ary vector product behind a shear needs only 14,415 tuple
