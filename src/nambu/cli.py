@@ -7,6 +7,7 @@ Exit codes: 0 = verdict true / success, 1 = verdict false (witness printed),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -224,20 +225,24 @@ def cmd_integrate(args) -> int:
     if args.x0 is None:
         raise InputError("--x0 is required")
     x0 = _rationals(args.x0, "--x0", dim)
+    blocks = dynamics.rk4_blocks(field, x0, args.step, args.steps, monitors)
     try:
         if args.builtin == "kepler":
             sys_.nu(x0)  # ΣJ is conserved, so only the start can be singular
-        traj = dynamics.rk4_integrate(field, x0, args.step, args.steps, monitors)
+        first = next(blocks)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"cannot integrate: {exc}") from exc
     header = ["t"] + [f"x{i + 1}" for i in range(dim)] \
         + [f"drift{i + 1}" for i in range(len(monitors))]
     row = ",".join(["{:.12g}"] * len(header)).format
-    print("\n".join([",".join(header)]
-                    + [row(t, *state, *drifts) for t, state, drifts
-                       in zip(traj.times, traj.states, traj.drift_rows)]))
-    if not traj.ok:
-        print(f"error: {traj.error}", file=sys.stderr)
+    write = sys.stdout.write
+    write(",".join(header) + "\n")
+    try:
+        for times, states, rows in itertools.chain([first], blocks):
+            write("".join([row(t, *state, *drifts) + "\n" for t, state, drifts
+                           in zip(times, states, rows)]))
+    except dynamics.FlowAborted as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -8,10 +8,19 @@ negative powers of S₃, which ``Poly`` represents exactly (its exponents may be
 negative internally; file input may not carry them).  The Kepler tensor's
 rational prefactor ν = 2mk²/(ΣJ)³ is evaluated pointwise and never feeds back
 into the exact verifiers.
+
+Floats enter only here.  A vector field and a list of monitors each become
+one function generated by ``poly.compile_floats``, and the RK4 loop is
+generated once per state dimension and monitor count, with the stage
+arithmetic unrolled over scalars; every float is the one the term-by-term,
+list-by-list loop gives.  ``rk4_blocks`` yields the run in blocks of
+``BLOCK`` rows, so the ``integrate`` verb streams its CSV in bounded
+memory; ``rk4_integrate`` collects the blocks into a ``Trajectory``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +28,7 @@ from typing import Callable, Sequence
 
 from .multivector import MultiVector
 from .npoisson import is_n_poisson
-from .poly import Poly
+from .poly import Poly, compile_floats
 
 
 # -- systems --------------------------------------------------------------------
@@ -46,9 +55,9 @@ class NambuSystem:
 
 
 def field_function(v: MultiVector) -> Callable[[Sequence[float]], list[float]]:
-    """Float evaluation of a polynomial vector field."""
-    coeffs = v.vector_coeffs()
-    return lambda state: [c.evaluate_float(state) for c in coeffs]
+    """Float evaluation of a polynomial vector field: its components
+    compiled into one function (``poly.compile_floats``)."""
+    return compile_floats(v.vector_coeffs())
 
 
 def check_preserved_bracket(x: MultiVector, tensor: MultiVector) -> bool:
@@ -78,6 +87,97 @@ class Trajectory:
         return self.states[-1]
 
 
+class FlowAborted(Exception):
+    """An RK4 step was not finite, overflowed or met a pole of the field."""
+
+
+BLOCK = 1024
+
+# The RK4 loop on n state scalars x0…x{n-1} with k drift monitors: the
+# classical stage combination written out per component, with f called
+# exactly 4 times per step.  It takes ``count`` steps from ``state`` at time
+# ``t``, appends each time, state and drift row, and returns ``(t, state)``,
+# or ``(t, None)`` at the time of a step that is not finite.
+_STEPPER = """\
+def run(f, g, initial, state, t, h, count, times, states, rows):
+    half, sixth = 0.5 * h, h / 6.0
+    [{x}] = state
+    [{v}] = initial
+    for _ in range(count):
+        t += h
+        try:
+            [{a}] = f(state)
+            [{b}] = f([{x_a}])
+            [{c}] = f([{x_b}])
+            [{d}] = f([{x_c}])
+            {update}
+            if not ({finite}):
+                return t, None
+            state = [{x}]
+            [{m}] = g(state)
+        except (OverflowError, ZeroDivisionError):
+            return t, None
+        times.append(t)
+        states.append(state)
+        rows.append([{drift}])
+    return t, state
+"""
+
+
+@functools.cache
+def _stepper(n: int, k: int) -> Callable:
+    """``_STEPPER`` for n state scalars and k monitors, compiled once."""
+    def vec(template: str, size: int = n, sep: str = ", ") -> str:
+        return sep.join(template.format(i=i) for i in range(size))
+
+    namespace = {"isfinite": math.isfinite}
+    exec(_STEPPER.format(
+        x=vec("x{i}"), a=vec("a{i}"), b=vec("b{i}"), c=vec("c{i}"), d=vec("d{i}"),
+        x_a=vec("x{i} + half * a{i}"), x_b=vec("x{i} + half * b{i}"),
+        x_c=vec("x{i} + h * c{i}"),
+        update=vec("x{i} = x{i} + sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})",
+                   sep="\n            "),
+        finite=vec("isfinite(x{i})", sep=" and ") or "True",
+        v=vec("v{i}", k), m=vec("m{i}", k), drift=vec("abs(m{i} - v{i})", k)),
+        namespace)
+    return namespace["run"]
+
+
+def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
+               x0: Sequence[float], h: float, steps: int,
+               monitors: Sequence[Poly] = (), block: int = BLOCK):
+    """The run of ``rk4_integrate`` as a generator of ``(times, states,
+    rows)`` blocks of at most ``block`` rows each, so that a caller that
+    writes them out holds one block at a time.
+
+    The first block starts with ``x0`` at t = 0 and a zero drift row; the
+    parameters are checked and the monitors evaluated at ``x0`` when that
+    block is requested.  A step that is not finite ends the run: the rows
+    before it are yielded, then ``FlowAborted`` is raised.
+    """
+    if not (math.isfinite(h) and h > 0) or steps < 1:
+        raise ValueError("need a finite h > 0 and steps ≥ 1")
+    if isinstance(f, MultiVector):
+        f = field_function(f)
+    state = [float(x) for x in x0]
+    initial = [mon.evaluate_float(state) for mon in monitors]
+    monitor_values = compile_floats(monitors)
+    run = _stepper(len(state), len(monitors))
+    times, states, rows = [0.0], [state], [[0.0] * len(monitors)]
+    t = 0.0
+    while True:
+        count = min(steps, max(block - len(times), 1))
+        t, state = run(f, monitor_values, initial, state, t, h, count,
+                       times, states, rows)
+        steps -= count
+        yield times, states, rows
+        if state is None:
+            raise FlowAborted(f"non-finite state at t={t}")
+        if not steps:
+            return
+        times, states, rows = [], [], []
+
+
 def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
                   x0: Sequence[float], h: float, steps: int,
                   monitors: Sequence[Poly] = ()) -> Trajectory:
@@ -90,39 +190,17 @@ def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     field while being computed, ends the run with ``ok=False``; the states
     before it are kept.
     """
-    if not (math.isfinite(h) and h > 0) or steps < 1:
-        raise ValueError("need a finite h > 0 and steps ≥ 1")
-    if isinstance(f, MultiVector):
-        f = field_function(f)
-    state = [float(x) for x in x0]
-    initial = [mon.evaluate_float(state) for mon in monitors]
-    drift = [0.0] * len(monitors)
-    times = [0.0]
-    states = [state]
-    rows = [[0.0] * len(monitors)]
-    half, sixth = 0.5 * h, h / 6.0
-    t = 0.0
-    for _ in range(steps):
-        t += h
-        try:
-            k1 = f(state)
-            k2 = f([x + half * d for x, d in zip(state, k1)])
-            k3 = f([x + half * d for x, d in zip(state, k2)])
-            k4 = f([x + h * d for x, d in zip(state, k3)])
-            state = [x + sixth * (a + 2 * b + 2 * c + d)
-                     for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            if not all(math.isfinite(x) for x in state):
-                raise OverflowError
-            row = [abs(mon.evaluate_float(state) - v)
-                   for mon, v in zip(monitors, initial)]
-        except (OverflowError, ZeroDivisionError):
-            return Trajectory(times, states, drift, rows, ok=False,
-                              error=f"non-finite state at t={t}")
-        times.append(t)
-        states.append(state)
-        rows.append(row)
-        drift = [max(d, r) for d, r in zip(drift, row)]
-    return Trajectory(times, states, drift, rows)
+    times, states, rows = [], [], []
+    error = None
+    try:
+        for block in rk4_blocks(f, x0, h, steps, monitors, block=steps + 1):
+            times += block[0]
+            states += block[1]
+            rows += block[2]
+    except FlowAborted as exc:
+        error = str(exc)
+    drift = [max(col) for col in zip(*rows)]
+    return Trajectory(times, states, drift, rows, ok=error is None, error=error)
 
 
 # -- the spinning particle ------------------------------------------------------------
@@ -209,8 +287,8 @@ class KeplerSystem:
         return 2.0 * self.mass * self.k_const**2 / total**3
 
     def field(self) -> Callable[[Sequence[float]], list[float]]:
-        base = self.constant_field().vector_coeffs()
+        base = compile_floats(self.constant_field().vector_coeffs())
         def f(state):
             nu = self.nu(state)
-            return [nu * c.evaluate_float(state) for c in base]
+            return [nu * c for c in base(state)]
         return f

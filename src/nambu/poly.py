@@ -19,10 +19,11 @@ JSON form: ``[{"coef": "3/2", "exps": [2, 0, 1]}, ...]``.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 Exponent = tuple[int, ...]
@@ -40,7 +41,7 @@ def _coef(value) -> Coef:
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("num_vars", "terms", "_hash", "_float_plan", "_grad")
+    __slots__ = ("num_vars", "terms", "_hash", "_float", "_grad")
 
     def __init__(self, num_vars: int, terms: Mapping[Exponent, Coef] | None = None):
         clean: dict[Exponent, Coef] = {}
@@ -220,28 +221,15 @@ class Poly:
         return total
 
     def evaluate_float(self, point: Sequence[float]) -> float:
-        """Float value at a point of length ``num_vars``.
-
-        The first call caches a plan on the object: per term, the float
-        coefficient and the (index, exponent) pairs of its nonzero exponents.
-        Every call sums ``coef * x_i**e`` term by term in ``terms`` order,
-        multiplying factors by ascending index, so repeated calls give
-        bit-identical results.
-        """
+        """Float value at a point of length ``num_vars``: the function of
+        ``compile_floats([self])``, compiled on the first call and cached
+        on the object, so repeated calls give bit-identical results."""
         try:
-            plan = self._float_plan
+            fn = self._float
         except AttributeError:
-            plan = tuple(
-                (float(coef), tuple((i, e) for i, e in enumerate(exps) if e))
-                for exps, coef in self.terms.items()
-            )
-            object.__setattr__(self, "_float_plan", plan)
-        total = 0.0
-        for v, factors in plan:
-            for i, e in factors:
-                v *= point[i] ** e
-            total += v
-        return total
+            fn = compile_floats([self])
+            object.__setattr__(self, "_float", fn)
+        return fn(point)[0]
 
     # -- comparisons / hashing ---------------------------------------------
 
@@ -337,6 +325,41 @@ class Poly:
                     coef *= Fraction(factor)
             result = result + Poly.monomial(num_vars, exps, coef)
         return result
+
+
+def compile_floats(polys: Sequence[Poly]) -> Callable[[Sequence[float]], list[float]]:
+    """One function ``f(state) -> list[float]`` that evaluates ``polys`` in
+    floats at a state of exactly ``num_vars`` values.
+
+    Component j is ``tj = 0.0`` and then one statement ``tj += cK * xI**E *
+    …`` per term, terms in ``terms`` order and factors by ascending index.
+    Statements, not one sum: a sum of thousands of terms as one expression
+    overflows the compiler's recursion limit.  Coefficients are names bound
+    in the function's namespace and exponents pass ``operator.index``, so
+    no input reaches the source except as an integer.
+    """
+    coefs: list = []
+    lines = ["def f(state):"]
+    if polys:
+        m = polys[0].num_vars
+        lines.append(f"    [{', '.join(f'x{i}' for i in range(m))}] = state")
+    for j, p in enumerate(polys):
+        if p.num_vars != m:
+            raise ValueError(f"variable count mismatch: {m} vs {p.num_vars}")
+        lines.append(f"    t{j} = 0.0")
+        for exps, coef in p.terms.items():
+            factors = "".join(f" * x{i}**{operator.index(e)}"
+                              for i, e in enumerate(exps) if e)
+            lines.append(f"    t{j} += c{len(coefs)}{factors}")
+            try:
+                coefs.append(float(coef))
+            except OverflowError:  # then the term raises it when evaluated
+                coefs.append(coef)
+    lines.append(f"    return [{', '.join(f't{j}' for j in range(len(polys)))}]")
+    namespace = {f"c{k}": c for k, c in enumerate(coefs)}
+    namespace["__builtins__"] = {}
+    exec("\n".join(lines), namespace)
+    return namespace["f"]
 
 
 def _stored(terms: dict[Exponent, Coef]) -> dict[Exponent, Coef]:

@@ -5,6 +5,7 @@ reproducible; all generated coefficients are Fractions.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -114,6 +115,53 @@ class RefPoly:
                 d[index] -= 1
                 out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[index]
         return RefPoly(self.num_vars, out)
+
+
+def float_plan_oracle(p, point):
+    """Float value of ``p`` by the term-by-term plan loop: per term the float
+    coefficient times ``point[i] ** e`` over the nonzero exponents in
+    ascending index, summed from 0.0 in ``terms`` order.  The reference for
+    the compiled float evaluators."""
+    plan = [(float(coef), [(i, e) for i, e in enumerate(exps) if e])
+            for exps, coef in p.terms.items()]
+    total = 0.0
+    for v, factors in plan:
+        for i, e in factors:
+            v *= point[i] ** e
+        total += v
+    return total
+
+
+def float_outcome(fn, *args):
+    """``repr`` of ``fn(*args)``, or the type of the arithmetic error it
+    raises: float results compared bit for bit, errors by kind."""
+    try:
+        return repr(fn(*args))
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+def rk4_oracle(f, x0, h, steps):
+    """States of classical RK4 written with per-stage lists: the reference
+    for the generated stepper of ``dynamics``.  Stops before the first
+    step that overflows, meets a pole or is not finite."""
+    state = [float(x) for x in x0]
+    states = [state]
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(steps):
+        try:
+            k1 = f(state)
+            k2 = f([x + half * d for x, d in zip(state, k1)])
+            k3 = f([x + half * d for x, d in zip(state, k2)])
+            k4 = f([x + h * d for x, d in zip(state, k3)])
+        except (OverflowError, ZeroDivisionError):
+            break
+        state = [x + sixth * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        if not all(math.isfinite(x) for x in state):
+            break
+        states.append(state)
+    return states
 
 
 # -- multivector oracles: determinant apply and per-component loops ----------

@@ -4,7 +4,9 @@ JSON output mode."""
 
 import contextlib
 import io
+import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nambu import cli, npoisson
+from nambu import cli, dynamics, npoisson
 from nambu.cli import main
 from nambu.multivector import MultiVector, multivector_to_json
 from nambu.nlie import MAX_WORK, nlie_from_json, nlie_to_json, vector_product_algebra
@@ -482,6 +484,72 @@ class TestIntegrate:
     def test_malformed_rationals(self, capsys, argv):
         code, _, err = run(capsys, "integrate", "--x0", "1,0,0", *argv)
         assert code == 2 and err.startswith("error:")
+
+
+class TestIntegrateStream:
+    """``integrate`` writes its rows block by block."""
+
+    def test_abort_after_the_rows_so_far(self, capsys, tmp_path):
+        # dx₁/dt = −x₁², dx₂/dt = 2x₁x₂ from x₁ = −1/2 blows up at t = 2,
+        # after more rows than one block holds
+        h = Poly(2, {(2, 1): 1})
+        system = tmp_path / "blowup.json"
+        system.write_text(json.dumps({
+            "tensor": multivector_to_json(MultiVector.basis(2, (0, 1))),
+            "hamiltonians": [h.to_json()]}))
+        code, out, err = run(capsys, "integrate", "--system", str(system),
+                             "--x0=-1/2,1", "--h", "0.001", "--steps", "5000")
+        assert code == 2
+        assert err == "error: non-finite state at t=2.0019999999998905\n"
+        traj = dynamics.rk4_integrate(
+            MultiVector.basis(2, (0, 1)).hamiltonian_field([h]), [-0.5, 1.0],
+            0.001, 5000, [h])
+        lines = out.splitlines()
+        assert len(lines) == 1 + len(traj.states) == 2003 > dynamics.BLOCK
+        assert out.endswith("\n") and lines[0] == "t,x1,x2,drift1"
+        assert lines[1:] == [",".join(f"{v:.12g}" for v in (t, *state, *row))
+                             for t, state, row in zip(traj.times, traj.states,
+                                                      traj.drift_rows)]
+
+    def test_five_thousand_term_hamiltonian(self, capsys, tmp_path):
+        # a compiled sum of 5,000 terms as one expression overflows the
+        # compiler's recursion limit
+        terms = [{"coef": f"{k % 7 - 3 or 5}/{k % 5 + 1}", "exps": list(e)}
+                 for k, e in enumerate(itertools.islice(
+                     ((a, b, d - a - b) for d in range(31) for a in range(d + 1)
+                      for b in range(d - a + 1)), 5000))]
+        assert len(terms) == 5000
+        system = tmp_path / "big.json"
+        system.write_text(json.dumps({
+            "tensor": multivector_to_json(MultiVector.basis(3, (0, 1, 2))),
+            "hamiltonians": [terms, [{"coef": "1", "exps": [1, 0, 0]}]]}))
+        code, out, err = run(capsys, "integrate", "--system", str(system),
+                             "--x0=1/4,-1/8,1/16", "--steps", "3")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 5
+
+    def test_initial_monitors_use_evaluate_float(self, capsys, monkeypatch):
+        calls = []
+        plain = Poly.evaluate_float
+        monkeypatch.setattr(Poly, "evaluate_float",
+                            lambda self, point: calls.append(self) or plain(self, point))
+        code, _, _ = run(capsys, "integrate", "--builtin", "spin",
+                         "--x0", "1,0,0", "--steps", "20")
+        assert code == 0 and len(calls) == 2
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        def child_peak_kb(steps):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "nambu.cli", "integrate", "--builtin", "spin",
+                 "--B", "1,1/2,-1", "--x0", "1,0,0", "--steps", str(steps)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            return usage.ru_maxrss
+
+        small, large = child_peak_kb(3000), child_peak_kb(200_000)
+        assert large <= 1.1 * small, (small, large)
 
 
 SOURCES = {"spin": ["--builtin", "spin", "--B", "1,1/2,-1"],

@@ -3,14 +3,19 @@ the magnetized spin system, hereditary bracket tables, and the action-angle
 central-force system."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
-from nambu.dynamics import (KeplerSystem, NambuSystem, SpinSystem,
-                            bracket_bivector, check_preserved_bracket,
-                            field_function, hereditary_poisson_table,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import float_outcome, float_plan_oracle, rand_poly, rk4_oracle
+from nambu.dynamics import (FlowAborted, KeplerSystem, NambuSystem,
+                            SpinSystem, bracket_bivector,
+                            check_preserved_bracket, field_function,
+                            hereditary_poisson_table, rk4_blocks,
                             rk4_integrate, spin_closed_form)
 from nambu.multivector import MultiVector
 from nambu.poly import Poly
@@ -208,6 +213,12 @@ class TestRK4:
         assert not traj.ok and "non-finite" in traj.error
         assert traj.states == [[1e160]] and traj.drift_rows == [[0.0]]
 
+    def test_coefficient_beyond_float_range_aborts(self):
+        # as at a pole: the field raises when first evaluated, not when built
+        field = MultiVector(1, 1, {(0,): Poly.monomial(1, (1,), 10 ** 400)})
+        traj = rk4_integrate(field, [1.0], 0.1, 3)
+        assert not traj.ok and traj.states == [[1.0]]
+
     def test_pole_aborts(self):
         # dx/dt = 1/x meets its pole at the start
         field = MultiVector(1, 1, {(0,): Poly.monomial(1, (-1,), 1)})
@@ -261,3 +272,75 @@ class TestKepler:
         rates = f([1.0, 2.0, 3.0, 0.1, 0.2, 0.3])
         assert rates[:3] == [0.0, 0.0, 0.0]
         assert rates[3] == rates[4] == rates[5] != 0.0
+
+
+class TestCompiledFlow:
+    """The compiled fields and the generated stepper against the plan loop
+    and the list-based RK4 loop, compared by ``repr``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.75, 3.0, 1e-170, 1e120]),
+                    min_size=3, max_size=3))
+    def test_field_function_matches_plan_loop(self, seed, point):
+        rng = random.Random(seed)
+        tensor = MultiVector.basis(3, (0, 1, 2), rand_poly(rng, 3, 2))
+        field = NambuSystem(tensor, (rand_poly(rng, 3, 3, 4),
+                                     rand_poly(rng, 3, 2))).dynamics_field()
+        want = float_outcome(
+            lambda x: [float_plan_oracle(c, x) for c in field.vector_coeffs()], point)
+        assert float_outcome(field_function(field), point) == want
+
+    def test_kepler_field_matches_plan_loop(self):
+        k = KeplerSystem(2.0, 0.5)
+        state = [1.0, 2.0, 0.5, 0.1, 0.2, 0.3]
+        nu = k.nu(state)
+        want = [nu * float_plan_oracle(c, state) for c in k.constant_field().vector_coeffs()]
+        assert repr(k.field()(state)) == repr(want)
+
+    @pytest.mark.parametrize("make, x0", [
+        (lambda: SpinSystem((Fraction(1, 3), Fraction(-2), Fraction(1, 2)),
+                            Fraction(3, 2)).field(), [1.0, 0.5, -2.0]),
+        (lambda: KeplerSystem(2.0, 0.5).field(), [1.0, 2.0, 0.5, 0.1, 0.2, 0.3]),
+        (lambda: MultiVector(3, 1, {(0,): Poly.monomial(3, (1, 1, 0), Fraction(1, 3)),
+                                    (2,): Poly.monomial(3, (0, -1, 1), -1)}),
+         [1.0, 0.5, -2.0]),
+    ], ids=["spin", "kepler", "laurent"])
+    def test_stepper_matches_list_loop(self, make, x0):
+        field = make()
+        f = field_function(field) if isinstance(field, MultiVector) else field
+        traj = rk4_integrate(f, x0, 0.01, 200)
+        assert repr(traj.states) == repr(rk4_oracle(f, x0, 0.01, 200))
+
+    def test_rhs_called_four_times_per_step(self):
+        calls = []
+
+        def f(state):
+            calls.append(state)
+            return [-state[1], state[0]]
+
+        traj = rk4_integrate(f, [1.0, 0.0], 0.1, 10)
+        assert len(calls) == 40 and len(traj.states) == 11
+
+    def test_blocks_stream_the_trajectory(self):
+        sys_ = SpinSystem((Fraction(1), Fraction(1, 2), Fraction(-1)), Fraction(1))
+        monitors = list(sys_.nambu().hamiltonians)
+        whole = rk4_integrate(sys_.field(), [1.0, 0.5, -2.0], 0.01, 50, monitors)
+        blocks = list(rk4_blocks(sys_.field(), [1.0, 0.5, -2.0], 0.01, 50,
+                                 monitors, block=7))
+        assert [len(b[0]) for b in blocks] == [7] * 7 + [2]
+        for got, want in zip(zip(*blocks), (whole.times, whole.states, whole.drift_rows)):
+            assert repr([row for block in got for row in block]) == repr(want)
+
+    def test_blocks_end_with_the_rows_before_an_abort(self):
+        # dx/dt = x² from x = 1 blows up at t = 1
+        blocks = rk4_blocks(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4,
+                            [Poly.var(1, 0)], block=5)
+        seen = []
+        with pytest.raises(FlowAborted, match="non-finite state at t="):
+            for times, states, rows in blocks:
+                seen += states
+        traj = rk4_integrate(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4,
+                             [Poly.var(1, 0)])
+        assert seen == traj.states == rk4_oracle(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4)
+        assert not traj.ok

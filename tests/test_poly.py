@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RefPoly
-from nambu.poly import Poly
+from conftest import RefPoly, float_outcome as outcome, float_plan_oracle
+from nambu import poly as poly_module
+from nambu.poly import Poly, compile_floats
 
 X1, X2, X3 = Poly.variables(3)
 
@@ -217,3 +218,81 @@ def test_gradient_is_cached_but_not_shared(terms):
     grad.append(Poly.const(3, 1))
     assert p.gradient() == expected
     assert p.gradient() is not p.gradient()
+
+
+# signed zeros, poles, values whose powers overflow, and ordinary values
+float_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 1e-200, -1e-160, 1e155, -1e200, 3e307]),
+    st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_terms, st.lists(float_coords, min_size=3, max_size=3))
+@example([], [0.0, -0.0, 1e200])
+@example([((-1, 0, 0), 1)], [-0.0, 1.0, 1.0])
+@example([((0, 3, 0), Fraction(1, 3))], [1.0, 1e200, 1.0])
+def test_compiled_float_matches_plan_loop(terms, point):
+    p = Poly(3, dict(terms))
+    want = outcome(float_plan_oracle, p, point)
+    assert outcome(p.evaluate_float, point) == want
+    assert outcome(p.evaluate_float, point) == want  # the cached function
+    assert outcome(lambda x: compile_floats([p])(x)[0], point) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(laurent_terms, max_size=4), st.lists(float_coords, min_size=3, max_size=3))
+def test_compiled_components_match_plan_loop(terms_list, point):
+    polys = [Poly(3, dict(terms)) for terms in terms_list]
+    want = []
+    for p in polys:
+        value = outcome(float_plan_oracle, p, point)
+        if isinstance(value, type):
+            want = value  # the first component that raises decides
+            break
+        want.append(value)
+    got = outcome(lambda x: [repr(v) for v in compile_floats(polys)(x)], point)
+    assert got == (want if isinstance(want, type) else repr(want))
+
+
+class TestCompiledFloats:
+    def test_errors_of_the_plan_loop(self):
+        pole = Poly.monomial(2, (0, -1), 3)
+        with pytest.raises(ZeroDivisionError):
+            pole.evaluate_float([1.0, -0.0])
+        with pytest.raises(OverflowError):
+            (X1 ** 3).evaluate_float([1e200, 0.0, 0.0])
+        huge = Poly.monomial(1, (1,), 10 ** 400)
+        with pytest.raises(OverflowError):
+            huge.evaluate_float([1.0])
+
+    def test_zero_polynomial_and_signed_zero(self):
+        assert repr(Poly.zero(2).evaluate_float([-0.0, 1e300])) == "0.0"
+        assert repr((-X1).evaluate_float([0.0, 1.0, 1.0])) == "0.0"
+        assert compile_floats([])([]) == []
+
+    def test_mixed_variable_counts_rejected(self):
+        with pytest.raises(ValueError):
+            compile_floats([X1, Poly.var(2, 0)])
+
+    def test_hostile_exponent_runs_nothing(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(poly_module, "exec", lambda *a: ran.append(a), raising=False)
+        p = Poly(1, {("1)+__import__('os')#",): 1})
+        with pytest.raises((ValueError, TypeError)):
+            compile_floats([p])
+        with pytest.raises((ValueError, TypeError)):
+            p.evaluate_float([1.0])
+        assert ran == []
+
+    def test_coefficients_are_not_source_text(self):
+        p = Poly(2, {(1, 0): Fraction(1, 3), (0, 2): -7})
+        code = compile_floats([p]).__code__
+        assert Fraction(1, 3) not in code.co_consts and 1 / 3 not in code.co_consts
+        assert p.evaluate_float([3.0, 2.0]) == float_plan_oracle(p, [3.0, 2.0])
+
+    def test_five_thousand_terms_compile(self):
+        # one long sum expression would overflow the compiler's recursion limit
+        terms = {(i, 1): Fraction(1, i + 1) for i in range(5000)}
+        p = Poly(2, terms)
+        point = [0.5, -1.25]
+        assert repr(p.evaluate_float(point)) == repr(float_plan_oracle(p, point))
