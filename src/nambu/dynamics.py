@@ -145,9 +145,9 @@ def _stepper(n: int, k: int) -> Callable:
 
 def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
                x0: Sequence[float], h: float, steps: int,
-               monitors: Sequence[Poly] = (), block: int = BLOCK):
+               monitors: Sequence[Poly] = ()):
     """The run of ``rk4_integrate`` as a generator of ``(times, states,
-    rows)`` blocks of at most ``block`` rows each, so that a caller that
+    rows)`` blocks of at most ``BLOCK`` rows each, so that a caller that
     writes them out holds one block at a time.
 
     The first block starts with ``x0`` at t = 0 and a zero drift row; the
@@ -166,7 +166,7 @@ def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     times, states, rows = [0.0], [state], [[0.0] * len(monitors)]
     t = 0.0
     while True:
-        count = min(steps, max(block - len(times), 1))
+        count = min(steps, BLOCK - len(times))
         t, state = run(f, monitor_values, initial, state, t, h, count,
                        times, states, rows)
         steps -= count
@@ -193,7 +193,7 @@ def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     times, states, rows = [], [], []
     error = None
     try:
-        for block in rk4_blocks(f, x0, h, steps, monitors, block=steps + 1):
+        for block in rk4_blocks(f, x0, h, steps, monitors):
             times += block[0]
             states += block[1]
             rows += block[2]

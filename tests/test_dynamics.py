@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_outcome, float_plan_oracle, rand_poly, rk4_oracle
+from nambu import dynamics
 from nambu.dynamics import (FlowAborted, KeplerSystem, NambuSystem,
                             SpinSystem, bracket_bivector,
                             check_preserved_bracket, field_function,
@@ -322,20 +323,22 @@ class TestCompiledFlow:
         traj = rk4_integrate(f, [1.0, 0.0], 0.1, 10)
         assert len(calls) == 40 and len(traj.states) == 11
 
-    def test_blocks_stream_the_trajectory(self):
+    def test_blocks_stream_the_trajectory(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK", 7)
         sys_ = SpinSystem((Fraction(1), Fraction(1, 2), Fraction(-1)), Fraction(1))
         monitors = list(sys_.nambu().hamiltonians)
         whole = rk4_integrate(sys_.field(), [1.0, 0.5, -2.0], 0.01, 50, monitors)
         blocks = list(rk4_blocks(sys_.field(), [1.0, 0.5, -2.0], 0.01, 50,
-                                 monitors, block=7))
+                                 monitors))
         assert [len(b[0]) for b in blocks] == [7] * 7 + [2]
         for got, want in zip(zip(*blocks), (whole.times, whole.states, whole.drift_rows)):
             assert repr([row for block in got for row in block]) == repr(want)
 
-    def test_blocks_end_with_the_rows_before_an_abort(self):
+    def test_blocks_end_with_the_rows_before_an_abort(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK", 5)
         # dx/dt = x² from x = 1 blows up at t = 1
         blocks = rk4_blocks(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4,
-                            [Poly.var(1, 0)], block=5)
+                            [Poly.var(1, 0)])
         seen = []
         with pytest.raises(FlowAborted, match="non-finite state at t="):
             for times, states, rows in blocks:
