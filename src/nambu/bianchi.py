@@ -2,12 +2,16 @@
 
 Every such algebra is encoded by a linear 1-form α = Σ a_ij x_j dx_i on the
 dual chart through T = ±α⌋(∂₁∧…∧∂_{n+1}); the matrix ‖a_ij‖ is the algebra's
-generating bilinear form.  The algebra is unimodular iff the matrix is
-symmetric, in which case (rank, max index) is a complete isomorphism
-invariant.  Otherwise the skew part has rank exactly 2 and, after reducing it
-to the standard block ½(z₁dz₂ − z₂dz₁), the remaining symmetric 2×2 block
-carries a single scale invariant λ, kept exactly as the rational λ² = |det|
-of that block.
+generating bilinear form; row i is (−1)^i times the bracket of the basis
+tuple omitting e_i, so it is read straight off the structure constants.
+The algebra is unimodular iff the matrix is symmetric, in which case
+(rank, max index) of a is a complete isomorphism invariant.  Otherwise the
+skew part K has rank exactly 2 and the symmetric part S vanishes on ker K, so
+both live on the plane V/ker K.  Any plane P = span(e_i, e_j) with K_ij ≠ 0
+represents it, so det S_P / det K_P depends on neither P nor the basis.  The
+standard block ½(z₁dz₂ − z₂dz₁) has determinant 1/4, so the single scale
+invariant λ is kept exactly as the rational λ² = |d|, d = det S_P / (4 K_ij²),
+computed in the given basis.
 
 Orientation convention: the sign of the correspondence is fixed so that the
 algebra with single bracket [e₁,e₂,e₃] = e₄ has generating matrix a₄₄ = +1
@@ -25,8 +29,7 @@ from typing import Mapping
 from . import linalg
 from .multivector import MultiVector
 from .nlie import NLieStructure
-from .npoisson import dual_nvector
-from .poly import Poly
+from .poly import Poly, json_int
 
 LAMBDA_KINDS = ("psi_plus", "psi_minus")
 
@@ -109,27 +112,22 @@ def parse_psi_label(kind: str, lam: str | None) -> BianchiLabel:
 
 # -- generating form ----------------------------------------------------------------
 
-def generating_form(p: NLieStructure) -> linalg.Matrix:
-    """Matrix a_ij of the generating bilinear form of an (n+1)-dim algebra.
+def _rows(dim: int):
+    """(i, the increasing index tuple omitting i, (−1)^i with i 1-based) for
+    each row i of a generating matrix: row i is that sign times the bracket
+    of the tuple, the sign fixing the library's orientation."""
+    for i in range(dim):
+        yield i, tuple(k for k in range(dim) if k != i), 1 if i % 2 else -1
 
-    The linear n-vector T of the algebra determines α by
-    α_i = (−1)^i · (coefficient of T on the index tuple omitting i),
-    1-based, the sign fixing the library's orientation.
-    """
-    n = p.arity
-    if p.dim != n + 1:
+
+def generating_form(p: NLieStructure) -> linalg.Matrix:
+    """Matrix a_ij of the generating bilinear form of an (n+1)-dim algebra,
+    read off the structure constants: α_i = (−1)^i [e_1,…,ê_i,…,e_{n+1}]."""
+    if p.dim != p.arity + 1:
         raise ValueError("dimension must equal arity + 1")
-    t = dual_nvector(p)
-    out = linalg.zeros(p.dim, p.dim)
-    for i in range(p.dim):
-        comp = tuple(k for k in range(p.dim) if k != i)
-        poly = t.coefficient(comp)
-        sign = 1 if i % 2 == 1 else -1  # (−1)^i with 1-based i
-        for exps, coef in poly.terms.items():
-            if sum(exps) != 1:
-                raise ValueError("tensor coefficients are not linear")
-            out[i][exps.index(1)] = Fraction(sign * coef)
-    return out
+    zero = [Fraction(0)] * p.dim
+    return [[sign * x for x in p.constants.get(comp, zero)]
+            for _, comp, sign in _rows(p.dim)]
 
 
 def algebra_from_form(a: linalg.Matrix, arity: int) -> NLieStructure:
@@ -137,14 +135,8 @@ def algebra_from_form(a: linalg.Matrix, arity: int) -> NLieStructure:
     dim = arity + 1
     if len(a) != dim:
         raise ValueError("matrix size must equal arity + 1")
-    consts: dict[tuple[int, ...], list[Fraction]] = {}
-    for i in range(dim):
-        comp = tuple(k for k in range(dim) if k != i)
-        sign = 1 if i % 2 == 1 else -1
-        value = [sign * Fraction(a[i][j]) for j in range(dim)]
-        if any(x != 0 for x in value):
-            consts[comp] = value
-    return NLieStructure(dim, arity, consts)
+    return NLieStructure(dim, arity, {comp: [sign * Fraction(x) for x in a[i]]
+                                      for i, comp, sign in _rows(dim)})
 
 
 def is_unimodular(p: NLieStructure) -> bool:
@@ -164,68 +156,31 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _standardize_skew(k: linalg.Matrix) -> linalg.Matrix:
-    """Invertible C with CᵀKC = the standard ½-block ⊕ 0, for skew K of rank 2."""
-    n = len(k)
-    pivot = next(((i, j) for i in range(n) for j in range(i + 1, n) if k[i][j] != 0),
-                 None)
-    if pivot is None:
-        raise ValueError("skew part vanishes")
-    i, j = pivot
-    c1 = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
-    c2 = [Fraction(-1, 2) / k[i][j] if t == j else Fraction(0) for t in range(n)]
-
-    def pair(u, v):
-        return sum((u[a] * k[a][b] * v[b] for a in range(n) for b in range(n)),
-                   Fraction(0))
-
-    cols = [c1, c2]
-    k12 = pair(c1, c2)  # −1/2 by construction
-    for t in range(n):
-        if t in (i, j):
-            continue
-        e = [Fraction(1) if s == t else Fraction(0) for s in range(n)]
-        # remove the components pairing with the symplectic plane
-        coef1 = pair(c2, e) / pair(c2, c1)
-        coef2 = pair(c1, e) / k12
-        w = [e[s] - coef1 * c1[s] - coef2 * c2[s] for s in range(n)]
-        cols.append(w)
-    c = [[cols[col][row] for col in range(n)] for row in range(n)]
-    kk = linalg.mat_mul(linalg.transpose(c), linalg.mat_mul(k, c))
-    expected = linalg.zeros(n, n)
-    expected[0][1], expected[1][0] = Fraction(-1, 2), Fraction(1, 2)
-    if kk != expected:
-        raise ValueError("skew part does not have rank 2")
-    return c
-
-
 def classify(p: NLieStructure) -> BianchiLabel:
-    """Complete isomorphism label of a valid (n+1)-dimensional n-Lie algebra."""
+    """Complete isomorphism label of a valid (n+1)-dimensional n-Lie algebra:
+    (rank, max index) of S when K = 0, else the Ψ class of d (module docstring)
+    on the plane of the first K_ij ≠ 0."""
     ok, witness = p.check_n_jacobi()
     if not ok:
         raise ValueError(f"not an n-Lie algebra; witness {witness}")
     a = generating_form(p)
-    dim = p.dim
     at = linalg.transpose(a)
-    sym = linalg.mat_scale(Fraction(1, 2), linalg.mat_add(a, at))
-    skew = linalg.mat_scale(Fraction(1, 2), linalg.mat_sub(a, at))
-    if all(x == 0 for row in skew for x in row):
-        r = linalg.rank(sym)
+    sym = [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(a, at)]
+    skew = [[(x - y) / 2 for x, y in zip(row, col)] for row, col in zip(a, at)]
+    pivot = next(((i, j) for i, row in enumerate(skew) for j, x in enumerate(row) if x),
+                 None)
+    if pivot is None:
         pos, neg = linalg.signature(sym)
-        return unimodular_label(r, max(pos, neg))
-    c = _standardize_skew(skew)
-    a2 = linalg.mat_mul(linalg.transpose(c), linalg.mat_mul(a, c))
-    for i in range(dim):
-        for j in range(dim):
-            if (i >= 2 or j >= 2) and a2[i][j] != 0:
-                raise ValueError("generating form is inconsistent: "
-                                 "support outside the symplectic plane")
-    s2 = [[(a2[i][j] + a2[j][i]) / 2 for j in range(2)] for i in range(2)]
-    if all(x == 0 for row in s2 for x in row):
+        return unimodular_label(pos + neg, max(pos, neg))
+    kernel = linalg.nullspace(skew)
+    if len(kernel) != p.dim - 2 or any(any(linalg.mat_vec(sym, v)) for v in kernel):
+        raise ValueError("generating form is inconsistent: the skew part must have "
+                         "rank 2 and its kernel must lie in that of the symmetric part")
+    i, j = pivot
+    block = [[sym[i][i], sym[i][j]], [sym[j][i], sym[j][j]]]
+    if not any(block[0] + block[1]):
         return psi_label("psi_zero")
-    # determinant of the symmetric block is invariant under the residual
-    # (determinant ±1) transformations that preserve the standard skew block
-    d = linalg.det(s2)
+    d = linalg.det(block) / (4 * skew[i][j] ** 2)
     if d == 0:
         return psi_label("psi_one")
     return BianchiLabel("psi_plus" if d > 0 else "psi_minus", lam_sq=abs(d))
@@ -333,5 +288,5 @@ def label_from_json(data: Mapping) -> BianchiLabel:
     if stray:
         raise ValueError(f"unexpected keys {sorted(stray)} for kind {kind!r}")
     if kind == "unimodular":
-        return unimodular_label(int(data["r"]), int(data["m"]))
+        return unimodular_label(json_int(data["r"]), json_int(data["m"]))
     return parse_psi_label(kind, data.get("lambda"))

@@ -7,6 +7,7 @@ Exit codes: 0 = verdict true / success, 1 = verdict false (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -79,6 +80,8 @@ def cmd_check_nlie(args) -> int:
 
 
 def cmd_check_poisson(args) -> int:
+    if args.max_degree < 0:
+        raise InputError(f"--max-degree must be ≥ 0, got {args.max_degree}")
     v = _load_multivector(args.file)
     if v.degree < 2:
         raise InputError(f"{args.file}: the fundamental identity needs degree ≥ 2")
@@ -255,6 +258,7 @@ def cmd_witt_demo(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nambu",

@@ -55,15 +55,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form and the list of pivot columns."""
     m = [row[:] for row in a]

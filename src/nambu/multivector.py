@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import Poly
+from .poly import Poly, json_int
 
 IndexTuple = tuple[int, ...]
 
@@ -428,7 +428,7 @@ class OneForm:
 
     @staticmethod
     def from_json(data: Mapping) -> "OneForm":
-        m = int(data["num_vars"])
+        m = json_int(data["num_vars"])
         return OneForm([Poly.from_json(c, m) for c in data["components"]])
 
 
@@ -446,10 +446,10 @@ def multivector_to_json(v: MultiVector) -> dict:
 
 
 def multivector_from_json(data: Mapping) -> MultiVector:
-    m = int(data["num_vars"])
-    degree = int(data["degree"])
+    m = json_int(data["num_vars"])
+    degree = json_int(data["degree"])
     comps = {}
     for item in data.get("components", []):
-        idx = tuple(int(i) - 1 for i in item["indices"])
+        idx = tuple(json_int(i) - 1 for i in item["indices"])
         comps[idx] = Poly.from_json(item["poly"], m)
     return MultiVector(m, degree, comps)

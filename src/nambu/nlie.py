@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
+from .poly import json_int
 
 IndexTuple = tuple[int, ...]
 Vector = list[Fraction]
@@ -416,10 +417,10 @@ def nlie_to_json(p: NLieStructure) -> dict:
 
 
 def nlie_from_json(data: Mapping) -> NLieStructure:
-    dim = int(data["dim"])
-    arity = int(data["arity"])
+    dim = json_int(data["dim"])
+    arity = json_int(data["arity"])
     consts = {}
     for item in data.get("constants", []):
-        idx = tuple(int(i) - 1 for i in item["indices"])
+        idx = tuple(json_int(i) - 1 for i in item["indices"])
         consts[idx] = [Fraction(x) for x in item["value"]]
     return NLieStructure(dim, arity, consts)

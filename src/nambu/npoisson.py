@@ -127,8 +127,7 @@ def scale(f: Poly, tensor: MultiVector) -> MultiVector:
     return tensor * f
 
 
-def wedge_compat_check(delta: MultiVector, nabla: MultiVector,
-                       precheck: bool = True) -> tuple[bool, bool, bool]:
+def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bool, bool]:
     """The three conditions under which Δ∧∇ is again multi-Poisson:
 
     (1) the Schouten bracket ⌈Δ,∇⌉ vanishes;
@@ -139,11 +138,10 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector,
     complete under the stated rank hypotheses because the extra Leibniz term
     of a function rescaling is killed by the rank-n wedge identity.
     """
-    if precheck:
-        for t in (delta, nabla):
-            ok, _ = is_n_poisson(t)
-            if not (ok and decomposable_given(t, ok)):
-                raise ValueError("inputs must be decomposable multi-Poisson tensors")
+    for t in (delta, nabla):
+        ok, _ = is_n_poisson(t)
+        if not (ok and decomposable_given(t, ok)):
+            raise ValueError("inputs must be decomposable multi-Poisson tensors")
     c1 = delta.schouten(nabla).is_zero()
     c2 = _mixed_wedge_vanishes(delta, nabla)
     c3 = _mixed_wedge_vanishes(nabla, delta)

@@ -38,6 +38,13 @@ def _coef(value) -> Coef:
     return value.numerator if value.denominator == 1 else value
 
 
+def json_int(value) -> int:
+    """An integer field of an input file: ValueError unless a JSON integer."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
@@ -291,7 +298,7 @@ class Poly:
     def from_json(data: Iterable[dict], num_vars: int) -> "Poly":
         terms: dict[Exponent, Fraction] = {}
         for item in data:
-            exps = tuple(int(e) for e in item["exps"])
+            exps = tuple(json_int(e) for e in item["exps"])
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {list(exps)}")
             coef = Fraction(item["coef"])

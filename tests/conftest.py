@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from nambu.linalg import det, identity, mat, mat_vec, rref, transpose, zeros
+from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
+from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank, rref,
+                          signature, transpose, zeros)
 from nambu.multivector import MultiVector, OneForm, merge_sign
 from nambu.nlie import NLieStructure
-from nambu.npoisson import fi_defect, slot_monomials
+from nambu.npoisson import dual_nvector, fi_defect, slot_monomials
 from nambu.poly import Poly
 
 
@@ -418,6 +420,78 @@ def derivation_oracle(p, d):
     """Whether d is a derivation of p, checked on every basis tuple."""
     return not any(any(derivation_defect_oracle(p, d, w_vecs))
                    for _, w_vecs in _basis_tuples(p.dim, p.arity))
+
+
+# -- classification oracles: the dual n-vector and the standardised basis ----
+
+def generating_form_oracle(p):
+    """The generating matrix read back from the linear coefficients of the
+    dual n-vector: row i is (−1)^i (1-based) times the coefficient of T on
+    the index tuple omitting i."""
+    t = dual_nvector(p)
+    out = zeros(p.dim, p.dim)
+    for i in range(p.dim):
+        comp = tuple(k for k in range(p.dim) if k != i)
+        sign = 1 if i % 2 == 1 else -1
+        for exps, coef in t.coefficient(comp).terms.items():
+            assert sum(exps) == 1
+            out[i][exps.index(1)] = Fraction(sign * coef)
+    return out
+
+
+def _standardize_skew(k):
+    """Invertible C with CᵀKC = the standard ½-block ⊕ 0, for skew K of rank 2."""
+    n = len(k)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if k[i][j] != 0)
+    c1 = [Fraction(1) if t == i else Fraction(0) for t in range(n)]
+    c2 = [Fraction(-1, 2) / k[i][j] if t == j else Fraction(0) for t in range(n)]
+
+    def pair(u, v):
+        return sum((u[a] * k[a][b] * v[b] for a in range(n) for b in range(n)),
+                   Fraction(0))
+
+    cols = [c1, c2]
+    for t in range(n):
+        if t in (i, j):
+            continue
+        e = [Fraction(1) if s == t else Fraction(0) for s in range(n)]
+        # remove the components pairing with the symplectic plane
+        coef1 = pair(c2, e) / pair(c2, c1)
+        coef2 = pair(c1, e) / pair(c1, c2)
+        cols.append([e[s] - coef1 * c1[s] - coef2 * c2[s] for s in range(n)])
+    c = [[cols[col][row] for col in range(n)] for row in range(n)]
+    expected = zeros(n, n)
+    expected[0][1], expected[1][0] = Fraction(-1, 2), Fraction(1, 2)
+    if mat_mul(transpose(c), mat_mul(k, c)) != expected:
+        raise ValueError("skew part does not have rank 2")
+    return c
+
+
+def classify_oracle(p):
+    """The label of a valid (n+1)-dimensional n-Lie algebra through a change
+    of basis: reduce the skew part of the dual generating form to the
+    standard block ½(z₁dz₂ − z₂dz₁) and take det of the symmetric 2×2 block."""
+    ok, witness = p.check_n_jacobi()
+    if not ok:
+        raise ValueError(f"not an n-Lie algebra; witness {witness}")
+    a = generating_form_oracle(p)
+    at = transpose(a)
+    sym = [[(x + y) / 2 for x, y in zip(r, s)] for r, s in zip(a, at)]
+    skew = [[(x - y) / 2 for x, y in zip(r, s)] for r, s in zip(a, at)]
+    if all(x == 0 for row in skew for x in row):
+        pos, neg = signature(sym)
+        return unimodular_label(rank(sym), max(pos, neg))
+    c = _standardize_skew(skew)
+    a2 = mat_mul(transpose(c), mat_mul(a, c))
+    if any(a2[i][j] for i in range(p.dim) for j in range(p.dim) if i >= 2 or j >= 2):
+        raise ValueError("support outside the symplectic plane")
+    s2 = [[(a2[i][j] + a2[j][i]) / 2 for j in range(2)] for i in range(2)]
+    if all(x == 0 for row in s2 for x in row):
+        return psi_label("psi_zero")
+    d = det(s2)
+    if d == 0:
+        return psi_label("psi_one")
+    return BianchiLabel("psi_plus" if d > 0 else "psi_minus", lam_sq=abs(d))
 
 
 @pytest.fixture

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (in_span, rand_invertible_matrix, rand_symmetric_matrix,
+from conftest import (classify_oracle, generating_form_oracle, in_span,
+                      rand_invertible_matrix, rand_symmetric_matrix,
                       rand_unimodular_matrix)
-from nambu.bianchi import (algebra_from_form, classify, derivation_algebra,
-                           generating_form, is_isomorphic, is_unimodular,
-                           label_from_json, psi_label, synthesize,
-                           unimodular_label, witt_embedding_check)
+from nambu.bianchi import (BianchiLabel, algebra_from_form, classify,
+                           derivation_algebra, generating_form, is_isomorphic,
+                           is_unimodular, label_from_json, psi_label,
+                           synthesize, unimodular_label, witt_embedding_check)
 from nambu.linalg import (congruent_diagonalize, identity, inverse, mat,
                           mat_mul, mat_sub, transpose, zeros)
 from nambu.nlie import NLieStructure, vector_product_algebra
@@ -102,6 +103,54 @@ class TestClassify:
                                 for i, x in enumerate(constants[(0, 1, 3)])]
         with pytest.raises(ValueError):
             classify(NLieStructure(4, 3, constants))
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 1): Fraction(-1, 2), (1, 0): Fraction(1, 2),
+         (2, 3): Fraction(1), (3, 2): Fraction(-1)},   # skew part of rank 4
+        {(0, 1): Fraction(-1, 2), (1, 0): Fraction(1, 2),
+         (2, 2): Fraction(1)},                         # S nonzero on ker K
+        {(0, 1): Fraction(-1, 2), (1, 0): Fraction(1, 2),
+         (0, 2): Fraction(1), (2, 0): Fraction(1)},    # S pairs ker K with P
+    ], ids=["rank-4-skew", "symmetric-on-kernel", "mixed-support"])
+    def test_inconsistent_form_rejected(self, entries, monkeypatch):
+        # such forms are never n-Lie, so the Jacobi check is bypassed to
+        # reach the consistency check of the Ψ branch
+        form = zeros(4, 4)
+        for (i, j), x in entries.items():
+            form[i][j] = x
+        p = algebra_from_form(form, 3)
+        monkeypatch.setattr(NLieStructure, "check_n_jacobi", lambda self: (True, None))
+        with pytest.raises(ValueError, match="inconsistent"):
+            classify(p)
+
+
+@st.composite
+def labels(draw, dim):
+    """Any label realizable in dimension ``dim``; λ² is a square (rational λ)
+    or an arbitrary positive rational (mostly irrational λ)."""
+    kind = draw(st.sampled_from(["unimodular", "psi_plus", "psi_minus",
+                                 "psi_one", "psi_zero"]))
+    if kind == "unimodular":
+        r = draw(st.integers(0, dim))
+        return unimodular_label(r, draw(st.integers((r + 1) // 2, r)))
+    if kind in ("psi_one", "psi_zero"):
+        return psi_label(kind)
+    q = Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    return BianchiLabel(kind, lam_sq=q * q if draw(st.booleans()) else q)
+
+
+class TestOracles:
+    """The closed-form path against the dual n-vector and the standardised
+    basis, on every label kind hidden behind an integer basis change."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), arity=st.integers(2, 4), seed=st.integers(0, 2**32))
+    def test_labels_and_forms_match(self, data, arity, seed):
+        label = data.draw(labels(arity + 1))
+        c = rand_invertible_matrix(random.Random(seed), arity + 1)
+        p = synthesize(label, arity).change_basis(c)
+        assert generating_form(p) == generating_form_oracle(p)
+        assert classify(p) == classify_oracle(p) == label
 
 
 class TestSynthesize:
@@ -273,6 +322,7 @@ class TestLabelSerialization:
         {"kind": "psi_plus", "lambda": "2", "r": 3},
         {"kind": "unimodular", "r": 3, "m": 2, "lambda": "1"},
         {"kind": "psi_zero", "extra": None},
+        {"kind": "unimodular", "r": 3.0, "m": 2},
     ])
     def test_malformed_label_rejected(self, data):
         with pytest.raises(ValueError):

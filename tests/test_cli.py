@@ -151,6 +151,30 @@ def test_negative_exponent_is_input_error(capsys, tmp_path, argv, name, path):
     assert err.startswith("error:") and "negative exponent" in err
 
 
+INTEGRATE_SYSTEM = ["integrate", "--x0", "1,0", "--steps", "2", "--system"]
+
+
+@pytest.mark.parametrize("token", ["1e400", "2.5", "1.5", '"2"', "true"])
+@pytest.mark.parametrize("argv, name, path", [
+    (INTEGRATE_SYSTEM, "oscillator_system.json", ("hamiltonians", 0, 0, "exps", 1)),
+    (INTEGRATE_SYSTEM, "oscillator_system.json", ("tensor", "num_vars")),
+    (INTEGRATE_SYSTEM, "oscillator_system.json", ("tensor", "degree")),
+    (INTEGRATE_SYSTEM, "oscillator_system.json", ("tensor", "components", 0, "indices", 1)),
+    (["check-nlie"], "atomic_3lie.json", ("dim",)),
+    (["check-nlie"], "atomic_3lie.json", ("arity",)),
+    (["check-nlie"], "atomic_3lie.json", ("constants", 0, "indices", 2)),
+], ids=["integrate-exps", "integrate-num_vars", "integrate-degree", "integrate-indices",
+        "check-nlie-dim", "check-nlie-arity", "check-nlie-indices"])
+def test_non_integer_field_is_input_error(capsys, tmp_path, argv, name, path, token):
+    """Integer fields must be JSON integers: a float that overflows, one that
+    would be truncated, a string or a boolean exits 2 with a message."""
+    bad = write_altered(tmp_path, name, path, "@token@")
+    bad.write_text(bad.read_text().replace('"@token@"', token))
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "expected an integer" in err
+
+
 def write_altered(tmp_path, name, path, value):
     """A copy of the demo file ``name`` with the entry at ``path`` set to ``value``."""
     data = json.loads((DATA / name).read_text())
@@ -207,6 +231,12 @@ class TestCheckPoisson:
         code, data, _ = run_json(capsys, "check-poisson", str(path))
         assert code == 0
         assert data["decomposable"] is False
+
+    def test_negative_max_degree_is_input_error(self, capsys):
+        code, out, err = run(capsys, "check-poisson", "--max-degree", "-1",
+                             str(GOLDEN / "fractional_casimirs.json"))
+        assert (code, out) == (2, "")
+        assert err == "error: --max-degree must be ≥ 0, got -1\n"
 
     def test_vector_field_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "field.json"
@@ -587,6 +617,9 @@ class TestWittDemo:
 
 
 class TestEntryPoint:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_installed_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "nambu.cli", "--json", "check-nlie",
