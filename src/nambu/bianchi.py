@@ -172,7 +172,7 @@ def classify(p: NLieStructure) -> BianchiLabel:
     if pivot is None:
         pos, neg = linalg.signature(sym)
         return unimodular_label(pos + neg, max(pos, neg))
-    kernel = linalg.nullspace(skew)
+    kernel = linalg.nullspace(linalg.sparse(skew), p.dim)
     if len(kernel) != p.dim - 2 or any(any(linalg.mat_vec(sym, v)) for v in kernel):
         raise ValueError("generating form is inconsistent: the skew part must have "
                          "rank 2 and its kernel must lie in that of the symmetric part")
@@ -241,17 +241,17 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
     rows = []
     for u in range(n):
         for v in range(n):
-            row = [Fraction(0)] * (n * n)
-            # (AᵀG)_{uv} = Σ_k A_{ku} G_{kv}; (GA)_{uv} = Σ_k G_{uk} A_{kv}
-            for k in range(n):
-                row[unknown(k, u)] += g[k][v]
-                row[unknown(k, v)] += g[u][k]
+            row: dict[int, Fraction] = {}
+            # (AᵀG)_{uv} = Σ_k A_{ku} G_{kv}; (GA)_{uv} = Σ_k G_{uk} A_{kv};
             # tr(A)·G_{uv} = Σ_k A_{kk} G_{uv}
             for k in range(n):
-                row[unknown(k, k)] -= g[u][v]
+                for j, x in ((unknown(k, u), g[k][v]), (unknown(k, v), g[u][k]),
+                             (unknown(k, k), -g[u][v])):
+                    if x:
+                        row[j] = row.get(j, 0) + x
             rows.append(row)
     basis = []
-    for vec in linalg.nullspace(rows, cols=n * n):
+    for vec in linalg.nullspace(rows, n * n):
         a = [[vec[unknown(i, j)] for j in range(n)] for i in range(n)]
         basis.append(linalg.transpose(a))
     return basis

@@ -85,6 +85,11 @@ def cmd_check_poisson(args) -> int:
     v = _load_multivector(args.file)
     if v.degree < 2:
         raise InputError(f"{args.file}: the fundamental identity needs degree ≥ 2")
+    if args.max_degree:
+        try:
+            npoisson.bound_casimir_work(v, args.max_degree)
+        except ValueError as exc:
+            raise InputError(f"{args.file}: {exc}") from exc
     ok, witness = npoisson.is_n_poisson(v)
     out = {
         "verdict": ok,

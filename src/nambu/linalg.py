@@ -1,22 +1,36 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``Fraction``.  Provides the handful of exact
-routines the rest of the package needs: rank, nullspace, inverse, determinant,
-and congruence diagonalization of symmetric bilinear forms.  One routine is
-generic over the coefficient ring: ``wedge_minors`` builds wedge products as
-signed minors, for ``Fraction`` vectors (n-Lie brackets) and for ``Poly``
-gradients (multi-derivations) alike.
+Dense matrices are lists of lists of ``Fraction``.  Provides the handful of
+exact routines the rest of the package needs: rank, nullspace, inverse,
+determinant, and congruence diagonalization of symmetric bilinear forms.
+
+Rank, nullspace and inverse share one elimination, ``rref``, on sparse rows
+(``{column: entry}`` dicts; ``sparse`` converts a dense matrix).  It is
+fraction-free in the manner of Bareiss (Math. Comp. 22, 1968): each row is
+kept as coprime integers, a row update is ``a·r − b·p`` followed by content
+removal, and only the rows that hold the pivot column are touched, so the
+Casimir and derivation systems, mostly zeros, cost in proportion to their
+nonzero entries.  Each pivot row is turned into ``Fraction``s once, at the
+end; the reduced form is canonical, so the result does not depend on how it
+was reached.
+
+One routine is generic over the coefficient ring: ``wedge_minors`` builds
+wedge products as signed minors, for ``Fraction`` vectors (n-Lie brackets)
+and for ``Poly`` gradients (multi-derivations) alike.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+Row = dict[int, Fraction]  # a sparse row: column -> nonzero entry
+Rational = int | Fraction
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -55,62 +69,91 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form and the list of pivot columns."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def sparse(a: Matrix) -> list[Row]:
+    """The rows of a dense matrix as sparse rows."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _primitive(row: Mapping[int, Rational]) -> dict[int, int]:
+    """``row`` scaled to coprime integers: times the lcm of its denominators,
+    divided by the gcd of the results; zero entries dropped."""
+    row = {j: x for j, x in row.items() if x}
+    den = math.lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = math.gcd(*ints.values())
+    return {j: x // g for j, x in ints.items()} if g > 1 else ints
+
+
+def _eliminate(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
+    """a·r − b·p with column ``c`` cancelled, content removed, zeros dropped."""
+    g = math.gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
+    for j, y in p.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
+    """Reduced row-echelon form of sparse rows: its nonzero rows, the r-th
+    with leading 1 in column ``pivots[r]``, and the list of pivot columns.
+
+    Fraction-free: rows are kept as coprime integers and a row r holding the
+    pivot p's column c becomes a·r − b·p with a/b = p_c/r_c in lowest terms;
+    only rows that hold c are touched, the earlier pivot rows among them.
+    The result is canonical, so it does not depend on the elimination order.
+    """
+    pending = [r for r in map(_primitive, rows) if r]
+    done: list[dict[int, int]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
+    for c in sorted({j for r in pending for j in r}):
+        k = next((i for i, r in enumerate(pending) if c in r), None)
+        if k is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        p = pending.pop(k)
+        pending = [r for r in (_eliminate(r, p, c) if c in r else r for r in pending) if r]
+        done = [_eliminate(r, p, c) if c in r else r for r in done]
+        done.append(p)
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if not pending:
             break
-    return m, pivots
+    return [{j: Fraction(x, r[c]) for j, x in r.items()} for r, c in zip(done, pivots)], pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+    return len(rref(sparse(a))[1])
 
 
-def nullspace(a: Matrix, cols: int | None = None) -> list[Vector]:
-    """Basis of the right nullspace of ``a`` (exact)."""
-    if not a:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(cols or 0)]
-                for i in range(cols or 0)]
-    n_cols = len(a[0])
-    red, pivots = rref(a)
-    free = [c for c in range(n_cols) if c not in pivots]
+def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[Vector]:
+    """Basis of the right nullspace of sparse ``rows`` with ``cols`` columns
+    (exact)."""
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n_cols
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+        for row, p in zip(red, pivots):
+            x = row.get(f)
+            if x:
+                v[p] = -x
         basis.append(v)
     return basis
 
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref({**row, n + i: 1} for i, row in enumerate(sparse(a)))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in red]
 
 
 def det(a: Matrix) -> Fraction:

@@ -263,8 +263,8 @@ class MultiVector:
             return self.components.get((), total)
         # only minors on the coordinates V involves can meet a component
         support = {i for idx in self.components for i in idx}
-        grads = [[(i, d) for i in support if not (d := f.partial(i)).is_zero()]
-                 for f in fs]
+        grads = [[(i, d) for i in support if not (d := grad[i]).is_zero()]
+                 for grad in (f.gradient() for f in fs)]
         wedge = linalg.wedge_minors({(i,): d for i, d in grads[0]}, grads[1:])
         for idx, poly in self.components.items():
             d = wedge.get(idx)

@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
-from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank, rref,
+from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank,
                           signature, transpose, zeros)
 from nambu.multivector import MultiVector, OneForm, merge_sign
 from nambu.nlie import NLieStructure
@@ -298,11 +299,52 @@ def wedge_d_self_is_zero(alpha):
 
 # -- linear systems ----------------------------------------------------------
 
+def rref_oracle(a):
+    """Dense Gauss–Jordan over ``Fraction``: the reduced row-echelon form of
+    the matrix ``a`` (zero rows kept, at the bottom) and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def nullspace_oracle(a, cols):
+    """Basis of the right nullspace of the dense matrix ``a`` with ``cols``
+    columns, read off ``rref_oracle``: one vector per free column."""
+    red, pivots = rref_oracle(a)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for r, p in enumerate(pivots):
+                v[p] = -red[r][f]
+            basis.append(v)
+    return basis
+
+
 def solve(a, b):
     """One exact solution of ``a x = b``, or None if inconsistent."""
     rows = len(a)
     aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
+    red, pivots = rref_oracle(aug)
     n_cols = len(a[0]) if rows else 0
     if n_cols in pivots:
         return None
@@ -609,3 +651,18 @@ def rand_jacobi_pair(rng, num_vars, arity):
     nabla = rand_multivector(rng, num_vars, min(arity, num_vars))
     box = rand_multivector(rng, num_vars, arity - 1)
     return JacobiOp(nabla, box, arity=arity)
+
+
+@st.composite
+def labels(draw, dim):
+    """Any label realizable in dimension ``dim``; λ² is a square (rational λ)
+    or an arbitrary positive rational (mostly irrational λ)."""
+    kind = draw(st.sampled_from(["unimodular", "psi_plus", "psi_minus",
+                                 "psi_one", "psi_zero"]))
+    if kind == "unimodular":
+        r = draw(st.integers(0, dim))
+        return unimodular_label(r, draw(st.integers((r + 1) // 2, r)))
+    if kind in ("psi_one", "psi_zero"):
+        return psi_label(kind)
+    q = Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    return BianchiLabel(kind, lam_sq=q * q if draw(st.booleans()) else q)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classify_oracle, generating_form_oracle, in_span,
+from conftest import (classify_oracle, generating_form_oracle, in_span, labels,
                       rand_invertible_matrix, rand_symmetric_matrix,
                       rand_unimodular_matrix)
-from nambu.bianchi import (BianchiLabel, algebra_from_form, classify,
-                           derivation_algebra, generating_form, is_isomorphic,
-                           is_unimodular, label_from_json, psi_label,
-                           synthesize, unimodular_label, witt_embedding_check)
+from nambu.bianchi import (algebra_from_form, classify, derivation_algebra,
+                           generating_form, is_isomorphic, is_unimodular,
+                           label_from_json, psi_label, synthesize,
+                           unimodular_label, witt_embedding_check)
 from nambu.linalg import (congruent_diagonalize, identity, inverse, mat,
                           mat_mul, mat_sub, transpose, zeros)
 from nambu.nlie import NLieStructure, vector_product_algebra
@@ -122,21 +122,6 @@ class TestClassify:
         monkeypatch.setattr(NLieStructure, "check_n_jacobi", lambda self: (True, None))
         with pytest.raises(ValueError, match="inconsistent"):
             classify(p)
-
-
-@st.composite
-def labels(draw, dim):
-    """Any label realizable in dimension ``dim``; λ² is a square (rational λ)
-    or an arbitrary positive rational (mostly irrational λ)."""
-    kind = draw(st.sampled_from(["unimodular", "psi_plus", "psi_minus",
-                                 "psi_one", "psi_zero"]))
-    if kind == "unimodular":
-        r = draw(st.integers(0, dim))
-        return unimodular_label(r, draw(st.integers((r + 1) // 2, r)))
-    if kind in ("psi_one", "psi_zero"):
-        return psi_label(kind)
-    q = Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
-    return BianchiLabel(kind, lam_sq=q * q if draw(st.booleans()) else q)
 
 
 class TestOracles:

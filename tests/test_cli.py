@@ -238,6 +238,37 @@ class TestCheckPoisson:
         assert (code, out) == (2, "")
         assert err == "error: --max-degree must be ≥ 0, got -1\n"
 
+    def test_high_degree_casimirs(self, capsys):
+        """Degree ≤ 8 on 4 variables: 495 unknowns × 6 Hamiltonian fields,
+        within the work bound; the Casimirs are the 9 powers of one linear
+        invariant, each annihilated by every coordinate Hamiltonian field."""
+        path = GOLDEN / "fractional_casimirs.json"
+        code, data, _ = run_json(capsys, "check-poisson", str(path), "--max-degree", "8")
+        assert code == 0
+        assert comb(4 + 8, 8) * comb(4, 2) <= npoisson.MAX_CASIMIR_WORK
+        casimirs = [Poly.parse(c, 4) for c in data["casimirs"]]
+        assert len(casimirs) == 9
+        assert sorted(max(map(sum, c.terms)) for c in casimirs) == list(range(9))
+        v = cli._load_multivector(str(path))
+        xs = Poly.variables(4)
+        for i, j in itertools.combinations(range(4), 2):
+            field = v.hamiltonian_field([xs[i], xs[j]])
+            assert all(field.apply_field(c).is_zero() for c in casimirs)
+
+    @pytest.mark.parametrize("name, m", [("fractional_casimirs", 4), ("nonintegrable", 5)])
+    def test_casimir_work_bound(self, capsys, name, m):
+        """C(m+60, 60) unknowns × C(m, 2) fields are refused before any work,
+        whatever the verdict would be."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-poisson", str(GOLDEN / f"{name}.json"),
+                             "--max-degree", "60")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        unknowns, fields = comb(m + 60, 60), comb(m, 2)
+        assert unknowns * fields > npoisson.MAX_CASIMIR_WORK
+        assert (f"{unknowns} unknowns × {fields} Hamiltonian fields, "
+                f"work {unknowns * fields}") in err
+
     def test_vector_field_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "field.json"
         path.write_text(json.dumps(multivector_to_json(
