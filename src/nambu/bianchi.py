@@ -3,11 +3,13 @@
 Every such algebra is encoded by a linear 1-form α = Σ a_ij x_j dx_i on the
 dual chart through T = ±α⌋(∂₁∧…∧∂_{n+1}); the matrix ‖a_ij‖ is the algebra's
 generating bilinear form; row i is (−1)^i times the bracket of the basis
-tuple omitting e_i, so it is read straight off the structure constants.
-The algebra is unimodular iff the matrix is symmetric, in which case
-(rank, max index) of a is a complete isomorphism invariant.  Otherwise the
-skew part K has rank exactly 2 and the symmetric part S vanishes on ker K, so
-both live on the plane V/ker K.  Any plane P = span(e_i, e_j) with K_ij ≠ 0
+tuple omitting e_i, so ``nlie.generating_form`` reads it straight off the
+structure constants, and the structure is an n-Lie algebra iff α∧dα = 0
+(``nlie.frobenius_defect``).  The algebra is unimodular iff the matrix is
+symmetric, in which case (rank, max index) of a is a complete isomorphism
+invariant.  Otherwise α∧dα = 0 forces the skew part K to have rank exactly 2
+and the symmetric part S to vanish on ker K, so both live on the plane
+V/ker K.  Any plane P = span(e_i, e_j) with K_ij ≠ 0
 represents it, so det S_P / det K_P depends on neither P nor the basis.  The
 standard block ½(z₁dz₂ − z₂dz₁) has determinant 1/4, so the single scale
 invariant λ is kept exactly as the rational λ² = |d|, d = det S_P / (4 K_ij²),
@@ -24,14 +26,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import linalg
 from .multivector import MultiVector
-from .nlie import NLieStructure
+from .nlie import NLieStructure, form_row, frobenius_defect, generating_form
 from .poly import Poly, json_int
 
 LAMBDA_KINDS = ("psi_plus", "psi_minus")
+
+# Entries a ``synthesize`` answer may hold, nonzero form rows × (arity + 1):
+# each costs about 8 µs and 365 bytes on its way to JSON, so 10⁶ take about
+# 8 s and 365 MB, like ``nlie.MAX_WORK``'s 10 s of work
+MAX_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -112,31 +119,22 @@ def parse_psi_label(kind: str, lam: str | None) -> BianchiLabel:
 
 # -- generating form ----------------------------------------------------------------
 
-def _rows(dim: int):
-    """(i, the increasing index tuple omitting i, (−1)^i with i 1-based) for
-    each row i of a generating matrix: row i is that sign times the bracket
-    of the tuple, the sign fixing the library's orientation."""
-    for i in range(dim):
-        yield i, tuple(k for k in range(dim) if k != i), 1 if i % 2 else -1
-
-
-def generating_form(p: NLieStructure) -> linalg.Matrix:
-    """Matrix a_ij of the generating bilinear form of an (n+1)-dim algebra,
-    read off the structure constants: α_i = (−1)^i [e_1,…,ê_i,…,e_{n+1}]."""
-    if p.dim != p.arity + 1:
-        raise ValueError("dimension must equal arity + 1")
-    zero = [Fraction(0)] * p.dim
-    return [[sign * x for x in p.constants.get(comp, zero)]
-            for _, comp, sign in _rows(p.dim)]
-
-
 def algebra_from_form(a: linalg.Matrix, arity: int) -> NLieStructure:
     """Inverse of ``generating_form``: structure constants from a matrix."""
     dim = arity + 1
     if len(a) != dim:
         raise ValueError("matrix size must equal arity + 1")
-    return NLieStructure(dim, arity, {comp: [sign * Fraction(x) for x in a[i]]
-                                      for i, comp, sign in _rows(dim)})
+    return _from_rows(dict(enumerate(a)), arity)
+
+
+def _from_rows(rows: Mapping[int, Sequence], arity: int) -> NLieStructure:
+    """The algebra whose generating form has the given rows and zeros elsewhere."""
+    dim = arity + 1
+    consts = {}
+    for i, row in rows.items():
+        comp, sign = form_row(dim, i)
+        consts[comp] = [sign * Fraction(x) for x in row]
+    return NLieStructure(dim, arity, consts)
 
 
 def is_unimodular(p: NLieStructure) -> bool:
@@ -159,10 +157,12 @@ def _exact_sqrt(x: Fraction) -> Fraction | None:
 def classify(p: NLieStructure) -> BianchiLabel:
     """Complete isomorphism label of a valid (n+1)-dimensional n-Lie algebra:
     (rank, max index) of S when K = 0, else the Ψ class of d (module docstring)
-    on the plane of the first K_ij ≠ 0."""
-    ok, witness = p.check_n_jacobi()
-    if not ok:
-        raise ValueError(f"not an n-Lie algebra; witness {witness}")
+    on the plane of the first K_ij ≠ 0.  A structure failing α∧dα = 0 is
+    refused with the first nonzero coefficient (``nlie.frobenius_defect``)."""
+    defect = frobenius_defect(p)
+    if defect is not None:
+        raise ValueError("not an n-Lie algebra: α∧dα ≠ 0, the coefficient c_ijkl is "
+                         f"nonzero at (i, j, k, l) = {tuple(x + 1 for x in defect)}")
     a = generating_form(p)
     at = linalg.transpose(a)
     sym = [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(a, at)]
@@ -172,10 +172,6 @@ def classify(p: NLieStructure) -> BianchiLabel:
     if pivot is None:
         pos, neg = linalg.signature(sym)
         return unimodular_label(pos + neg, max(pos, neg))
-    kernel = linalg.nullspace(linalg.sparse(skew), p.dim)
-    if len(kernel) != p.dim - 2 or any(any(linalg.mat_vec(sym, v)) for v in kernel):
-        raise ValueError("generating form is inconsistent: the skew part must have "
-                         "rank 2 and its kernel must lie in that of the symmetric part")
     i, j = pivot
     block = [[sym[i][i], sym[i][j]], [sym[j][i], sym[j][j]]]
     if not any(block[0] + block[1]):
@@ -187,34 +183,38 @@ def classify(p: NLieStructure) -> BianchiLabel:
 
 
 def synthesize(label: BianchiLabel, arity: int) -> NLieStructure:
-    """An algebra realizing the given label, built from its canonical form."""
+    """An algebra realizing the given label, built from its canonical form.
+    Only the nonzero rows of the form are built; an answer of more than
+    MAX_ENTRIES entries, nonzero rows × (arity + 1), is refused first."""
     dim = arity + 1
-    a = linalg.zeros(dim, dim)
     if label.kind == "unimodular":
         r, m = label.r, label.m
         if not (0 <= r <= dim and (r + 1) // 2 <= m <= r or r == m == 0):
             raise ValueError(f"invalid unimodular parameters for dimension {dim}")
-        for i in range(m):
-            a[i][i] = Fraction(1)
-        for i in range(m, r):
-            a[i][i] = Fraction(-1)
+        rows = {i: {i: Fraction(1 if i < m else -1)} for i in range(r)}
     else:
         if dim < 2:
             raise ValueError("Ψ-family labels need dimension ≥ 2")
-        a[0][1], a[1][0] = Fraction(-1, 2), Fraction(1, 2)
+        rows = {0: {1: Fraction(-1, 2)}, 1: {0: Fraction(1, 2)}}
         if label.kind in LAMBDA_KINDS:
             if label.lam_sq is None or label.lam_sq <= 0:
                 raise ValueError("λ must be positive")
             # diag(λ, ±λ) for rational λ, else diag(λ², ±1): determinant ±λ²
             sign = 1 if label.kind == "psi_plus" else -1
             lam = _exact_sqrt(label.lam_sq)
-            a[0][0], a[1][1] = ((lam, sign * lam) if lam is not None
-                                else (label.lam_sq, Fraction(sign)))
+            rows[0][0], rows[1][1] = ((lam, sign * lam) if lam is not None
+                                      else (label.lam_sq, Fraction(sign)))
         elif label.kind == "psi_one":
-            a[0][0] = Fraction(1)
+            rows[0][0] = Fraction(1)
         elif label.kind != "psi_zero":
             raise ValueError(f"unknown label kind {label.kind!r}")
-    return algebra_from_form(a, arity)
+    entries = len(rows) * dim
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"arity {arity}: {len(rows)} nonzero rows of {dim} entries, "
+                         f"{entries} in all, above the limit {MAX_ENTRIES}")
+    zero = Fraction(0)
+    return _from_rows({i: [row.get(j, zero) for j in range(dim)]
+                       for i, row in rows.items()}, arity)
 
 
 def is_isomorphic(p: NLieStructure, q: NLieStructure) -> bool:

@@ -358,17 +358,22 @@ def _schouten_value(a: MultiVector, b: MultiVector, fs: list[Poly]) -> Poly:
 # -- derived vectors, rank, decomposability ------------------------------------
 
 def derived_rank(v: MultiVector, point: Sequence) -> int:
-    """Dimension at a point of the span of all derived vectors V_{a₁,…,a_{k−1}}."""
+    """Dimension at a point of the span of all derived vectors V_{a₁,…,a_{k−1}}.
+
+    Each component is evaluated once.  Dropping a₁ < … < a_{k−1} from the
+    tuple I = (a…) ∪ {i} in turn leaves i with sign (−1)^(k−1−t), t the
+    position of i in I, so V_I(point) enters row (a…) at column i with it."""
     if v.degree < 1:
         raise ValueError("derived_rank requires degree ≥ 1")
-    if v.degree == 1:
-        row = [c.evaluate(point) for c in v.vector_coeffs()]
-        return 0 if all(x == 0 for x in row) else 1
-    rows = []
-    for covs in itertools.combinations(range(v.num_vars), v.degree - 1):
-        field = v.derived(covs)
-        rows.append([field.coefficient((i,)).evaluate(point) for i in range(v.num_vars)])
-    return linalg.rank(rows)
+    last = v.degree - 1
+    rows: dict[IndexTuple, dict[int, Fraction]] = {}
+    for idx, poly in v.components.items():
+        value = poly.evaluate(point)
+        if value:
+            for t, i in enumerate(idx):
+                rows.setdefault(idx[:t] + idx[t + 1:], {})[i] = \
+                    -value if (last - t) & 1 else value
+    return len(linalg.rref(rows.values())[1])
 
 
 def is_decomposable(v: MultiVector) -> bool:

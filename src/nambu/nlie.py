@@ -10,6 +10,25 @@ computes D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n) from the sparse 
 The n-ary Jacobi identity, ``is_derivation`` and the compatibility conditions
 of every order between two structures are that kernel with different D and
 Q, each inner derivation built once per tuple.
+
+In dimension n + 1 the identity has a closed form.  Row i of the generating
+form a is (−1)^i (1-based) times the bracket of the basis tuple omitting eᵢ,
+and the algebra is n-Lie iff α = Σ a_ij x_j dx_i satisfies the Frobenius
+condition α∧dα = 0 (the dual n-vector ±α⌋(∂₁∧…∧∂_{n+1}) is then n-Poisson).
+With K = a − aᵀ the coefficient of x_l in (α∧dα)_ijk is −c_ijkl(a, K),
+
+    c_ijkl(a, K) = a_il K_jk − a_jl K_ik + a_kl K_ij,
+
+so ``check_n_jacobi`` and ``compat`` test C(n+1, 3)·(n+1) quadratic
+identities and search basis tuples only for a witness after a false verdict.
+``compat`` tests the polarisation c(a_P, K_Q) + c(a_Q, K_P) = 0.  Two
+quadratic maps with the same zeros may have polarisations with different
+zeros, so this rests on more: the defect vector J(a) of the tuple search and
+the vector F(a) of the c_ijkl are linear images of each other, J = L·F and
+F = L′·J as quadratic forms in a (``tests/test_nlie.py`` checks the ranks).
+Their polarisations, the compatibility defects and c(a_P, K_Q) + c(a_Q, K_P),
+are then the same images of each other and vanish together.  Other
+dimensions keep the tuple search.
 """
 
 from __future__ import annotations
@@ -109,6 +128,58 @@ def _bound_tuple_pairs(dim: int, arity: int, structures: Iterable["NLieStructure
     """``_bound_work`` for a check over all (u, w) pairs of basis tuples."""
     _bound_work(dim, arity, math.comb(dim, arity - 1) * math.comb(dim, arity),
                 "(u, w) basis tuple pairs", structures)
+
+
+def form_row(dim: int, i: int) -> tuple[IndexTuple, int]:
+    """(the increasing basis tuple omitting i, (−1)^i with i 1-based): row i
+    of a generating form is that sign times the bracket of the tuple, the
+    sign fixing the library's orientation."""
+    return tuple(k for k in range(dim) if k != i), 1 if i % 2 else -1
+
+
+def generating_form(p: "NLieStructure") -> linalg.Matrix:
+    """Matrix a_ij of the generating bilinear form of an (n+1)-dim algebra,
+    read off the structure constants: α_i = (−1)^i [e_1,…,ê_i,…,e_{n+1}]."""
+    if p.dim != p.arity + 1:
+        raise ValueError("dimension must equal arity + 1")
+    zero = [Fraction(0)] * p.dim
+    return [[sign * x for x in p.constants.get(comp, zero)]
+            for comp, sign in (form_row(p.dim, i) for i in range(p.dim))]
+
+
+def _integer_form(p: "NLieStructure") -> list[list[int]]:
+    """The generating form times the lcm of its denominators: c is
+    homogeneous in each argument, so scaling leaves its zeros in place."""
+    a = generating_form(p)
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a]
+
+
+def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
+                     ) -> tuple[int, int, int, int] | None:
+    """First (i, j, k, l), i < j < k, in lexicographic order, where
+    c_ijkl(a_P, K_P) is nonzero (module docstring), or with ``q`` its
+    polarisation c_ijkl(a_P, K_Q) + c_ijkl(a_Q, K_P); None if there is none.
+    Needs dimension = arity + 1; refuses C(dim, 3)·dim above MAX_WORK."""
+    dim = p.dim
+    work = math.comb(dim, 3) * dim
+    if dim == p.arity + 1 and work > MAX_WORK:  # else generating_form refuses
+        raise ValueError(f"dimension {dim}: {work} coefficients of α∧dα, "
+                         f"above the limit {MAX_WORK}")
+    forms = [_integer_form(x) for x in (p, q) if x is not None]
+    skews = [[[x - y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+             for a in forms]
+    terms = list(zip(forms, reversed(skews)))  # (a_P, K_Q) and (a_Q, K_P)
+    for i, j, k in itertools.combinations(range(dim), 3):
+        parts = [(a[i], a[j], a[k], s[j][k], s[i][k], s[i][j]) for a, s in terms
+                 if s[j][k] or s[i][k] or s[i][j]]
+        if not parts:
+            continue
+        for l in range(dim):
+            if sum(ai[l] * kjk - aj[l] * kik + ak[l] * kij
+                   for ai, aj, ak, kjk, kik, kij in parts):
+                return i, j, k, l
+    return None
 
 
 def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
@@ -241,9 +312,12 @@ class NLieStructure:
 
         [u₁,…,u_{n−1},[v₁,…,v_n]] = Σᵢ [v₁,…,[u₁,…,u_{n−1},vᵢ],…,v_n];
         basis tuples suffice by multilinearity.  Returns (verdict, witness),
-        the witness being the first failing (u indices, v indices).
+        the witness being the first failing (u indices, v indices).  In
+        dimension n + 1 the verdict is α∧dα = 0 (module docstring), and the
+        tuples are searched only for the witness of a false one.
         """
-        if self.arity == 1:
+        if self.arity == 1 or (self.dim == self.arity + 1
+                               and frobenius_defect(self) is None):
             return True, None
         witness = _first_defect([(self, self)], self.dim, self.arity)
         return witness is None, witness
@@ -323,9 +397,13 @@ class NLieStructure:
         return self._dense(_defect(terms, [_entries(_to_vec(w, self.dim)) for w in ws]))
 
     def compat(self, other: "NLieStructure") -> tuple[bool, tuple | None]:
-        """Whether the mutual Lie-derivative defect vanishes on all basis tuples."""
+        """Whether the mutual Lie-derivative defect vanishes on all basis tuples;
+        in dimension n + 1, whether the polarisation of α∧dα vanishes, with
+        the tuples searched only for the witness of a false verdict."""
         if (self.dim, self.arity) != (other.dim, other.arity):
             raise ValueError("dimension/arity mismatch")
+        if self.dim == self.arity + 1 and frobenius_defect(self, other) is None:
+            return True, None
         witness = _first_defect([(self, other), (other, self)], self.dim, self.arity)
         return witness is None, witness
 

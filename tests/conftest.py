@@ -512,8 +512,10 @@ def _standardize_skew(k):
 def classify_oracle(p):
     """The label of a valid (n+1)-dimensional n-Lie algebra through a change
     of basis: reduce the skew part of the dual generating form to the
-    standard block ½(z₁dz₂ − z₂dz₁) and take det of the symmetric 2×2 block."""
-    ok, witness = p.check_n_jacobi()
+    standard block ½(z₁dz₂ − z₂dz₁) and take det of the symmetric 2×2 block.
+    The identity is checked tuple by tuple, and the structure the Ψ branch
+    relies on (K of rank 2, S·ker K = 0) is checked again."""
+    ok, witness = jacobi_oracle(p)
     if not ok:
         raise ValueError(f"not an n-Lie algebra; witness {witness}")
     a = generating_form_oracle(p)
@@ -523,6 +525,10 @@ def classify_oracle(p):
     if all(x == 0 for row in skew for x in row):
         pos, neg = signature(sym)
         return unimodular_label(rank(sym), max(pos, neg))
+    kernel = nullspace_oracle(skew, p.dim)
+    if len(kernel) != p.dim - 2 or any(any(mat_vec(sym, v)) for v in kernel):
+        raise ValueError("generating form is inconsistent: the skew part must have "
+                         "rank 2 and its kernel must lie in that of the symmetric part")
     c = _standardize_skew(skew)
     a2 = mat_mul(transpose(c), mat_mul(a, c))
     if any(a2[i][j] for i in range(p.dim) for j in range(p.dim) if i >= 2 or j >= 2):

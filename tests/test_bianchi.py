@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classify_oracle, generating_form_oracle, in_span, labels,
-                      rand_invertible_matrix, rand_symmetric_matrix,
-                      rand_unimodular_matrix)
+from conftest import (classify_oracle, generating_form_oracle, in_span,
+                      jacobi_oracle, labels, rand_invertible_matrix,
+                      rand_symmetric_matrix, rand_unimodular_matrix)
 from nambu.bianchi import (algebra_from_form, classify, derivation_algebra,
                            generating_form, is_isomorphic, is_unimodular,
                            label_from_json, psi_label, synthesize,
                            unimodular_label, witt_embedding_check)
 from nambu.linalg import (congruent_diagonalize, identity, inverse, mat,
                           mat_mul, mat_sub, transpose, zeros)
-from nambu.nlie import NLieStructure, vector_product_algebra
+from nambu.nlie import NLieStructure, frobenius_defect, vector_product_algebra
 from nambu.poly import Poly
 
 
@@ -112,16 +112,19 @@ class TestClassify:
         {(0, 1): Fraction(-1, 2), (1, 0): Fraction(1, 2),
          (0, 2): Fraction(1), (2, 0): Fraction(1)},    # S pairs ker K with P
     ], ids=["rank-4-skew", "symmetric-on-kernel", "mixed-support"])
-    def test_inconsistent_form_rejected(self, entries, monkeypatch):
-        # such forms are never n-Lie, so the Jacobi check is bypassed to
-        # reach the consistency check of the Ψ branch
+    def test_inconsistent_form_rejected(self, entries):
+        # such forms are never n-Lie: they fail the criterion α∧dα = 0 and the
+        # tuple search alike, and classify refuses them with the coefficient
         form = zeros(4, 4)
         for (i, j), x in entries.items():
             form[i][j] = x
         p = algebra_from_form(form, 3)
-        monkeypatch.setattr(NLieStructure, "check_n_jacobi", lambda self: (True, None))
-        with pytest.raises(ValueError, match="inconsistent"):
+        assert frobenius_defect(p) is not None
+        assert not jacobi_oracle(p)[0]
+        with pytest.raises(ValueError, match=r"not an n-Lie algebra: α∧dα ≠ 0.*\(i, j, k, l\)"):
             classify(p)
+        with pytest.raises(ValueError, match="not an n-Lie algebra"):
+            classify_oracle(p)
 
 
 class TestOracles:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from nambu import cli, dynamics, npoisson
 from nambu.cli import main
+from nambu.bianchi import MAX_ENTRIES, algebra_from_form
 from nambu.multivector import MultiVector, multivector_to_json
 from nambu.nlie import MAX_WORK, nlie_from_json, nlie_to_json, vector_product_algebra
 from nambu.poly import Poly
@@ -86,13 +87,14 @@ class TestCheckNlie:
     @pytest.mark.parametrize("verb, extra, count", [
         ("check-nlie", [], comb(30, 14) * comb(30, 15)),
         ("compat", [], comb(30, 14) * comb(30, 15)),
-        ("classify", [], comb(30, 14) * comb(30, 15)),
+        ("classify", [], None),
         ("hereditary", ["--freeze", ",".join(["1"] * 30)], comb(30, 14)),
     ], ids=["check-nlie", "compat", "classify", "hereditary"])
     def test_work_bound(self, capsys, tmp_path, verb, extra, count):
         """C(30,14)·C(30,15) tuple pairs, or C(30,14) brackets for one frozen
         vector, are refused before any work, even for the zero structure;
-        classify checks the identity first."""
+        classify decides α∧dα = 0 on the generating form, which exists only
+        in dimension arity + 1, so it refuses the shape at once."""
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"dim": 30, "arity": 15}))
         start = time.perf_counter()
@@ -100,23 +102,36 @@ class TestCheckNlie:
                              *extra)
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
-        assert str(count) in err
-        assert count > MAX_WORK
+        if count is None:
+            assert "dimension must equal arity + 1" in err
+        else:
+            assert str(count) in err
+            assert count > MAX_WORK
 
     def test_work_bound_counts_constants(self, capsys, tmp_path):
-        """A hidden-basis 30-ary vector product needs only 14,415 (u, w)
-        tuple pairs, but each pair costs arity × its 961 nonzero constants:
-        refused at once, where it used to run for more than 30 s."""
+        """A structure on 31 dimensions from a 30-ary form whose skew part has
+        rank 4, behind a random basis, fails α∧dα = 0.  Its witness search
+        needs only 14,415 (u, w) tuple pairs, but each pair costs arity × its
+        961 nonzero constants: refused at once.  The hidden 30-ary vector
+        product in the same basis is true at once, by the criterion."""
         rng = random.Random(30)
         c = [[rng.randint(-2, 2) for _ in range(31)] for _ in range(31)]
-        hidden = vector_product_algebra(30).change_basis(c)
-        path = tmp_path / "hidden.json"
-        path.write_text(json.dumps(nlie_to_json(hidden)))
+        form = [[Fraction(int(i == j)) for j in range(31)] for i in range(31)]
+        for i, j in ((0, 1), (2, 3)):
+            form[i][j], form[j][i] = Fraction(-1, 2), Fraction(1, 2)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(nlie_to_json(algebra_from_form(form, 30).change_basis(c))))
+        hidden = tmp_path / "hidden.json"
+        hidden.write_text(json.dumps(nlie_to_json(vector_product_algebra(30).change_basis(c))))
         start = time.perf_counter()
-        code, out, err = run(capsys, "check-nlie", str(path))
+        code, out, err = run(capsys, "check-nlie", str(broken))
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert "14415 (u, w) basis tuple pairs with 961 nonzero" in err
+        start = time.perf_counter()
+        code, data, _ = run_json(capsys, "check-nlie", str(hidden))
+        assert time.perf_counter() - start < 1
+        assert code == 0 and data == {"verdict": True, "witness": None}
 
 
 @pytest.mark.parametrize("argv, name, path", [
@@ -407,6 +422,25 @@ class TestSynthesize:
         label = classify(nlie_from_json(json.loads(out)))
         assert label.kind == "psi_minus" and label.lam_sq == Fraction(8, 3)
         assert str(label) == "PsiLambdaMinus{λ=sqrt(8/3)}"
+
+    def test_large_arity(self, capsys):
+        """Only the nonzero rows of the form are built: Ψ₀ at arity 2000 (two
+        rows, which took 21.3 s and 399 MB as a dense matrix) is immediate,
+        and a full-rank unimodular answer of 2001 × 2001 entries, above
+        MAX_ENTRIES, is refused before any work."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "synthesize", "--kind", "psi_zero", "--arity", "2000")
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        p = nlie_from_json(json.loads(out))
+        assert (p.dim, p.arity, len(p.constants)) == (2001, 2000, 2)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "synthesize", "--kind", "unimodular", "--arity", "2000",
+                             "--r", "2001", "--m", "2001")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert f"4004001 in all, above the limit {MAX_ENTRIES}" in err
+        assert 2001 * 2001 > MAX_ENTRIES
 
     @pytest.mark.parametrize("name, argv", [
         ("psi_plus_7_3", ["--kind", "psi_plus", "--arity", "3", "--lambda", "7/3"]),

@@ -4,12 +4,16 @@ bracket, derived vectors, decomposability, and linear one-forms."""
 import itertools
 from fractions import Fraction
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (apply_oracle, derived_oracle, derived_pairing_vanishes,
                       lie_derivative_oracle, oneform_from_matrix,
                       oneform_linear_matrix, rand_decomposable_tensor,
-                      rand_multivector, rand_poly, schouten_oracle,
+                      rand_multivector, rand_poly, rref_oracle, schouten_oracle,
                       wedge_d_self_is_zero)
 from nambu.multivector import (MultiVector, OneForm, derived_rank,
                                is_decomposable, merge_sign,
@@ -272,6 +276,23 @@ class TestDerivedVectors:
         v = MultiVector.basis(4, (0, 1, 2), Poly.var(4, 3))
         assert derived_rank(v, [0, 0, 0, 0]) == 0
         assert derived_rank(v, [0, 0, 0, 1]) == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_rank_matches_derived_oracle(self, m, data, seed):
+        """The rank from components evaluated once equals the rank of the
+        derived fields V_{a…} of the contraction oracle, evaluated at the
+        point, on every tuple a₁ < … < a_{k−1}."""
+        rng = random.Random(seed)
+        k = data.draw(st.integers(1, m))
+        density = data.draw(st.sampled_from([0.3, 1.0]))
+        v = rand_multivector(rng, m, k, max_degree=2, density=density)
+        point = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)]
+        rows = []
+        for covs in itertools.combinations(range(m), k - 1):
+            field = derived_oracle(v, covs)
+            rows.append([field.coefficient((i,)).evaluate(point) for i in range(m)])
+        assert derived_rank(v, point) == len(rref_oracle(rows)[1])
 
     def test_decomposable_examples(self):
         assert is_decomposable(MultiVector.basis(4, (0, 1, 2), Poly.var(4, 3)))

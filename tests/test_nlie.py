@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (ad_oracle, comp_condition_oracle, compat_defect_oracle,
                       compat_oracle, derivation_oracle, det_bracket,
@@ -16,8 +18,9 @@ from nambu import linalg
 from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
                            synthesize, unimodular_label)
 from nambu.linalg import identity, mat, mat_mul, mat_sub, zeros
-from nambu.nlie import (MAX_WORK, NLieStructure, nlie_from_json,
-                        nlie_to_json, vector_product_algebra)
+from nambu.nlie import (MAX_WORK, NLieStructure, _defect, _first_defect,
+                        frobenius_defect, nlie_from_json, nlie_to_json,
+                        vector_product_algebra)
 
 
 def atomic4():
@@ -289,14 +292,23 @@ class TestInputBounds:
         assert comb(6, 1) * comb(6, 2) * 2 * (2 + 378) < MAX_WORK
 
     def test_work_limit_counts_constants(self):
-        """A 30-ary vector product behind a shear needs only 14,415 tuple
-        pairs, but its 31 constants now hold 91 nonzero entries: refused."""
+        """A 30-ary structure on 31 dimensions from a form whose skew part has
+        rank 4, behind a shear, fails α∧dα = 0; the witness search needs only
+        14,415 tuple pairs, but its 31 constants hold 93 nonzero entries:
+        refused.  The hidden 30-ary vector product is decided by the criterion
+        and needs no search."""
         c = [[1 if i == j else 0 for j in range(31)] for i in range(31)]
         c[0] = [1] * 31
-        hidden = vector_product_algebra(30).change_basis(c)
+        form = identity(31)
+        for i, j in ((0, 1), (2, 3)):
+            form[i][j], form[j][i] = Fraction(-1, 2), Fraction(1, 2)
+        broken = algebra_from_form(form, 30).change_basis(c)
+        assert frobenius_defect(broken) is not None
+        assert sum(len(v) for v in broken._sparse.values()) == 93
         assert comb(31, 29) * comb(31, 30) == 14415
         with pytest.raises(ValueError, match="14415 .*above the limit"):
-            hidden.check_n_jacobi()
+            broken.check_n_jacobi()
+        assert vector_product_algebra(30).change_basis(c).check_n_jacobi() == (True, None)
 
     def test_hereditary_bracket_limit(self):
         """Freezing one vector of a 15-ary structure on 30 dimensions needs
@@ -466,3 +478,118 @@ def test_no_determinant_on_the_checker_paths(monkeypatch):
     assert vp.check_n_jacobi() == (True, None)
     assert vp.compat(vp) == (True, None)
     assert vp.is_derivation(vp.inner_derivation(us))
+
+
+# -- the closed form α∧dα = 0 against the tuple search -------------------------
+
+def random_form(rng, n):
+    """From a random integer form: mostly not n-Lie."""
+    return algebra_from_form(rand_vectors(rng, n + 1, n + 1), n)
+
+
+def plane_pair(rng, n):
+    """Two forms with skew parts on the plane of e₁, e₂ and symmetric parts
+    on it, one sometimes reaching e₃, behind one basis change."""
+    c = rand_invertible_matrix(rng, n + 1)
+    pair = []
+    for leak in (False, rng.random() < 0.4):
+        a = zeros(n + 1, n + 1)
+        mu = Fraction(rng.choice([-2, -1, 1, 2]), 2)
+        a[0][1], a[1][0] = -mu, mu
+        for i, j in ((0, 0), (0, 1), (1, 1)) + (((1, 2),) if leak else ()):
+            x = Fraction(rng.randint(-2, 2))
+            a[i][j] += x
+            a[j][i] += x if i != j else 0
+        pair.append(algebra_from_form(a, n).change_basis(c))
+    return tuple(pair)
+
+
+def symmetric_pair(rng, n):
+    """Two unimodular algebras behind one basis change: compatible."""
+    c = rand_invertible_matrix(rng, n + 1)
+    return tuple(algebra_from_form(rand_symmetric_matrix(rng, n + 1), n).change_basis(c)
+                 for _ in range(2))
+
+
+SINGLES = {
+    "hidden": hidden,
+    "perturbed": perturbed,
+    "random": random_form,
+    "skew-rank-4": lambda rng, n: skew_rank_four(rng, max(n, 3)),
+}
+
+PAIRS = {
+    "shared-plane": plane_pair,
+    "symmetric": symmetric_pair,
+    "hidden": lambda rng, n: (hidden(rng, n), hidden(rng, n)),
+    "perturbed": lambda rng, n: (hidden(rng, n), perturbed(rng, n)),
+    "random": lambda rng, n: (random_form(rng, n), random_form(rng, n)),
+}
+
+
+def defect_vector(p):
+    """Every component of the Jacobi defect on every (u, w) tuple pair, from
+    the kernel the tuple search uses."""
+    basis = [[(i, 1)] for i in range(p.dim)]
+    out = []
+    for us in itertools.combinations(range(p.dim), p.arity - 1):
+        terms = [(list(p._frozen([basis[i] for i in us]).values()), p)]
+        for ws in itertools.combinations(range(p.dim), p.arity):
+            d = _defect(terms, [basis[i] for i in ws])
+            out += [d.get(r, 0) for r in range(p.dim)]
+    return out
+
+
+def searched(pairs, p):
+    return _first_defect(pairs, p.dim, p.arity) is None
+
+
+class TestFrobeniusCriterion:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 6), family=st.sampled_from(sorted(SINGLES)),
+           seed=st.integers(0, 2**32))
+    def test_jacobi_matches_search(self, n, family, seed):
+        p = SINGLES[family](random.Random(seed), n)
+        assert (frobenius_defect(p) is None) == searched([(p, p)], p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 6), family=st.sampled_from(sorted(PAIRS)),
+           seed=st.integers(0, 2**32))
+    def test_polarisation_matches_compat_search(self, n, family, seed):
+        p, q = PAIRS[family](random.Random(seed), n)
+        assert (frobenius_defect(p, q) is None) == searched([(p, q), (q, p)], p)
+
+    def test_families_cover_both_verdicts(self):
+        jacobi, compat = set(), set()
+        for n in range(2, 7):
+            for seed in range(4):
+                rng = random.Random(seed)
+                jacobi |= {frobenius_defect(f(rng, n)) is None for f in SINGLES.values()}
+                compat |= {frobenius_defect(*f(rng, n)) is None for f in PAIRS.values()}
+        assert jacobi == compat == {True, False}
+
+    @pytest.mark.parametrize("n, rank", [(2, 3), (3, 16)])
+    def test_defects_and_criterion_determine_each_other(self, n, rank):
+        """Polarisation is exact only because the tuple-search defects J(a)
+        and the criterion F(a), quadratic in the form a, are linear images
+        of each other.  Over samples whose quadratic monomials a_p·a_q span
+        all quadratic forms (full Veronese rank), rank F = rank J =
+        rank [F | J] says exactly that: then J(a, b) = 0 ⟺ F(a, b) = 0 for
+        the polarisations too, the compat defects and c(a, K_b) + c(b, K_a)."""
+        rng = random.Random(n)
+        dim = n + 1
+        pairs = list(itertools.combinations_with_replacement(range(dim * dim), 2))
+        veronese, f_rows, j_rows = [], [], []
+        for _ in range(len(pairs) + 8):
+            a = rand_vectors(rng, dim, dim, -3, 3)
+            flat = [x for row in a for x in row]
+            veronese.append([flat[s] * flat[t] for s, t in pairs])
+            k = [[a[i][j] - a[j][i] for j in range(dim)] for i in range(dim)]
+            f_rows.append([a[i][l] * k[j][m] - a[j][l] * k[i][m] + a[m][l] * k[i][j]
+                           for i, j, m in itertools.combinations(range(dim), 3)
+                           for l in range(dim)])
+            j_rows.append(defect_vector(algebra_from_form(a, n)))
+        assert linalg.rank(veronese) == len(pairs)
+        ranks = (linalg.rank(f_rows), linalg.rank(j_rows),
+                 linalg.rank([f + j for f, j in zip(f_rows, j_rows)]))
+        assert ranks == (rank, rank, rank)
