@@ -2,6 +2,15 @@
 
 Exit codes: 0 = verdict true / success, 1 = verdict false (witness printed),
 2 = input error.  ``--json`` switches the output to machine-readable JSON.
+
+The input boundary is in one place.  Handlers and the library refuse input
+by raising ``ValueError`` (or the ``ZeroDivisionError`` / ``OverflowError``
+of a bad rational or float); ``main`` alone prints ``error: …`` for it and
+returns 2, and so it does for ``dynamics.FlowAborted`` after the rows so far.
+Every input file goes through ``_load``, which names the file in each
+failure: unreadable, not UTF-8, not JSON, or not parseable.  ``KeyError``
+and ``TypeError`` count as refusals only there, so a bug elsewhere still
+fails loudly.
 """
 
 from __future__ import annotations
@@ -14,40 +23,30 @@ import sys
 from fractions import Fraction
 
 from . import bianchi, dynamics, njacobi, npoisson
-from .multivector import (MultiVector, derived_rank, is_decomposable,
-                          multivector_from_json, multivector_to_json)
-from .nlie import NLieStructure, nlie_from_json, nlie_to_json
+from .multivector import derived_rank, is_decomposable, multivector_from_json
+from .nlie import nlie_from_json, nlie_to_json
 from .njacobi import jacobiop_from_json
 from .poly import Poly
 
 
-class InputError(Exception):
-    pass
-
-
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, what: str):
+    """``parse`` applied to the JSON document in ``path``."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON at line {exc.lineno}, "
+        raise ValueError(f"{path}: malformed JSON at line {exc.lineno}, "
                          f"column {exc.colno}") from exc
-
-
-def _load_algebra(path: str) -> NLieStructure:
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
     try:
-        return nlie_from_json(_load_json(path))
+        return parse(data)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}: invalid algebra data: {exc}") from exc
-
-
-def _load_multivector(path: str) -> MultiVector:
-    try:
-        return multivector_from_json(_load_json(path))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"{path}: invalid multivector data: {exc}") from exc
+        raise ValueError(f"{path}: invalid {what}: {exc}") from exc
 
 
 def _emit(data: dict, as_json: bool) -> None:
@@ -67,11 +66,7 @@ def _witness_str(witness) -> list[str] | None:
 # -- subcommand handlers -------------------------------------------------------
 
 def cmd_check_nlie(args) -> int:
-    p = _load_algebra(args.file)
-    try:
-        ok, witness = p.check_n_jacobi()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    ok, witness = _load(args.file, nlie_from_json, "algebra data").check_n_jacobi()
     _emit({"verdict": ok,
            "witness": None if ok else {"u_indices": [i + 1 for i in witness[0]],
                                        "v_indices": [i + 1 for i in witness[1]]}},
@@ -81,15 +76,12 @@ def cmd_check_nlie(args) -> int:
 
 def cmd_check_poisson(args) -> int:
     if args.max_degree < 0:
-        raise InputError(f"--max-degree must be ≥ 0, got {args.max_degree}")
-    v = _load_multivector(args.file)
+        raise ValueError(f"--max-degree must be ≥ 0, got {args.max_degree}")
+    v = _load(args.file, multivector_from_json, "multivector data")
     if v.degree < 2:
-        raise InputError(f"{args.file}: the fundamental identity needs degree ≥ 2")
+        raise ValueError(f"{args.file}: the fundamental identity needs degree ≥ 2")
     if args.max_degree:
-        try:
-            npoisson.bound_casimir_work(v, args.max_degree)
-        except ValueError as exc:
-            raise InputError(f"{args.file}: {exc}") from exc
+        npoisson.bound_casimir_work(v, args.max_degree)
     ok, witness = npoisson.is_n_poisson(v)
     out = {
         "verdict": ok,
@@ -105,10 +97,7 @@ def cmd_check_poisson(args) -> int:
 
 
 def cmd_check_jacobi(args) -> int:
-    try:
-        op = jacobiop_from_json(_load_json(args.file))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"{args.file}: invalid operator pair: {exc}") from exc
+    op = _load(args.file, jacobiop_from_json, "operator pair")
     ok, witness = njacobi.is_n_jacobi(op)
     box_poisson = None
     if op.box.degree >= 2:
@@ -123,11 +112,8 @@ def cmd_check_jacobi(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = _load_algebra(args.file)
-    try:
-        label = bianchi.classify(p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    p = _load(args.file, nlie_from_json, "algebra data")
+    label = bianchi.classify(p)
     form = bianchi.generating_form(p)
     _emit({"label": str(label),
            "label_json": label.to_json(),
@@ -138,11 +124,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    p = _load_algebra(args.file)
-    try:
-        basis = bianchi.derivation_algebra(p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    basis = bianchi.derivation_algebra(_load(args.file, nlie_from_json, "algebra data"))
     _emit({"dimension": len(basis),
            "basis": [[[str(x) for x in row] for row in mat] for mat in basis]},
           args.json)
@@ -150,29 +132,21 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        if args.kind == "unimodular":
-            if args.r is None or args.m is None or args.lam is not None:
-                raise InputError("unimodular labels take --r and --m, not --lambda")
-            label = bianchi.unimodular_label(args.r, args.m)
-        else:
-            if args.r is not None or args.m is not None:
-                raise InputError(f"{args.kind} labels take no --r or --m")
-            label = bianchi.parse_psi_label(args.kind, args.lam)
-        p = bianchi.synthesize(label, args.arity)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(str(exc)) from exc
-    print(json.dumps(nlie_to_json(p), indent=2))
+    if args.kind == "unimodular":
+        if args.r is None or args.m is None or args.lam is not None:
+            raise ValueError("unimodular labels take --r and --m, not --lambda")
+        label = bianchi.unimodular_label(args.r, args.m)
+    else:
+        if args.r is not None or args.m is not None:
+            raise ValueError(f"{args.kind} labels take no --r or --m")
+        label = bianchi.parse_psi_label(args.kind, args.lam)
+    print(json.dumps(nlie_to_json(bianchi.synthesize(label, args.arity)), indent=2))
     return 0
 
 
 def cmd_compat(args) -> int:
-    p = _load_algebra(args.file)
-    q = _load_algebra(args.file2)
-    try:
-        ok, witness = p.compat(q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    p = _load(args.file, nlie_from_json, "algebra data")
+    ok, witness = p.compat(_load(args.file2, nlie_from_json, "algebra data"))
     _emit({"verdict": ok,
            "witness": None if ok else {"u_indices": [i + 1 for i in witness[0]],
                                        "w_indices": [i + 1 for i in witness[1]]}},
@@ -181,15 +155,13 @@ def cmd_compat(args) -> int:
 
 
 def cmd_hereditary(args) -> int:
-    p = _load_algebra(args.file)
+    p = _load(args.file, nlie_from_json, "algebra data")
     try:
-        vectors = []
-        for chunk in args.freeze.split(";"):
-            vectors.append([Fraction(x) for x in chunk.split(",")])
-        result = p.hereditary(vectors)
+        vectors = [[Fraction(x) for x in chunk.split(",")]
+                   for chunk in args.freeze.split(";")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid --freeze argument: {exc}") from exc
-    print(json.dumps(nlie_to_json(result), indent=2))
+        raise ValueError(f"invalid --freeze argument: {exc}") from exc
+    print(json.dumps(nlie_to_json(p.hereditary(vectors)), indent=2))
     return 0
 
 
@@ -197,61 +169,51 @@ def _rationals(text: str, flag: str, count: int) -> list[Fraction]:
     try:
         values = [Fraction(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{flag} needs comma-separated rationals: {exc}") from exc
+        raise ValueError(f"{flag} needs comma-separated rationals: {exc}") from exc
     if len(values) != count:
-        raise InputError(f"{flag}: expected {count} value(s), got {len(values)}")
+        raise ValueError(f"{flag}: expected {count} value(s), got {len(values)}")
     return values
 
 
+def _nambu_system(data: dict) -> dynamics.NambuSystem:
+    tensor = multivector_from_json(data["tensor"])
+    return dynamics.NambuSystem(tensor, tuple(Poly.from_json(h, tensor.num_vars)
+                                              for h in data["hamiltonians"]))
+
+
 def cmd_integrate(args) -> int:
-    monitors: list[Poly]
-    if args.builtin == "spin":
-        b = tuple(_rationals(args.b_field, "--B", 3))
-        (mu,) = _rationals(args.mu, "--mu", 1)
-        nambu_sys = dynamics.SpinSystem(b, mu).nambu()
-        field = nambu_sys.dynamics_field()
-        monitors = list(nambu_sys.hamiltonians)
-        dim = 3
-    elif args.builtin == "kepler":
+    if args.builtin == "kepler":
         sys_ = dynamics.KeplerSystem(args.mass, args.k_const)
-        field = sys_.field()
-        monitors = list(sys_.hamiltonians)
-        dim = 6
-    elif args.system:
-        data = _load_json(args.system)
-        try:
-            tensor = multivector_from_json(data["tensor"])
-            hams = tuple(Poly.from_json(h, tensor.num_vars)
-                         for h in data["hamiltonians"])
-            field = dynamics.NambuSystem(tensor, hams).dynamics_field()
-        except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"invalid system file: {exc}") from exc
-        monitors = list(hams)
-        dim = tensor.num_vars
+        field, monitors, dim = sys_.field(), list(sys_.hamiltonians), 6
     else:
-        raise InputError("need --builtin spin|kepler or --system FILE")
+        if args.builtin == "spin":
+            b = tuple(_rationals(args.b_field, "--B", 3))
+            (mu,) = _rationals(args.mu, "--mu", 1)
+            nambu_sys = dynamics.SpinSystem(b, mu).nambu()
+        elif args.system:
+            nambu_sys = _load(args.system, _nambu_system, "system file")
+        else:
+            raise ValueError("need --builtin spin|kepler or --system FILE")
+        field = nambu_sys.dynamics_field()
+        monitors, dim = list(nambu_sys.hamiltonians), nambu_sys.tensor.num_vars
     if args.x0 is None:
-        raise InputError("--x0 is required")
+        raise ValueError("--x0 is required")
     x0 = _rationals(args.x0, "--x0", dim)
     blocks = dynamics.rk4_blocks(field, x0, args.step, args.steps, monitors)
-    try:
+    try:  # raw float errors need the name of the stage
         if args.builtin == "kepler":
             sys_.nu(x0)  # ΣJ is conserved, so only the start can be singular
         first = next(blocks)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InputError(f"cannot integrate: {exc}") from exc
+        raise ValueError(f"cannot integrate: {exc}") from exc
     header = ["t"] + [f"x{i + 1}" for i in range(dim)] \
         + [f"drift{i + 1}" for i in range(len(monitors))]
     row = ",".join(["{:.12g}"] * len(header)).format
     write = sys.stdout.write
     write(",".join(header) + "\n")
-    try:
-        for times, states, rows in itertools.chain([first], blocks):
-            write("".join([row(t, *state, *drifts) + "\n" for t, state, drifts
-                           in zip(times, states, rows)]))
-    except dynamics.FlowAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for times, states, rows in itertools.chain([first], blocks):
+        write("".join([row(t, *state, *drifts) + "\n" for t, state, drifts
+                       in zip(times, states, rows)]))
     return 0
 
 
@@ -335,11 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, dynamics.FlowAborted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

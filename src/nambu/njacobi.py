@@ -108,27 +108,21 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
     if len(fs) != n - 1:
         raise ValueError(f"expected {n - 1} arguments, got {len(fs)}")
     nabla, box = op.nabla, op.box
-    m = op.num_vars
     field = nabla.hamiltonian_field(fs)
     h = box.apply(fs)
     if (n - 1) % 2 == 1:
         h = -h
     scale = Fraction(1 - n)
+    xs = [box.hamiltonian_field(list(fs[:i]) + list(fs[i + 1:])) for i in range(n - 1)]
 
-    d1 = field.lie_derivative_of(nabla)
-    d0 = field.lie_derivative_of(box) - nabla.contract(h)
-    for i, f in enumerate(fs):
-        rest = list(fs[:i]) + list(fs[i + 1:])
-        x_i = box.hamiltonian_field(rest)
-        t1 = x_i.lie_derivative_of(nabla) * f - x_i.wedge(nabla.contract(f))
-        t0 = x_i.lie_derivative_of(box) * f - x_i.wedge(box.contract(f))
-        if i % 2 == 0:
-            d1, d0 = d1 + t1, d0 + t0
-        else:
-            d1, d0 = d1 - t1, d0 - t0
-    d1 = d1 + (nabla * (h * scale))
-    d0 = d0 + (box * (h * scale))
-    return d1, d0
+    def defect(t: MultiVector, total: MultiVector) -> MultiVector:
+        for i, (f, x_i) in enumerate(zip(fs, xs)):
+            term = x_i.lie_derivative_of(t) * f - x_i.wedge(t.contract(f))
+            total = total + term if i % 2 == 0 else total - term
+        return total + (t * (h * scale))
+
+    return (defect(nabla, field.lie_derivative_of(nabla)),
+            defect(box, field.lie_derivative_of(box) - nabla.contract(h)))
 
 
 def _slot_functions(num_vars: int) -> list[Poly]:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import json_int
+from .poly import json_int, json_rational
 
 IndexTuple = tuple[int, ...]
 Vector = list[Fraction]
@@ -500,5 +500,8 @@ def nlie_from_json(data: Mapping) -> NLieStructure:
     consts = {}
     for item in data.get("constants", []):
         idx = tuple(json_int(i) - 1 for i in item["indices"])
-        consts[idx] = [Fraction(x) for x in item["value"]]
+        value = item["value"]
+        if type(value) is not list:
+            raise ValueError(f"expected a list of rationals, got {value!r}")
+        consts[idx] = [json_rational(x) for x in value]
     return NLieStructure(dim, arity, consts)

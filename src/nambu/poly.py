@@ -45,6 +45,14 @@ def json_int(value) -> int:
     return value
 
 
+def json_rational(value) -> Fraction:
+    """A rational field of an input file: ValueError unless a JSON string or
+    integer (a float would be read through its binary expansion)."""
+    if type(value) is not str and type(value) is not int:
+        raise ValueError(f"expected a rational as a string or integer, got {value!r}")
+    return Fraction(value)
+
+
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
@@ -301,7 +309,7 @@ class Poly:
             exps = tuple(json_int(e) for e in item["exps"])
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {list(exps)}")
-            coef = Fraction(item["coef"])
+            coef = json_rational(item["coef"])
             terms[exps] = terms.get(exps, Fraction(0)) + coef
         return Poly(num_vars, terms)
 

@@ -16,13 +16,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nambu import cli, dynamics, npoisson
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
-from nambu.multivector import MultiVector, multivector_to_json
+from nambu.multivector import MultiVector, multivector_from_json, multivector_to_json
 from nambu.nlie import MAX_WORK, nlie_from_json, nlie_to_json, vector_product_algebra
 from nambu.poly import Poly
 
@@ -102,6 +102,7 @@ class TestCheckNlie:
                              *extra)
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
+        assert "--freeze" not in err
         if count is None:
             assert "dimension must equal arity + 1" in err
         else:
@@ -190,6 +191,64 @@ def test_non_integer_field_is_input_error(capsys, tmp_path, argv, name, path, to
     assert err.startswith("error:") and "expected an integer" in err
 
 
+@pytest.mark.parametrize("argv, name, path, value", [
+    (["check-nlie"], "atomic_3lie.json", ("constants", 0, "value"), "0001"),
+    (["classify"], "atomic_3lie.json", ("constants", 0, "value"), "0001"),
+    (["classify"], "atomic_3lie.json", ("constants", 0, "value"),
+     {"0": 1, "1": 1, "2": 0, "3": 0}),
+    (["classify"], "atomic_3lie.json", ("constants", 0, "value", 0), 0.1),
+    (["check-nlie"], "atomic_3lie.json", ("constants", 0, "value", 3), True),
+    (["check-poisson"], "atomic_tensor.json", ("components", 0, "poly", 0, "coef"), 0.5),
+    (["check-jacobi"], "jacobi_pair.json", ("nabla", "components", 0, "poly", 0, "coef"),
+     2.0),
+    (INTEGRATE_SYSTEM, "oscillator_system.json", ("hamiltonians", 0, 0, "coef"), 0.5),
+], ids=["check-nlie-string-value", "classify-string-value", "classify-dict-value",
+        "classify-float-entry", "check-nlie-bool-entry", "check-poisson-float-coef",
+        "check-jacobi-float-coef", "integrate-float-coef"])
+def test_malformed_rational_field_is_input_error(capsys, tmp_path, argv, name, path, value):
+    """A ``value`` is a JSON list, and each rational (``value`` entry,
+    ``coef``) a JSON string or integer: a string read character by
+    character, a dict read by its keys, a float read through its binary
+    expansion or a bool exits 2."""
+    bad = write_altered(tmp_path, name, path, value)
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {bad}: ") and "expected a " in err
+
+
+FILE_VERBS = {
+    "check-nlie": ["check-nlie", "@"],
+    "classify": ["classify", "@"],
+    "derivations": ["derivations", "@"],
+    "compat-first": ["compat", "@", str(DATA / "atomic_3lie.json")],
+    "compat-second": ["compat", str(DATA / "atomic_3lie.json"), "@"],
+    "hereditary": ["hereditary", "@", "--freeze", "0,0,0,1"],
+    "check-poisson": ["check-poisson", "@", "--max-degree", "1"],
+    "check-jacobi": ["check-jacobi", "@"],
+    "integrate": [*INTEGRATE_SYSTEM, "@"],
+}
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),
+    ('{"dim": 4, "name": "\xe9"}'.encode("latin-1"), "not UTF-8 at byte 20"),
+    (b"{not json", "malformed JSON at line 1, column 2"),
+    (b"[" * 100_000, "JSON nested too deeply"),
+    (b"{}", "invalid "),
+], ids=["missing", "not-utf8", "not-json", "nested", "not-parseable"])
+@pytest.mark.parametrize("verb", sorted(FILE_VERBS))
+def test_load_failure_names_the_file(capsys, tmp_path, verb, content, message):
+    """Every file-reading verb exits 2 and names the file, whatever is wrong
+    with it; a file that is not UTF-8 once escaped ``integrate --system`` as
+    a traceback."""
+    bad = tmp_path / "input.json"
+    if content is not None:
+        bad.write_bytes(content)
+    code, out, err = run(capsys, *[str(bad) if a == "@" else a for a in FILE_VERBS[verb]])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(bad) in err and message in err
+
+
 def write_altered(tmp_path, name, path, value):
     """A copy of the demo file ``name`` with the entry at ``path`` set to ``value``."""
     data = json.loads((DATA / name).read_text())
@@ -264,7 +323,7 @@ class TestCheckPoisson:
         casimirs = [Poly.parse(c, 4) for c in data["casimirs"]]
         assert len(casimirs) == 9
         assert sorted(max(map(sum, c.terms)) for c in casimirs) == list(range(9))
-        v = cli._load_multivector(str(path))
+        v = multivector_from_json(json.loads(path.read_text()))
         xs = Poly.variables(4)
         for i, j in itertools.combinations(range(4), 2):
             field = v.hamiltonian_field([xs[i], xs[j]])
@@ -669,6 +728,71 @@ def test_integrate_arguments_fuzz(source, x0, step, steps):
         lines = out.getvalue().splitlines()
         assert len(lines) == steps + 2
         assert len({line.count(",") for line in lines}) == 1
+
+
+# the fixture each file argument of FILE_VERBS starts from
+FUZZED = {"check-nlie": "vector_product_3.json", "classify": "skew_psi_zero.json",
+          "derivations": "atomic_3lie.json", "compat-first": "atomic_3lie.json",
+          "compat-second": "skew_psi_zero.json", "hereditary": "vector_product_3.json",
+          "check-poisson": "atomic_tensor.json", "check-jacobi": "jacobi_pair.json",
+          "integrate": "oscillator_system.json"}
+DELETE = object()
+REPLACEMENTS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0.5, 2.0, -1.0, 1e300]),
+    st.sampled_from(["", "x", "1/2", "0001", "-3"]),
+    st.sampled_from([[], [0], ["1"], [[]]]), st.sampled_from([{}, {"a": 1}]),
+    st.just(DELETE))
+
+
+def node_paths(doc, prefix=()):
+    """The path of every node below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
+def must_refuse(path, value) -> bool:
+    """A rational list (``value``) that is not a list, or a rational
+    (``coef``, an entry of ``value``) that is not a string."""
+    if path[-1] == "value":
+        return not isinstance(value, list)
+    if path[-1] == "coef" or path[-2:-1] == ("value",):
+        return not isinstance(value, str)
+    return False
+
+
+@pytest.mark.parametrize("verb", sorted(FUZZED))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_fuzz(tmp_path, verb, data):
+    """One node of a fixture replaced by a value of another JSON type, or
+    deleted: ``main`` returns 0, 1 or 2, never raises, and exit 2 comes with
+    an ``error:`` line and no output.  A rational list that is not a list,
+    or a rational that is not a string, is refused."""
+    fixture = DATA / FUZZED[verb]
+    doc = json.loads(fixture.read_text())
+    path = data.draw(st.sampled_from(list(node_paths(doc))), label="path")
+    value = data.draw(REPLACEMENTS, label="value")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    bad = tmp_path / fixture.name
+    bad.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(bad) if a == "@" else a for a in FILE_VERBS[verb]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not out.getvalue() and err.getvalue().startswith("error:")
+    if must_refuse(path, value):
+        assert code == 2
 
 
 class TestWittDemo:
