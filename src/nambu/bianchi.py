@@ -31,14 +31,9 @@ from typing import Mapping, Sequence
 from . import linalg
 from .multivector import MultiVector
 from .nlie import NLieStructure, form_row, frobenius_defect, generating_form
-from .poly import Poly, json_int
+from .poly import MAX_ENTRIES, Poly, json_int, refuse_above
 
 LAMBDA_KINDS = ("psi_plus", "psi_minus")
-
-# Entries a ``synthesize`` answer may hold, nonzero form rows × (arity + 1):
-# each costs about 8 µs and 365 bytes on its way to JSON, so 10⁶ take about
-# 8 s and 365 MB, like ``nlie.MAX_WORK``'s 10 s of work
-MAX_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -209,9 +204,8 @@ def synthesize(label: BianchiLabel, arity: int) -> NLieStructure:
         elif label.kind != "psi_zero":
             raise ValueError(f"unknown label kind {label.kind!r}")
     entries = len(rows) * dim
-    if entries > MAX_ENTRIES:
-        raise ValueError(f"arity {arity}: {len(rows)} nonzero rows of {dim} entries, "
-                         f"{entries} in all, above the limit {MAX_ENTRIES}")
+    refuse_above(entries, MAX_ENTRIES, f"arity {arity}: {len(rows)} nonzero rows of "
+                                       f"{dim} entries, {entries} in all")
     zero = Fraction(0)
     return _from_rows({i: [row.get(j, zero) for j in range(dim)]
                        for i, row in rows.items()}, arity)
@@ -230,10 +224,14 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
 
     Derivations correspond to infinitesimal conformal symmetries A of the
     generating form G — solutions of AᵀG + GA = tr(A)·G — acting on the dual;
-    the derivation on the algebra itself is the transpose Aᵀ.
+    the derivation on the algebra itself is the transpose Aᵀ.  An answer of
+    up to n² matrices of n² entries above MAX_ENTRIES is refused first.
     """
-    g = generating_form(p)
     n = p.dim
+    if n == p.arity + 1:  # else generating_form refuses
+        refuse_above(n**4, MAX_ENTRIES, f"dimension {n}: up to {n * n} derivations "
+                                        f"of {n * n} entries, {n**4} in all")
+    g = generating_form(p)
 
     def unknown(i, j):
         return i * n + j

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import Poly, json_int
+from .poly import MAX_VARS, MAX_WALK, Poly, json_int, refuse_above, sized_combinations
 
 IndexTuple = tuple[int, ...]
 
@@ -387,10 +387,19 @@ def is_decomposable(v: MultiVector) -> bool:
     if v.is_zero() or v.degree >= v.num_vars - 1:
         # dual to a function or a 1-form: decomposable at every point
         return True
-    for covs in itertools.combinations(range(v.num_vars), v.degree - 1):
+    for covs in sized_combinations(v.num_vars, v.degree - 1, step_cost(v), MAX_WALK,
+                                   "decomposability wedges"):
         if not v.derived(covs).wedge(v).is_zero():
             return False
     return True
+
+
+def step_cost(*vs: MultiVector) -> int:
+    """Work of one step of a slot-tuple walk over ``vs`` (``poly.MAX_WALK``):
+    degree × variables of the first × (1 + terms of all), as a step builds
+    about degree fields of num_vars-long exponents, even for zero tensors."""
+    terms = sum(len(p.terms) for v in vs for p in v.components.values())
+    return vs[0].degree * vs[0].num_vars * (1 + terms)
 
 
 # -- 1-forms ---------------------------------------------------------------------
@@ -452,6 +461,7 @@ def multivector_to_json(v: MultiVector) -> dict:
 
 def multivector_from_json(data: Mapping) -> MultiVector:
     m = json_int(data["num_vars"])
+    refuse_above(m, MAX_VARS, f"{m} variables")
     degree = json_int(data["degree"])
     comps = {}
     for item in data.get("components", []):

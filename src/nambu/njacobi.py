@@ -13,14 +13,13 @@ pair by Lie-derivative calculus, vanish identically.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .multivector import (MultiVector, OneForm, multivector_from_json,
-                          multivector_to_json)
+                          multivector_to_json, step_cost)
 from .npoisson import decomposable_given, is_n_poisson
-from .poly import Poly
+from .poly import MAX_WALK, Poly, sized_combinations
 
 
 class JacobiOp:
@@ -125,10 +124,6 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
             defect(box, field.lie_derivative_of(box) - nabla.contract(h)))
 
 
-def _slot_functions(num_vars: int) -> list[Poly]:
-    return [Poly.const(num_vars, 1)] + Poly.variables(num_vars)
-
-
 def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
     """Decide the n-Jacobi property by checking both defects on all tuples
     drawn from {1, x₁,…,x_m}.
@@ -140,8 +135,12 @@ def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
     n = op.arity
     if op.nabla.degree != n:
         raise ValueError("arity exceeds the chart dimension")
-    slots = _slot_functions(op.num_vars)
-    for fs in itertools.combinations(slots, n - 1):
+    # a step builds 2n Lie derivatives; it measures as about n fundamental-identity steps
+    tuples = sized_combinations(op.num_vars + 1, n - 1, n * step_cost(op.nabla, op.box),
+                                MAX_WALK, "n-Jacobi slot tuples")
+    slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
+    for idx in tuples:
+        fs = tuple(slots[i] for i in idx)
         d1, d0 = jacobi_defects(op, list(fs))
         if not (d1.is_zero() and d0.is_zero()):
             return False, fs

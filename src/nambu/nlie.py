@@ -39,18 +39,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import json_int, json_rational
+from .poly import MAX_WORK, json_int, json_rational, refuse_above, sized_combinations
 
 IndexTuple = tuple[int, ...]
 Vector = list[Fraction]
 Sparse = dict[int, Fraction]             # nonzero entries by index
 Minors = dict[IndexTuple, Fraction]      # a wedge product on increasing tuples
 Entries = Iterable[tuple[int, Fraction]]  # (index, value) pairs of a vector
-
-# Estimated work a check or ``hereditary`` may do (see ``_bound_work``): far
-# above every fixture, test and benchmark instance (below 10⁵), and about 10 s
-# of the slowest kind of work (zero constants, arity 7).
-MAX_WORK = 2 * 10**7
 
 
 def _to_vec(v: Sequence, dim: int) -> Vector:
@@ -118,10 +113,8 @@ def _bound_work(dim: int, arity: int, count: int, what: str,
     ``structures``: count × arity × (arity + nonzero constants)."""
     nnz = sum(len(entries) for p in structures for entries in p._sparse.values())
     work = count * arity * (arity + nnz)
-    if work > MAX_WORK:
-        raise ValueError(f"dimension {dim}, arity {arity}: {count} {what} with {nnz} "
-                         f"nonzero structure constants, work {work}, "
-                         f"above the limit {MAX_WORK}")
+    refuse_above(work, MAX_WORK, f"dimension {dim}, arity {arity}: {count} {what} with "
+                                 f"{nnz} nonzero structure constants, work {work}")
 
 
 def _bound_tuple_pairs(dim: int, arity: int, structures: Iterable["NLieStructure"]) -> None:
@@ -163,9 +156,8 @@ def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
     Needs dimension = arity + 1; refuses C(dim, 3)·dim above MAX_WORK."""
     dim = p.dim
     work = math.comb(dim, 3) * dim
-    if dim == p.arity + 1 and work > MAX_WORK:  # else generating_form refuses
-        raise ValueError(f"dimension {dim}: {work} coefficients of α∧dα, "
-                         f"above the limit {MAX_WORK}")
+    if dim == p.arity + 1:  # else generating_form refuses
+        refuse_above(work, MAX_WORK, f"dimension {dim}: {work} coefficients of α∧dα")
     forms = [_integer_form(x) for x in (p, q) if x is not None]
     skews = [[[x - y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
              for a in forms]
@@ -359,10 +351,14 @@ class NLieStructure:
         """Whether D[u₁,…,u_n] = Σᵢ [u₁,…,Duᵢ,…,u_n] on all basis tuples."""
         if len(d) != self.dim or any(len(row) != self.dim for row in d):
             raise ValueError("dimension mismatch")
+        n, nnz = self.arity, sum(len(entries) for entries in self._sparse.values())
+        tuples = sized_combinations(self.dim, n, n * (n + nnz), MAX_WORK,
+                                    f"derivation check in dimension {self.dim}, arity {n}, "
+                                    f"{nnz} nonzero structure constants")
         cols = [{i: Fraction(d[i][j]) for i in range(self.dim) if d[i][j]}
                 for j in range(self.dim)]
         return not any(any(_defect([(cols, self)], [[(i, 1)] for i in idx]).values())
-                       for idx in itertools.combinations(range(self.dim), self.arity))
+                       for idx in tuples)
 
     def commutator_check(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> bool:
         """Commutator identity for pure inner derivations:

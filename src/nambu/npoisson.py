@@ -13,16 +13,9 @@ import math
 from typing import Sequence
 
 from . import linalg
-from .multivector import MultiVector, is_decomposable
+from .multivector import MultiVector, is_decomposable, step_cost
 from .nlie import NLieStructure
-from .poly import Poly
-
-# Estimated work of a Casimir search (see ``bound_casimir_work``): far above
-# every fixture, test and benchmark instance (at most 2,970, the 4-variable
-# fixture at degree 8).  Degree 11 in 4 variables (work 8,190) takes about
-# 1 s on that fixture and 4 s on a decomposable tensor with a quartic
-# coefficient.
-MAX_CASIMIR_WORK = 10**4
+from .poly import MAX_CASIMIR_WORK, MAX_WALK, Poly, refuse_above, sized_combinations
 
 
 def slot_monomials(num_vars: int, max_degree: int = 2) -> list[Poly]:
@@ -71,8 +64,10 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
         return True, None
     if n > 2 and not is_decomposable(tensor):
         return False, _find_fi_witness(tensor)
+    tuples = sized_combinations(tensor.num_vars, n - 1, step_cost(tensor), MAX_WALK,
+                                "coordinate defects")
     xs = Poly.variables(tensor.num_vars)
-    for idx in itertools.combinations(range(tensor.num_vars), n - 1):
+    for idx in tuples:
         fs = tuple(xs[i] for i in idx)
         if not fi_defect(tensor, fs).is_zero():
             return False, fs
@@ -97,8 +92,12 @@ def _find_fi_witness(tensor: MultiVector) -> tuple | None:
     defect is a differential operator of order ≤ 2, so monomials of degree
     1 and 2 detect every failure.
     """
-    monos = slot_monomials(tensor.num_vars)
-    for fs in itertools.combinations(monos, tensor.degree - 1):
+    m = tensor.num_vars
+    tuples = sized_combinations(math.comb(m + 2, 2) - 1, tensor.degree - 1,
+                                step_cost(tensor), MAX_WALK, "slot monomial tuples")
+    monos = slot_monomials(m)
+    for idx in tuples:
+        fs = tuple(monos[i] for i in idx)
         if not fi_defect(tensor, list(fs)).is_zero():
             return fs
     return None
@@ -157,8 +156,10 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bo
 
 def _mixed_wedge_vanishes(a: MultiVector, b: MultiVector) -> bool:
     """Whether L_{X^a_{g…}}(b) ∧ b = 0 for all coordinate slot tuples g."""
+    tuples = sized_combinations(a.num_vars, a.degree - 1, step_cost(a, b), MAX_WALK,
+                                "mixed wedge tuples")
     xs = Poly.variables(a.num_vars)
-    for gs in itertools.combinations(range(a.num_vars), a.degree - 1):
+    for gs in tuples:
         field = a.hamiltonian_field([xs[i] for i in gs])
         if not field.lie_derivative_of(b).wedge(b).is_zero():
             return False
@@ -184,11 +185,9 @@ def bound_casimir_work(tensor: MultiVector, max_degree: int) -> None:
     constrain them."""
     m, d = tensor.num_vars, max_degree
     unknowns, fields = math.comb(m + d, d), math.comb(m, tensor.degree - 1)
-    work = unknowns * fields
-    if work > MAX_CASIMIR_WORK:
-        raise ValueError(f"Casimirs of degree ≤ {d} in {m} variables: {unknowns} unknowns "
-                         f"× {fields} Hamiltonian fields, work {work}, "
-                         f"above the limit {MAX_CASIMIR_WORK}")
+    refuse_above(unknowns * fields, MAX_CASIMIR_WORK,
+                 f"Casimirs of degree ≤ {d} in {m} variables: {unknowns} unknowns "
+                 f"× {fields} Hamiltonian fields, work {unknowns * fields}")
 
 
 def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:

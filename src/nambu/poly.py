@@ -13,17 +13,22 @@ negative, so the same class is the Laurent ring that the deformed spin
 brackets of ``dynamics`` need; the text and JSON input forms accept only
 non-negative exponents.
 
+Every module imports this one, so it also holds the work budget: the table
+of limits, the one refusal ``refuse_above`` and ``sized_combinations``.
+
 Text form: ``"3/2 x1^2 x3 - x2"`` (1-based variable names).
 JSON form: ``[{"coef": "3/2", "exps": [2, 0, 1]}, ...]``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import re
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 Exponent = tuple[int, ...]
@@ -51,6 +56,45 @@ def json_rational(value) -> Fraction:
     if type(value) is not str and type(value) is not int:
         raise ValueError(f"expected a rational as a string or integer, got {value!r}")
     return Fraction(value)
+
+
+# The work limits, one table.  Each estimate is made from counts before any
+# work and refused through ``refuse_above``.  A limit is about 10 s of its
+# slowest kind of step (2 cores), far above the largest estimate that any
+# fixture, test or benchmark instance reaches:
+# - MAX_WORK: n-Lie steps × arity × (arity + nonzero constants), or the
+#   C(dim, 3)·dim coefficients of α∧dα.  10 s at zero constants and arity 7;
+#   largest 139,345.
+# - MAX_CASIMIR_WORK: Casimir unknowns × Hamiltonian fields.  1–5 s on the
+#   4-variable fixtures; largest 2,970.
+# - MAX_ENTRIES: entries of an answer, 8 µs and 365 bytes each, so 8 s and
+#   365 MB; largest 4,002.
+# - MAX_WALK: slot tuples × ``multivector.step_cost``, 2–3.5 µs a unit, so
+#   6–10 s (35 s with quartic coefficients); largest 749,232.
+# - MAX_VARS: variables of an input tensor.  A zero system of 1,000 variables
+#   integrates 1,000 steps in 1 s; largest 24.
+MAX_WORK = 2 * 10**7
+MAX_CASIMIR_WORK = 10**4
+MAX_ENTRIES = 10**6
+MAX_WALK = 3 * 10**6
+MAX_VARS = 10**3
+
+
+def refuse_above(work: int, limit: int, what: str) -> None:
+    """The one refusal of too much work: ValueError when ``work`` > ``limit``."""
+    if work > limit:
+        raise ValueError(f"{what}, above the limit {limit}")
+
+
+def sized_combinations(size: int, k: int, cost: int, limit: int,
+                       what: str) -> Iterator[tuple[int, ...]]:
+    """``itertools.combinations(range(size), k)``, refused when called, before
+    any candidate pool is built, if its C(size, k) steps of ``cost`` work
+    each exceed ``limit``."""
+    count = math.comb(size, k)
+    refuse_above(count * cost, limit, f"{what}: C({size}, {k}) = {count} tuples "
+                                      f"of work {cost}, {count * cost} in all")
+    return itertools.combinations(range(size), k)
 
 
 class Poly:

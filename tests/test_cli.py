@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nambu import cli, dynamics, npoisson
+from nambu import cli, dynamics, njacobi, npoisson
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
 from nambu.multivector import MultiVector, multivector_from_json, multivector_to_json
@@ -133,6 +133,42 @@ class TestCheckNlie:
         code, data, _ = run_json(capsys, "check-nlie", str(hidden))
         assert time.perf_counter() - start < 1
         assert code == 0 and data == {"verdict": True, "witness": None}
+
+
+BLADE = multivector_to_json(MultiVector.basis(24, tuple(range(12))))
+HUGE = {"num_vars": 10**9, "degree": 2, "components": []}
+
+
+@pytest.mark.parametrize("argv, doc, count", [
+    (["check-poisson"], BLADE, comb(24, 11)),
+    (["check-poisson"], multivector_to_json(MultiVector.basis(24, tuple(range(12)))
+                                            + MultiVector.basis(24, tuple(range(12, 24)))),
+     comb(24, 11)),
+    (["check-jacobi"], {"nabla": BLADE, "box": {"num_vars": 24, "degree": 11}},
+     comb(25, 11)),
+    (["derivations"], {"dim": 41, "arity": 40}, 41**4),
+    (["check-poisson"], HUGE, 10**9),
+    (["check-jacobi"], {"nabla": HUGE, "box": {**HUGE, "degree": 1}}, 10**9),
+    (["integrate", "--x0", "0", "--system"], {"tensor": HUGE, "hamiltonians": [[]]}, 10**9),
+], ids=["blade", "two-blades", "blade-and-zero", "derivations-dim-41",
+        "poisson-num-vars", "jacobi-num-vars", "integrate-num-vars"])
+def test_walk_sized_before_any_work(capsys, tmp_path, monkeypatch, argv, doc, count):
+    """A constant 12-blade in 24 variables has C(24, 11) coordinate defects
+    and decomposability wedges, and with the complementary blade as many
+    wedges; as the pair (blade, 0) it has C(25, 11) n-Jacobi slot tuples.
+    The zero structure of dimension 41 has up to 41⁴ derivation entries, and
+    10⁹ variables would size every exponent tuple.  Each is refused from its
+    count before the first step, with the count in the message."""
+    for owner, name in ((npoisson, "fi_defect"), (njacobi, "jacobi_defects"),
+                        (MultiVector, "wedge")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"{name} called"))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f" {count} " in err and "above the limit" in err
 
 
 @pytest.mark.parametrize("argv, name, path", [

@@ -4,17 +4,19 @@ the coordinate normal form."""
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import (fi_search_oracle, rand_jacobi_pair, rand_multivector,
                       rand_poly, raw_jacobi_oracle)
+from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
 from nambu.njacobi import (JacobiOp, canonical_bracket, from_poisson_and_form,
                            insert_unity, is_n_jacobi, jacobi_defects,
                            jacobiop_from_json, jacobiop_to_json, s_op)
 from nambu.npoisson import is_n_poisson
-from nambu.poly import Poly
+from nambu.poly import MAX_WALK, Poly
 
 
 def canonical_pair(m=4, n=3):
@@ -233,3 +235,24 @@ class TestSerialization:
         op = JacobiOp.zero(3, 4)
         assert op.is_zero()
         assert s_op(op).is_zero()
+
+
+class TestWorkBudget:
+    def test_slot_tuples_refused_before_any_defect(self, monkeypatch):
+        """The pair (constant 12-blade in 24 variables, 0) has C(25, 11) =
+        4,457,400 slot tuples: refused before the slot functions and the
+        first defect are built."""
+        op = JacobiOp(MultiVector.basis(24, tuple(range(12))), MultiVector.zero(24, 11))
+        monkeypatch.setattr(njacobi, "jacobi_defects",
+                            lambda *a: pytest.fail("jacobi_defects called"))
+        monkeypatch.setattr(Poly, "variables",
+                            staticmethod(lambda m: pytest.fail("slot functions built")))
+        with pytest.raises(ValueError, match=r"n-Jacobi slot tuples: "
+                                             r"C\(25, 11\) = 4457400 tuples"):
+            is_n_jacobi(op)
+
+    def test_largest_walks_stay_under_the_limit(self):
+        """The largest slot-tuple walk of the tests and the benchmark: 20
+        tuples of arity 4 in 5 variables with 16 terms in the pair, each
+        step weighted by the arity."""
+        assert comb(6, 3) * 4 * 4 * 5 * (1 + 16) == 27200 < MAX_WALK

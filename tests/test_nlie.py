@@ -14,7 +14,7 @@ from conftest import (ad_oracle, comp_condition_oracle, compat_defect_oracle,
                       compat_oracle, derivation_oracle, det_bracket,
                       hereditary_oracle, jacobi_oracle, rand_4dim_3lie,
                       rand_invertible_matrix, rand_symmetric_matrix, rand_vectors)
-from nambu import linalg
+from nambu import linalg, nlie
 from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
                            synthesize, unimodular_label)
 from nambu.linalg import identity, mat, mat_mul, mat_sub, zeros
@@ -309,6 +309,14 @@ class TestInputBounds:
         with pytest.raises(ValueError, match="14415 .*above the limit"):
             broken.check_n_jacobi()
         assert vector_product_algebra(30).change_basis(c).check_n_jacobi() == (True, None)
+
+    def test_derivation_check_limit(self, monkeypatch):
+        """Library only: checking a derivation of a 15-ary structure on 30
+        dimensions visits C(30,15) basis tuples, refused before the first."""
+        monkeypatch.setattr(nlie, "_defect", lambda *a: pytest.fail("_defect called"))
+        with pytest.raises(ValueError, match=rf"C\(30, 15\) = {comb(30, 15)} tuples"
+                                             rf".*above the limit {MAX_WORK}"):
+            NLieStructure.zero(30, 15).is_derivation(zeros(30, 30))
 
     def test_hereditary_bracket_limit(self):
         """Freezing one vector of a 15-ary structure on 30 dimensions needs

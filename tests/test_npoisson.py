@@ -4,6 +4,7 @@ function scaling, wedge-product compatibility, and polynomial Casimirs."""
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,12 +14,12 @@ from conftest import (fi_search_oracle, rand_4dim_3lie,
 from nambu import npoisson
 from nambu.bianchi import algebra_from_form
 from nambu.linalg import mat
-from nambu.multivector import MultiVector, is_decomposable
+from nambu.multivector import MultiVector, is_decomposable, step_cost
 from nambu.nlie import NLieStructure, vector_product_algebra
 from nambu.npoisson import (casimir_polynomials, dual_nvector, fi_defect,
                             is_n_poisson, scale, slot_monomials,
                             wedge_compat_check)
-from nambu.poly import Poly
+from nambu.poly import MAX_WALK, Poly
 
 
 def blades_sum(m=6):
@@ -252,3 +253,58 @@ class TestCasimirs:
             for _ in range(10):
                 f = rand_poly(rng, 3, max_degree=2)
                 assert so3.hamiltonian_field([f]).apply_field(c).is_zero()
+
+
+class TestWorkBudget:
+    """Every slot-tuple walk is counted, and refused above ``MAX_WALK``, when
+    it is created: before its candidate pool and before its first defect."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        for owner, name in ((npoisson, "fi_defect"), (npoisson, "slot_monomials"),
+                            (MultiVector, "wedge"), (MultiVector, "hamiltonian_field")):
+            monkeypatch.setattr(owner, name,
+                                lambda *a, name=name: pytest.fail(f"{name} called"))
+
+    def test_blade_refused_before_any_defect(self, no_work):
+        """A constant 12-blade in 24 variables, alone or beside the
+        complementary one: C(24, 11) = 2,496,144 decomposability wedges."""
+        blade = MultiVector.basis(24, tuple(range(12)))
+        for v in (blade, blade + MultiVector.basis(24, tuple(range(12, 24)))):
+            with pytest.raises(ValueError, match=r"decomposability wedges: "
+                                                 r"C\(24, 11\) = 2496144 tuples"):
+                is_n_poisson(v)
+
+    def test_witness_search_refused_before_its_pool(self, no_work):
+        v = MultiVector.basis(24, tuple(range(12))) + MultiVector.basis(24, tuple(range(12, 24)))
+        with pytest.raises(ValueError, match=rf"slot monomial tuples: "
+                                             rf"C\(324, 11\) = {comb(324, 11)} tuples"):
+            npoisson._find_fi_witness(v)
+
+    def test_coordinate_defects_refused(self, no_work):
+        """A bivector has no decomposability walk; in 1,000 variables its
+        1,000 coordinate defects of work 2 × 1,000 × (1 + 1) are refused."""
+        v = MultiVector.basis(1000, (0, 1))
+        with pytest.raises(ValueError, match=r"coordinate defects: C\(1000, 1\) = 1000 tuples "
+                                             r"of work 4000, 4000000 in all"):
+            is_n_poisson(v)
+
+    def test_mixed_wedge_refused_before_any_field(self, no_work):
+        """Library only: C(30, 14) coordinate tuples of a 15-blade in 30
+        variables, refused before the first Hamiltonian field."""
+        blade = MultiVector.basis(30, tuple(range(15)))
+        with pytest.raises(ValueError, match=rf"mixed wedge tuples: "
+                                             rf"C\(30, 14\) = {comb(30, 14)} tuples"):
+            npoisson._mixed_wedge_vanishes(blade, blade)
+
+    def test_largest_walks_stay_under_the_limit(self, rng):
+        """The largest walks of the tests and the benchmark: 2,925 slot
+        monomial tuples of two 4-blades in 6 variables
+        (``test_fast_and_slow_paths_agree``), and 946 of the poisson
+        benchmark's dual products, a trivector in 8 variables with at most
+        2 × 4 components of 4 linear terms."""
+        two_blades = MultiVector.basis(6, (0, 1, 2, 3)) + MultiVector.basis(6, (2, 3, 4, 5))
+        assert comb(27, 3) * step_cost(two_blades) == 210600 < MAX_WALK
+        product = dual_nvector(rand_4dim_3lie(rng).direct_product(rand_4dim_3lie(rng)))
+        largest = comb(44, 2) * 3 * 8 * (1 + 32)
+        assert comb(44, 2) * step_cost(product) <= largest == 749232 < MAX_WALK

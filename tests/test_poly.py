@@ -1,5 +1,6 @@
 """Exact sparse-polynomial arithmetic."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import RefPoly, float_outcome as outcome, float_plan_oracle
 from nambu import poly as poly_module
-from nambu.poly import Poly, compile_floats
+from nambu.poly import Poly, compile_floats, refuse_above, sized_combinations
 
 X1, X2, X3 = Poly.variables(3)
 
@@ -296,3 +297,18 @@ class TestCompiledFloats:
         p = Poly(2, terms)
         point = [0.5, -1.25]
         assert repr(p.evaluate_float(point)) == repr(float_plan_oracle(p, point))
+
+
+class TestWorkBudget:
+    def test_sized_walk_refuses_when_called(self):
+        """The walk is counted, and refused, when it is created, before the
+        first ``next()``: C(30, 15) steps of work 2 are over a limit of 10⁶."""
+        with pytest.raises(ValueError, match=r"^slot tuples: C\(30, 15\) = 155117520 tuples "
+                                             r"of work 2, 310235040 in all, above the limit"):
+            sized_combinations(30, 15, 2, 10**6, "slot tuples")
+
+    def test_sized_walk_at_the_limit_is_every_combination(self):
+        walk = sized_combinations(5, 2, 3, 30, "pairs")
+        assert list(walk) == list(itertools.combinations(range(5), 2))
+        with pytest.raises(ValueError, match="31 in all, above the limit 30"):
+            refuse_above(31, 30, "31 in all")
