@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import MAX_VARS, MAX_WALK, Poly, json_int, refuse_above, sized_combinations
+from .poly import (MAX_VARS, MAX_WALK, Poly, _add_products, _stored, json_int,
+                   refuse_above, sized_combinations)
 
 IndexTuple = tuple[int, ...]
 
@@ -80,6 +81,18 @@ class MultiVector:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
 
+    @staticmethod
+    def _make(num_vars: int, degree: int,
+              components: dict[IndexTuple, Poly]) -> "MultiVector":
+        """Wrap ``components`` as they are: strictly increasing index tuples of
+        length ``degree`` in range to nonzero coefficients in ``num_vars``
+        variables.  The dict is not copied."""
+        v = object.__new__(MultiVector)
+        object.__setattr__(v, "num_vars", num_vars)
+        object.__setattr__(v, "degree", degree)
+        object.__setattr__(v, "components", components)
+        return v
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("MultiVector is immutable")
 
@@ -112,7 +125,7 @@ class MultiVector:
             idx, sign = ss
             contrib = poly if sign == 1 else -poly
             acc[idx] = acc.get(idx, Poly.zero(num_vars)) + contrib
-        return MultiVector(num_vars, degree, acc)
+        return MultiVector._make(num_vars, degree, _nonzero(acc))
 
     @staticmethod
     def vector(coeffs: Sequence[Poly]) -> "MultiVector":
@@ -149,14 +162,14 @@ class MultiVector:
         if self.degree != other.degree:
             raise ValueError("degree mismatch in addition")
         comps = dict(self.components)
-        zero = Poly.zero(self.num_vars)
         for idx, poly in other.components.items():
-            comps[idx] = comps.get(idx, zero) + poly
-        return MultiVector(self.num_vars, self.degree, comps)
+            total = comps.get(idx)
+            comps[idx] = poly if total is None else total + poly
+        return MultiVector._make(self.num_vars, self.degree, _nonzero(comps))
 
     def __neg__(self) -> "MultiVector":
-        return MultiVector(self.num_vars, self.degree,
-                           {i: -p for i, p in self.components.items()})
+        return MultiVector._make(self.num_vars, self.degree,
+                                 {i: -p for i, p in self.components.items()})
 
     def __sub__(self, other: "MultiVector") -> "MultiVector":
         return self + (-other)
@@ -165,8 +178,9 @@ class MultiVector:
         """Multiply every coefficient by a Poly or scalar."""
         if not isinstance(factor, Poly):
             factor = Poly.const(self.num_vars, Fraction(factor))
-        return MultiVector(self.num_vars, self.degree,
-                           {i: p * factor for i, p in self.components.items()})
+        comps = {i: p * factor for i, p in self.components.items()}
+        # a product of nonzero polynomials is nonzero
+        return MultiVector._make(self.num_vars, self.degree, comps if factor.terms else {})
 
     __rmul__ = __mul__
 
@@ -215,7 +229,7 @@ class MultiVector:
                 if t & 1:
                     contrib = -contrib
                 acc[rest] = acc.get(rest, zero) + contrib
-        return MultiVector(self.num_vars, self.degree - 1, acc)
+        return MultiVector._make(self.num_vars, self.degree - 1, _nonzero(acc))
 
     def contract(self, f: Poly) -> "MultiVector":
         """df⌋V — contraction with the differential of a function."""
@@ -250,7 +264,7 @@ class MultiVector:
                     sign = -sign
             else:
                 comps[idx] = poly if sign == 1 else -poly
-        return MultiVector(self.num_vars, self.degree - len(covector_indices), comps)
+        return MultiVector._make(self.num_vars, self.degree - len(covector_indices), comps)
 
     # -- evaluation as a multi-derivation -------------------------------------
 
@@ -284,27 +298,42 @@ class MultiVector:
     # -- Lie derivative --------------------------------------------------------
 
     def lie_derivative_of(self, v: "MultiVector") -> "MultiVector":
-        """L_X(V) for X = self (degree 1)."""
+        """L_X(V) for X = self (degree 1):
+
+        L_X(p ∂_I) = X(p) ∂_I − p Σ_t Σ_j ∂_{i_t}x_j ∂_{I with i_t → j}.
+
+        Every term product goes straight into one ``{index tuple: {exponent:
+        coef}}`` accumulator, read from the cached gradients of p and of X's
+        coefficients; a tuple that would repeat an index is dropped before
+        its product, and each output component is built once."""
         if self.degree != 1:
             raise ValueError("Lie derivative requires a degree-1 field")
         self._check_compatible(v)
-        x = [(j, c) for (j,), c in self.components.items()]
-        # L_X(p ∂_I) = X(p) ∂_I − p Σ_t Σ_j ∂_{i_t}x_j ∂_{I with i_t → j}; the
-        # Jacobian ∂_i x_j is taken once, for j in the support of X and i in v's
-        jacobian = {i: [(j, d) for j, c in x if not (d := c.partial(i)).is_zero()]
-                    for i in {i for idx in v.components for i in idx}}
-        terms: list[tuple[Sequence[int], Poly]] = []
+        x = [(j, c.terms, c.gradient()) for (j,), c in self.components.items()]
+        acc: dict[IndexTuple, dict] = {}
         for idx, poly in v.components.items():
-            flow = Poly.zero(self.num_vars)  # X(p)
-            for j, c in x:
-                d = poly.partial(j)
-                if not d.is_zero():
-                    flow = flow + c * d
-            terms.append((idx, flow))
+            grad = poly.gradient()
+            flow = acc.setdefault(idx, {})  # X(p)
+            for j, c, _ in x:
+                _add_products(flow, c, grad[j].terms)
             for t, i in enumerate(idx):
-                for j, d in jacobian[i]:
-                    terms.append((idx[:t] + (j,) + idx[t + 1:], -(poly * d)))
-        return MultiVector.from_terms(self.num_vars, v.degree, terms)
+                for j, _, dx in x:
+                    d = dx[i].terms
+                    if not d:
+                        continue
+                    if j == i:
+                        key, sign = idx, 1
+                    elif j in idx:
+                        continue
+                    else:
+                        key, sign = sort_indices(idx[:t] + (j,) + idx[t + 1:])
+                    _add_products(acc.setdefault(key, {}), poly.terms, d, -sign)
+        comps = {}
+        for idx, terms in acc.items():
+            terms = _stored(terms)
+            if terms:
+                comps[idx] = Poly._make(self.num_vars, terms)
+        return MultiVector._make(self.num_vars, v.degree, comps)
 
     # -- Schouten bracket --------------------------------------------------------
 
@@ -328,6 +357,11 @@ class MultiVector:
             if not value.is_zero():
                 comps[idx] = value
         return MultiVector(self.num_vars, degree, comps)
+
+
+def _nonzero(comps: dict[IndexTuple, Poly]) -> dict[IndexTuple, Poly]:
+    """``comps`` without its zero coefficients."""
+    return {i: p for i, p in comps.items() if p.terms}
 
 
 def _schouten_value(a: MultiVector, b: MultiVector, fs: list[Poly]) -> Poly:

@@ -59,8 +59,8 @@ def json_rational(value) -> Fraction:
 
 
 # The work limits, one table.  Each estimate is made from counts before any
-# work and refused through ``refuse_above``.  A limit is about 10 s of its
-# slowest kind of step (2 cores), far above the largest estimate that any
+# work and refused through ``refuse_above``.  A limit is at most about 10 s of
+# its slowest kind of step (2 cores), far above the largest estimate that any
 # fixture, test or benchmark instance reaches:
 # - MAX_WORK: n-Lie steps × arity × (arity + nonzero constants), or the
 #   C(dim, 3)·dim coefficients of α∧dα.  10 s at zero constants and arity 7;
@@ -69,8 +69,9 @@ def json_rational(value) -> Fraction:
 #   4-variable fixtures; largest 2,970.
 # - MAX_ENTRIES: entries of an answer, 8 µs and 365 bytes each, so 8 s and
 #   365 MB; largest 4,002.
-# - MAX_WALK: slot tuples × ``multivector.step_cost``, 2–3.5 µs a unit, so
-#   6–10 s (35 s with quartic coefficients); largest 749,232.
+# - MAX_WALK: slot tuples × ``multivector.step_cost``, 1–2 µs a unit at worst
+#   (witness steps, wedges, small n-Jacobi walks), so 3–6 s (15 s with quartic
+#   coefficients); largest 749,232.
 # - MAX_VARS: variables of an input tensor.  A zero system of 1,000 variables
 #   integrates 1,000 steps in 1 s; largest 24.
 MAX_WORK = 2 * 10**7
@@ -213,13 +214,7 @@ class Poly:
             return Poly._make(self.num_vars, _stored({e: c * v for e, v in self.terms.items()}))
         self._check_vars(other)
         terms: dict[Exponent, Coef] = {}
-        get = terms.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = get(e)
-                terms[e] = c1 * c2 if c is None else c + c1 * c2
-        # sums are zeroed only after the loop, so the key order is kept
+        _add_products(terms, self.terms, other.terms)
         return Poly._make(self.num_vars, _stored(terms))
 
     __rmul__ = __mul__
@@ -419,6 +414,21 @@ def compile_floats(polys: Sequence[Poly]) -> Callable[[Sequence[float]], list[fl
     namespace["__builtins__"] = {}
     exec("\n".join(lines), namespace)
     return namespace["f"]
+
+
+def _add_products(acc: dict[Exponent, Coef], a: Mapping[Exponent, Coef],
+                  b: Mapping[Exponent, Coef], sign: int = 1) -> None:
+    """Add ``sign`` × the product of the term maps ``a`` and ``b`` into
+    ``acc``.  Zero sums stay in place, so the key order is kept; ``_stored``
+    drops them once the sum is complete."""
+    get = acc.get
+    for e1, c1 in a.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = get(e)
+            acc[e] = c1 * c2 if c is None else c + c1 * c2
 
 
 def _stored(terms: dict[Exponent, Coef]) -> dict[Exponent, Coef]:

@@ -222,6 +222,34 @@ def lie_derivative_oracle(x, v):
     return MultiVector.from_terms(v.num_vars, v.degree, terms)
 
 
+def jacobi_defects_oracle(op, fs):
+    """The two n-Jacobi defects term by term, 2n Lie derivatives of the
+    per-component reference and n wedges:
+
+    Δ¹ = L_{∇_{f…}}∇ + Σᵢ(−1)^{i−1}(fᵢ·L_{Xᵢ}∇ − Xᵢ∧∇_{fᵢ}) + (1−n)h∇
+    Δ⁰ = L_{∇_{f…}}□ − ∇_h + Σᵢ(−1)^{i−1}(fᵢ·L_{Xᵢ}□ − Xᵢ∧□_{fᵢ}) + (1−n)h□
+
+    with Xᵢ = □_{f₁,…,f̂ᵢ,…,f_{n−1}} and h = (−1)^{n−1}□(f₁,…,f_{n−1}): the
+    test reference for ``njacobi.jacobi_defects``."""
+    n = op.arity
+    nabla, box = op.nabla, op.box
+    field = nabla.hamiltonian_field(fs)
+    h = box.apply(fs)
+    if (n - 1) % 2 == 1:
+        h = -h
+    scale = Fraction(1 - n)
+    xs = [box.hamiltonian_field(list(fs[:i]) + list(fs[i + 1:])) for i in range(n - 1)]
+
+    def defect(t, total):
+        for i, (f, x_i) in enumerate(zip(fs, xs)):
+            term = lie_derivative_oracle(x_i, t) * f - x_i.wedge(t.contract(f))
+            total = total + term if i % 2 == 0 else total - term
+        return total + (t * (h * scale))
+
+    return (defect(nabla, lie_derivative_oracle(field, nabla)),
+            defect(box, lie_derivative_oracle(field, box) - nabla.contract(h)))
+
+
 def schouten_oracle(a, b):
     """⌈A,B⌉ on every coordinate tuple by the formula of ``schouten``,
     evaluated with the determinant apply."""

@@ -152,13 +152,18 @@ class TestLieDerivative:
         d1 = MultiVector.basis(2, (0,))
         assert euler.lie_derivative_of(d1) == -d1
 
-    def test_scaling_law(self, rng):
-        for _ in range(8):
-            x = rand_multivector(rng, 4, 1)
-            v = rand_multivector(rng, 4, 2)
-            f = rand_poly(rng, 4)
-            assert (x * f).lie_derivative_of(v) == \
-                x.lie_derivative_of(v) * f - x.wedge(v.contract(f))
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_scaling_law(self, m, data, seed):
+        """L_{fX}V = f·L_X V − X∧(df⌋V), on which the one-field n-Jacobi
+        defects and the coordinate defects of the fundamental identity rest."""
+        rng = random.Random(seed)
+        k = data.draw(st.integers(1, m))
+        x = rand_multivector(rng, m, 1, max_degree=2, density=0.7)
+        v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+        f = rand_poly(rng, m)
+        assert (x * f).lie_derivative_of(v) == \
+            x.lie_derivative_of(v) * f - x.wedge(v.contract(f))
 
     def test_leibniz_over_wedge(self, rng):
         for _ in range(8):
@@ -255,6 +260,28 @@ class TestAgainstOracles:
                 x = rand_multivector(rng, m, 1, max_degree=2, density=0.7)
                 v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
                 assert x.lie_derivative_of(v) == lie_derivative_oracle(x, v)
+        # sums that cancel: the accumulator must drop them, not keep zeros
+        x1, x2, x3 = Poly.variables(3)
+        cases = [
+            # ∂₁ kills every component free of x₁
+            (MultiVector.basis(3, (0,)),
+             MultiVector.basis(3, (0, 1), x2 * x3) + MultiVector.basis(3, (1, 2), x1 * x3)),
+            (MultiVector.basis(3, (1,)), MultiVector.basis(3, (0, 2), x1 - x3 ** 2)),
+            # [x₁∂₁, x₁∂₁] = 0: X(p) cancels the Jacobian term
+            (MultiVector.basis(3, (0,), x1), MultiVector.basis(3, (0,), x1)),
+            # x₂∂₁ turns ∂₁∧∂₂ into ∂₁∧∂₁, dropped before its product
+            (MultiVector.basis(3, (0,), x2),
+             MultiVector.basis(3, (0, 1)) + MultiVector.basis(3, (1, 2), x3)),
+        ]
+        for x, v in cases:
+            result = x.lie_derivative_of(v)
+            assert result == lie_derivative_oracle(x, v)
+            assert all(p.terms for p in result.components.values())
+        assert cases[0][0].lie_derivative_of(cases[0][1]) == \
+            MultiVector.basis(3, (1, 2), x3)
+        assert cases[2][0].lie_derivative_of(cases[2][1]).is_zero()
+        assert cases[3][0].lie_derivative_of(cases[3][1]) == \
+            MultiVector.basis(3, (0, 2), -x3)
 
     def test_schouten(self, rng):
         for m, k in self.CASES:
@@ -262,6 +289,40 @@ class TestAgainstOracles:
             a = rand_multivector(rng, m, k, density=0.7)
             b = rand_multivector(rng, m, l, density=0.7)
             assert a.schouten(b) == schouten_oracle(a, b)
+
+
+class TestTrustedResults:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_results_validate(self, m, data, seed):
+        """Every result built by ``MultiVector._make`` passes the validating
+        constructor unchanged and holds no zero coefficient, on inputs made
+        to cancel: V − W with W sharing half of V's components, a zero
+        factor, and forms and fields drawn from few values."""
+        rng = random.Random(seed)
+        k = data.draw(st.integers(1, m))
+        v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+        w = MultiVector(m, k, {i: p for i, p in v.components.items() if rng.random() < 0.5})
+        w = w + rand_multivector(rng, m, k, max_degree=1, density=0.3)
+        x = rand_multivector(rng, m, 1, max_degree=1, density=0.7)
+        alpha = [rng.choice([Poly.zero(m), Poly.const(m, 1), Poly.var(m, 0)])
+                 for _ in range(m)]
+        f = rand_poly(rng, m)
+        terms = [(tuple(rng.randrange(m) for _ in range(k)),
+                  rng.choice([Poly.const(m, 1), Poly.const(m, -1), Poly.zero(m)]))
+                 for _ in range(6)]
+        results = [
+            MultiVector.from_terms(m, k, terms),
+            v.contract_form(alpha),
+            v.contract(f),
+            v.derived([rng.randrange(m) for _ in range(rng.randint(0, k))]),
+            v + w, v - w, v - v, -v,
+            v * f, v * 0, v * Fraction(1, 2), v * Poly.zero(m),
+            x.lie_derivative_of(v), x.lie_derivative_of(w), x.lie_derivative_of(x),
+        ]
+        for r in results:
+            assert r == MultiVector(r.num_vars, r.degree, r.components)
+            assert all(p.terms for p in r.components.values())
 
 
 class TestDerivedVectors:

@@ -3,13 +3,17 @@ evaluation, the degree-raising s map, defect-based Jacobi verification and
 the coordinate normal form."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (fi_search_oracle, rand_jacobi_pair, rand_multivector,
-                      rand_poly, raw_jacobi_oracle)
+from conftest import (fi_search_oracle, jacobi_defects_oracle, rand_fraction,
+                      rand_jacobi_pair, rand_multivector, rand_poly,
+                      raw_jacobi_oracle)
 from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
 from nambu.njacobi import (JacobiOp, canonical_bracket, from_poisson_and_form,
@@ -129,6 +133,21 @@ class TestDefects:
         assert not ok
         d1, d0 = jacobi_defects(op, list(witness))
         assert not (d1.is_zero() and d0.is_zero())
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_matches_term_by_term_oracle(self, m, data, seed):
+        """The one-field defects equal the 2n-Lie-derivative expansion on
+        arbitrary pairs and slots: polynomials of degree ≤ 2 with Fraction
+        coefficients, constants among them."""
+        rng = random.Random(seed)
+        n = data.draw(st.integers(2, m))
+        density = data.draw(st.sampled_from([0.3, 0.7]))
+        op = JacobiOp(rand_multivector(rng, m, n, max_degree=2, density=density),
+                      rand_multivector(rng, m, n - 1, max_degree=2, density=density))
+        fs = [Poly.const(m, rand_fraction(rng)) if rng.random() < 0.25
+              else rand_poly(rng, m) for _ in range(n - 1)]
+        assert jacobi_defects(op, fs) == jacobi_defects_oracle(op, fs)
 
 
 class TestIsNJacobi:
