@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .multivector import MultiVector
-from .nlie import NLieStructure, form_row, frobenius_defect, generating_form
+from .nlie import NLieStructure, form_row, frobenius_defect, generating_form, integral
 from .poly import MAX_ENTRIES, Poly, json_int, refuse_above
 
 LAMBDA_KINDS = ("psi_plus", "psi_minus")
@@ -224,14 +224,16 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
 
     Derivations correspond to infinitesimal conformal symmetries A of the
     generating form G — solutions of AᵀG + GA = tr(A)·G — acting on the dual;
-    the derivation on the algebra itself is the transpose Aᵀ.  An answer of
-    up to n² matrices of n² entries above MAX_ENTRIES is refused first.
+    the derivation on the algebra itself is the transpose Aᵀ.  The system is
+    linear in G, so it is built from the ``nlie.integral`` multiple.  An
+    answer of up to n² matrices of n² entries above MAX_ENTRIES is refused
+    first.
     """
     n = p.dim
     if n == p.arity + 1:  # else generating_form refuses
         refuse_above(n**4, MAX_ENTRIES, f"dimension {n}: up to {n * n} derivations "
                                         f"of {n * n} entries, {n**4} in all")
-    g = generating_form(p)
+    g = generating_form(*integral(p))
 
     def unknown(i, j):
         return i * n + j

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .multivector import (MultiVector, OneForm, multivector_from_json,
+from .multivector import (MultiVector, OneForm, integral, multivector_from_json,
                           multivector_to_json, step_cost)
 from .npoisson import decomposable_given, is_n_poisson
 from .poly import MAX_WALK, Poly, sized_combinations
@@ -133,11 +133,14 @@ def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
 
     This finite basis is complete: each slot of either defect has differential
     order ≤ 1 and the defects are linear over constants in each slot; total
-    skewness reduces the tuples to increasing combinations.
+    skewness reduces the tuples to increasing combinations.  Both defects are
+    homogeneous of degree 2 in (∇, □), so they are checked on the pair times
+    one ``integral`` factor.
     """
     n = op.arity
     if op.nabla.degree != n:
         raise ValueError("arity exceeds the chart dimension")
+    op = JacobiOp(*integral(op.nabla, op.box), arity=n)
     # a step builds one field and two Lie derivatives: weighted by the arity it
     # measures 0.1–2 µs a unit, no more than a witness step (1–2 µs)
     tuples = sized_combinations(op.num_vars + 1, n - 1, n * step_cost(op.nabla, op.box),

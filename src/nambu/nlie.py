@@ -39,7 +39,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import MAX_WORK, json_int, json_rational, refuse_above, sized_combinations
+from .poly import (MAX_WORK, common_denominator, json_int, json_rational, refuse_above,
+                   sized_combinations)
 
 IndexTuple = tuple[int, ...]
 Vector = list[Fraction]
@@ -140,14 +141,6 @@ def generating_form(p: "NLieStructure") -> linalg.Matrix:
             for comp, sign in (form_row(p.dim, i) for i in range(p.dim))]
 
 
-def _integer_form(p: "NLieStructure") -> list[list[int]]:
-    """The generating form times the lcm of its denominators: c is
-    homogeneous in each argument, so scaling leaves its zeros in place."""
-    a = generating_form(p)
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in a]
-
-
 def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
                      ) -> tuple[int, int, int, int] | None:
     """First (i, j, k, l), i < j < k, in lexicographic order, where
@@ -158,7 +151,7 @@ def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
     work = math.comb(dim, 3) * dim
     if dim == p.arity + 1:  # else generating_form refuses
         refuse_above(work, MAX_WORK, f"dimension {dim}: {work} coefficients of α∧dα")
-    forms = [_integer_form(x) for x in (p, q) if x is not None]
+    forms = [generating_form(x) for x in integral(*((p,) if q is None else (p, q)))]
     skews = [[[x - y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
              for a in forms]
     terms = list(zip(forms, reversed(skews)))  # (a_P, K_Q) and (a_Q, K_P)
@@ -174,12 +167,31 @@ def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
     return None
 
 
+def integral(*ps: "NLieStructure") -> tuple["NLieStructure", ...]:
+    """``ps`` times one positive integer c, the lcm of the denominators of all
+    their constants, with ``int`` constants; ``ps`` as they are when c is too
+    large to pay off (``poly.common_denominator``).  The deciders whose zeros
+    do not move when every structure of a call is multiplied by c run on
+    these: the kernel is bilinear in (D, Q) with D = ad^P linear in P, the
+    c_ijkl of α∧dα are bilinear in (a, K), and the derivation system is
+    linear in the generating form."""
+    c = common_denominator(x for p in ps for vec in p.constants.values() for x in vec)
+    if c is None:
+        return ps
+    return tuple(NLieStructure._make(p.dim, p.arity, {
+        idx: [x.numerator * (c // x.denominator) for x in vec]
+        for idx, vec in p.constants.items()}) for p in ps)
+
+
 def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
                   dim: int, arity: int) -> tuple[IndexTuple, IndexTuple] | None:
     """First (us, ws) of increasing basis tuples, in lexicographic order with
     us outer, where the kernel with the terms (ad^P_{u…}, Q) for (P, Q) in
-    ``pairs`` is nonzero; None if there is none."""
+    ``pairs`` is nonzero; None if there is none.  Every term is quadratic in
+    the structures, so all of them are scaled by one ``integral`` factor."""
     _bound_tuple_pairs(dim, arity, [q for _, q in pairs])
+    flat = integral(*(x for pair in pairs for x in pair))
+    pairs = list(zip(flat[::2], flat[1::2]))
     basis = [[(i, 1)] for i in range(dim)]
     w_tuples = list(itertools.combinations(range(dim), arity))
     for us in itertools.combinations(range(dim), arity - 1):
@@ -213,11 +225,23 @@ class NLieStructure:
                 vec = _to_vec(value, dim)
                 if any(x != 0 for x in vec):
                     clean[idx] = vec
+        self._set(dim, arity, clean)
+
+    def _set(self, dim: int, arity: int, constants: dict[IndexTuple, Vector]) -> None:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "constants", clean)
+        object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "_sparse", {
-            idx: [(j, x) for j, x in enumerate(vec) if x] for idx, vec in clean.items()})
+            idx: [(j, x) for j, x in enumerate(vec) if x] for idx, vec in constants.items()})
+
+    @staticmethod
+    def _make(dim: int, arity: int, constants: dict[IndexTuple, list]) -> "NLieStructure":
+        """Wrap ``constants`` as they are: nonzero vectors of length ``dim`` on
+        strictly increasing ``arity``-tuples in range, entries ``int`` or
+        ``Fraction``.  The dict is not copied."""
+        p = object.__new__(NLieStructure)
+        p._set(dim, arity, constants)
+        return p
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("NLieStructure is immutable")
@@ -348,16 +372,21 @@ class NLieStructure:
         return linalg.transpose([self._dense(c) for c in cols])
 
     def is_derivation(self, d: linalg.Matrix) -> bool:
-        """Whether D[u₁,…,u_n] = Σᵢ [u₁,…,Duᵢ,…,u_n] on all basis tuples."""
+        """Whether D[u₁,…,u_n] = Σᵢ [u₁,…,Duᵢ,…,u_n] on all basis tuples.  The
+        defect is linear in D and in the structure, so both are scaled to
+        integers first."""
         if len(d) != self.dim or any(len(row) != self.dim for row in d):
             raise ValueError("dimension mismatch")
         n, nnz = self.arity, sum(len(entries) for entries in self._sparse.values())
         tuples = sized_combinations(self.dim, n, n * (n + nnz), MAX_WORK,
                                     f"derivation check in dimension {self.dim}, arity {n}, "
                                     f"{nnz} nonzero structure constants")
-        cols = [{i: Fraction(d[i][j]) for i in range(self.dim) if d[i][j]}
-                for j in range(self.dim)]
-        return not any(any(_defect([(cols, self)], [[(i, 1)] for i in idx]).values())
+        d = [[Fraction(x) for x in row] for row in d]
+        c = common_denominator(x for row in d for x in row)
+        cols = [{i: x if c is None else x.numerator * (c // x.denominator)
+                 for i in range(self.dim) if (x := d[i][j])} for j in range(self.dim)]
+        p, = integral(self)
+        return not any(any(_defect([(cols, p)], [[(i, 1)] for i in idx]).values())
                        for idx in tuples)
 
     def commutator_check(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> bool:

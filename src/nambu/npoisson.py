@@ -13,7 +13,7 @@ import math
 from typing import Sequence
 
 from . import linalg
-from .multivector import MultiVector, is_decomposable, step_cost
+from .multivector import MultiVector, integral, is_decomposable, step_cost
 from .nlie import NLieStructure
 from .poly import MAX_CASIMIR_WORK, MAX_WALK, Poly, refuse_above, sized_combinations
 
@@ -56,12 +56,16 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
     The first coordinate tuple with a nonzero defect is the witness.  A
     non-decomposable tensor may have none, so its witness comes from the
     monomial search of ``_find_fi_witness``, run only after that verdict.
+
+    The defect of cΛ is c²·L_{X_f}Λ, so both run on the ``integral``
+    multiple of Λ: the verdict and the witness are the same.
     """
     n = tensor.degree
     if n < 2:
         raise ValueError("requires degree ≥ 2")
     if tensor.is_zero() or n == tensor.num_vars:
         return True, None
+    tensor, = integral(tensor)
     if n > 2 and not is_decomposable(tensor):
         return False, _find_fi_witness(tensor)
     tuples = sized_combinations(tensor.num_vars, n - 1, step_cost(tensor), MAX_WALK,
@@ -155,7 +159,9 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bo
 
 
 def _mixed_wedge_vanishes(a: MultiVector, b: MultiVector) -> bool:
-    """Whether L_{X^a_{g…}}(b) ∧ b = 0 for all coordinate slot tuples g."""
+    """Whether L_{X^a_{g…}}(b) ∧ b = 0 for all coordinate slot tuples g;
+    homogeneous in a and in b, so decided on their ``integral`` multiples."""
+    a, b = integral(a, b)
     tuples = sized_combinations(a.num_vars, a.degree - 1, step_cost(a, b), MAX_WALK,
                                 "mixed wedge tuples")
     xs = Poly.variables(a.num_vars)
@@ -196,11 +202,14 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
     A Casimir is annihilated by every Hamiltonian vector field; restricted to
     a finite-dimensional polynomial space this is an exact nullspace problem.
     The fields of coordinate-function tuples generate all Hamiltonian fields
-    over the function ring, so they suffice as constraints.
+    over the function ring, so they suffice as constraints.  The rows are
+    linear in the tensor and ``linalg.rref`` removes their content, so they
+    are built from its ``integral`` multiple.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be ≥ 1")
     bound_casimir_work(tensor, max_degree)
+    tensor, = integral(tensor)
     m = tensor.num_vars
     basis_exps = poly_basis_exponents(m, max_degree)
     basis = [Poly.monomial(m, e) for e in basis_exps]

@@ -44,7 +44,13 @@ def raw_jacobi_oracle(op, max_slot_degree=2):
     Δ_{u…}(g) = Δ(u₁,…,u_{n−1},g).  Slower than the defect route but makes no
     use of the decomposition formulas.  Returns (True, None) or
     (False, first (us, vs)).
+
+    Both sides are homogeneous of degree 2 in Δ, so the identity is expanded
+    on the integer multiple c·Δ, c the lcm of the coefficient denominators,
+    scaled here term by term: the same tuples and verdict, on ``int``
+    arithmetic.
     """
+    op = _integer_multiple(op)
     n = op.arity
     monos = slot_monomials(op.num_vars, max_slot_degree)
     apply_cache = {}
@@ -68,6 +74,18 @@ def raw_jacobi_oracle(op, max_slot_degree=2):
             if lhs != rhs:
                 return False, (us, vs)
     return True, None
+
+
+def _integer_multiple(op):
+    """The pair (c·∇, c·□) for c the lcm of every coefficient denominator."""
+    from nambu.njacobi import JacobiOp
+    parts = (op.nabla, op.box)
+    c = math.lcm(*(Fraction(x).denominator for v in parts
+                   for p in v.components.values() for x in p.terms.values()))
+    nabla, box = (MultiVector(v.num_vars, v.degree, {
+        idx: Poly(v.num_vars, {e: c * Fraction(x) for e, x in p.terms.items()})
+        for idx, p in v.components.items()}) for v in parts)
+    return JacobiOp(nabla, box, arity=op.arity)
 
 
 # -- polynomial reference: a plain dict of Fractions ---------------------------

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import fi_search_oracle
 from nambu import cli, dynamics, njacobi, npoisson
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
@@ -426,6 +427,101 @@ class TestCheckJacobi:
         assert code == (0 if name == "gradient_extension" else 1)
         suffix = "json" if as_json else "txt"
         assert out == (GOLDEN / f"check_jacobi_{name}.{suffix}").read_text()
+
+
+def prime_denominators(seed, count):
+    """``count`` distinct primes between 10⁵ and 10⁶, in a seeded order."""
+    rng = random.Random(seed)
+    primes = []
+    while len(primes) < count:
+        p = rng.randrange(10**5, 10**6)
+        if p not in primes and all(p % d for d in range(2, 1001)):
+            primes.append(p)
+    return primes
+
+
+def fraction_jacobi_walk(op):
+    """(verdict, witness) of the walk of ``is_n_jacobi``, on the Fraction pair."""
+    slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
+    for idx in itertools.combinations(range(op.num_vars + 1), op.arity - 1):
+        fs = [slots[i] for i in idx]
+        if not all(d.is_zero() for d in njacobi.jacobi_defects(op, fs)):
+            return False, [str(f) for f in fs]
+    return True, None
+
+
+class TestHostileDenominators:
+    """Many distinct prime denominators near 10⁶, and one denominator of 3,001
+    digits: every verb exits 0 or 1 with no traceback, with the verdict of the
+    Fraction path."""
+
+    BIG = 10**3000 + 3
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def prime_poly(self, primes, m, terms):
+        exps = [e for e in itertools.product(range(4), repeat=m) if sum(e) <= 3]
+        return Poly(m, {e: Fraction(1 + i % 5, next(primes)) for i, e in enumerate(exps[:terms])})
+
+    @pytest.mark.parametrize("terms", [8, 35])
+    def test_check_poisson(self, capsys, tmp_path, terms):
+        primes = iter(prime_denominators(terms, 2 * terms))
+        f, g = self.prime_poly(primes, 4, terms), self.prime_poly(primes, 4, terms)
+        for v in (MultiVector.basis(4, (0, 1), f),
+                  MultiVector.basis(4, (0, 1), f) + MultiVector.basis(4, (2, 3), g)):
+            code, data, err = run_json(capsys, "check-poisson", "--max-degree", "2",
+                                       self.write(tmp_path, multivector_to_json(v)))
+            assert code in (0, 1) and "Traceback" not in err
+            ok, witness = fi_search_oracle(v)
+            assert data["verdict"] is ok and code == (0 if ok else 1)
+            if not ok:
+                fs = [Poly.parse(w, 4) for w in data["witness"]]
+                assert not npoisson.fi_defect(v, fs).is_zero()
+
+    @pytest.mark.parametrize("n, terms", [(2, 8), (3, 8), (2, 20)])
+    def test_check_jacobi(self, capsys, tmp_path, n, terms):
+        primes = iter(prime_denominators(n * terms, 2 * terms + 1))
+        nabla = MultiVector.basis(4, tuple(range(n)), self.prime_poly(primes, 4, terms))
+        op = njacobi.JacobiOp(nabla, nabla.contract(self.prime_poly(primes, 4, terms)))
+        outside = MultiVector.basis(4, (3,) + tuple(range(n - 2)),
+                                    Poly.const(4, Fraction(1, next(primes))))
+        for case in (op, njacobi.JacobiOp(nabla, op.box + outside)):
+            code, data, err = run_json(capsys, "check-jacobi",
+                                       self.write(tmp_path, njacobi.jacobiop_to_json(case)))
+            assert code in (0, 1) and "Traceback" not in err
+            assert (data["verdict"], data["witness"]) == fraction_jacobi_walk(case)
+
+    def test_thousands_of_digits(self, capsys, tmp_path):
+        big = Fraction(1, self.BIG)
+        x = Poly.variables(4)
+        f = x[3] * big + x[0] * x[0] * Fraction(2, 3)
+        tensor = MultiVector.basis(4, (0, 1, 2), f)
+        bad = tensor + MultiVector.basis(4, (1, 2, 3), x[0] * big)
+        for v in (tensor, bad):
+            code, data, err = run_json(capsys, "check-poisson", "--max-degree", "1",
+                                       self.write(tmp_path, multivector_to_json(v)))
+            assert code in (0, 1) and "Traceback" not in err
+            assert data["verdict"] is fi_search_oracle(v)[0]
+        op = njacobi.JacobiOp(tensor, tensor.contract(x[1] + 3 * x[3]))
+        for case in (op, njacobi.JacobiOp(tensor, op.box + MultiVector.basis(4, (0, 3), big))):
+            code, data, err = run_json(capsys, "check-jacobi",
+                                       self.write(tmp_path, njacobi.jacobiop_to_json(case)))
+            assert code in (0, 1) and "Traceback" not in err
+            assert (data["verdict"], data["witness"]) == fraction_jacobi_walk(case)
+        p = vector_product_algebra(3) * big
+        q = algebra_from_form([[big if i == j == 3 else Fraction(int(i == j)) for j in range(4)]
+                               for i in range(4)], 3)
+        for verb, files in (("check-nlie", [p]), ("compat", [p, q]), ("derivations", [q])):
+            paths = []
+            for i, s in enumerate(files):
+                path = tmp_path / f"s{i}.json"
+                path.write_text(json.dumps(nlie_to_json(s)))
+                paths.append(str(path))
+            code, _, err = run(capsys, verb, *paths)
+            assert code in (0, 1) and "Traceback" not in err
 
 
 class TestClassify:
