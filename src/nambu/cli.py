@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import bianchi, dynamics, njacobi, npoisson
-from .multivector import derived_rank, is_decomposable, multivector_from_json
+from .multivector import derived_rank, integral, is_decomposable, multivector_from_json
 from .nlie import nlie_from_json, nlie_to_json
 from .njacobi import jacobiop_from_json
 from .poly import Poly
@@ -98,6 +98,9 @@ def cmd_check_poisson(args) -> int:
 
 def cmd_check_jacobi(args) -> int:
     op = _load(args.file, jacobiop_from_json, "operator pair")
+    # one integer multiple for the three deciders, so that they find it
+    # integral and share the gradients cached on its coefficients
+    op = njacobi.JacobiOp(*integral(op.nabla, op.box), arity=op.arity)
     ok, witness = njacobi.is_n_jacobi(op)
     box_poisson = None
     if op.box.degree >= 2:

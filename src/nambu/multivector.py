@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .poly import (MAX_VARS, MAX_WALK, Poly, _add_products, _stored,
-                   common_denominator, json_int, refuse_above, sized_combinations)
+                   integer_scaling, json_int, refuse_above, sized_combinations)
 
 IndexTuple = tuple[int, ...]
 
@@ -413,20 +413,32 @@ def derived_rank(v: MultiVector, point: Sequence) -> int:
 def integral(*vs: MultiVector) -> tuple[MultiVector, ...]:
     """``vs`` times one positive integer c, the lcm of the denominators of all
     their coefficients, so that every coefficient is an ``int``; ``vs`` as
-    they are when c = 1 or when c is too large to pay off
-    (``poly.common_denominator``).
+    they are when they are integral already or when c is too large to pay
+    off (``poly.integer_scaling``).
 
     The deciders whose verdicts and witnesses do not change when their
-    inputs are multiplied by c run on this multiple, on ``int`` arithmetic;
-    the functions that return a defect do not, as it would scale with c."""
-    c = common_denominator(x for v in vs for p in v.components.values()
-                           for x in p.terms.values())
-    if c is None or c == 1:
+    inputs are multiplied by c run on this multiple, on ``int`` arithmetic,
+    after their walk is sized; the functions that return a defect do not,
+    as it would scale with c."""
+    scale = integer_scaling(x for v in vs for p in v.components.values()
+                            for x in p.terms.values())
+    if scale is None:
         return vs
     return tuple(MultiVector._make(v.num_vars, v.degree, {
-        idx: Poly._make(v.num_vars, {e: x.numerator * (c // x.denominator)
-                                     for e, x in p.terms.items()})
+        idx: Poly._make(v.num_vars, {e: scale(x) for e, x in p.terms.items()})
         for idx, p in v.components.items()}) for v in vs)
+
+
+def wedge_walk(v: MultiVector) -> Iterable[IndexTuple] | None:
+    """The covector tuples a₁ < … < a_{k−1} of ``is_decomposable``, sized
+    before any work; None when V is decomposable without a walk."""
+    if v.degree < 2:
+        raise ValueError("decomposability test requires degree ≥ 2")
+    if v.is_zero() or v.degree >= v.num_vars - 1:
+        # dual to a function or a 1-form: decomposable at every point
+        return None
+    return sized_combinations(v.num_vars, v.degree - 1, step_cost(v), MAX_WALK,
+                              "decomposability wedges")
 
 
 def is_decomposable(v: MultiVector) -> bool:
@@ -434,19 +446,13 @@ def is_decomposable(v: MultiVector) -> bool:
 
     Constant coordinate covectors suffice by multilinearity.  The zero
     multivector counts as decomposable.  The wedges are quadratic in V, so
-    they run on its ``integral`` multiple.
+    once their walk is sized they run on its ``integral`` multiple.
     """
-    if v.degree < 2:
-        raise ValueError("decomposability test requires degree ≥ 2")
-    if v.is_zero() or v.degree >= v.num_vars - 1:
-        # dual to a function or a 1-form: decomposable at every point
+    walk = wedge_walk(v)
+    if walk is None:
         return True
     v, = integral(v)
-    for covs in sized_combinations(v.num_vars, v.degree - 1, step_cost(v), MAX_WALK,
-                                   "decomposability wedges"):
-        if not v.derived(covs).wedge(v).is_zero():
-            return False
-    return True
+    return all(v.derived(covs).wedge(v).is_zero() for covs in walk)
 
 
 def step_cost(*vs: MultiVector) -> int:

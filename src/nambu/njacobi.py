@@ -140,11 +140,11 @@ def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
     n = op.arity
     if op.nabla.degree != n:
         raise ValueError("arity exceeds the chart dimension")
-    op = JacobiOp(*integral(op.nabla, op.box), arity=n)
     # a step builds one field and two Lie derivatives: weighted by the arity it
     # measures 0.1–2 µs a unit, no more than a witness step (1–2 µs)
     tuples = sized_combinations(op.num_vars + 1, n - 1, n * step_cost(op.nabla, op.box),
                                 MAX_WALK, "n-Jacobi slot tuples")
+    op = JacobiOp(*integral(op.nabla, op.box), arity=n)
     slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
     for idx in tuples:
         fs = tuple(slots[i] for i in idx)

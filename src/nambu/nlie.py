@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import (MAX_WORK, common_denominator, json_int, json_rational, refuse_above,
+from .poly import (MAX_WORK, integer_scaling, json_int, json_rational, refuse_above,
                    sized_combinations)
 
 IndexTuple = tuple[int, ...]
@@ -169,17 +169,18 @@ def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
 
 def integral(*ps: "NLieStructure") -> tuple["NLieStructure", ...]:
     """``ps`` times one positive integer c, the lcm of the denominators of all
-    their constants, with ``int`` constants; ``ps`` as they are when c is too
-    large to pay off (``poly.common_denominator``).  The deciders whose zeros
-    do not move when every structure of a call is multiplied by c run on
-    these: the kernel is bilinear in (D, Q) with D = ad^P linear in P, the
-    c_ijkl of α∧dα are bilinear in (a, K), and the derivation system is
-    linear in the generating form."""
-    c = common_denominator(x for p in ps for vec in p.constants.values() for x in vec)
-    if c is None:
+    their constants, with ``int`` constants; ``ps`` as they are when they
+    are integral already or when c is too large to pay off
+    (``poly.integer_scaling``).  The deciders whose zeros do not move when
+    every structure of a call is multiplied by c run on these: the kernel is
+    bilinear in (D, Q) with D = ad^P linear in P, the c_ijkl of α∧dα are
+    bilinear in (a, K), and the derivation system is linear in the
+    generating form."""
+    scale = integer_scaling(x for p in ps for vec in p.constants.values() for x in vec)
+    if scale is None:
         return ps
     return tuple(NLieStructure._make(p.dim, p.arity, {
-        idx: [x.numerator * (c // x.denominator) for x in vec]
+        idx: [scale(x) for x in vec]
         for idx, vec in p.constants.items()}) for p in ps)
 
 
@@ -382,9 +383,9 @@ class NLieStructure:
                                     f"derivation check in dimension {self.dim}, arity {n}, "
                                     f"{nnz} nonzero structure constants")
         d = [[Fraction(x) for x in row] for row in d]
-        c = common_denominator(x for row in d for x in row)
-        cols = [{i: x if c is None else x.numerator * (c // x.denominator)
-                 for i in range(self.dim) if (x := d[i][j])} for j in range(self.dim)]
+        scale = integer_scaling(x for row in d for x in row) or Fraction
+        cols = [{i: scale(d[i][j]) for i in range(self.dim) if d[i][j]}
+                for j in range(self.dim)]
         p, = integral(self)
         return not any(any(_defect([(cols, p)], [[(i, 1)] for i in idx]).values())
                        for idx in tuples)

@@ -13,7 +13,7 @@ import math
 from typing import Sequence
 
 from . import linalg
-from .multivector import MultiVector, integral, is_decomposable, step_cost
+from .multivector import MultiVector, integral, is_decomposable, step_cost, wedge_walk
 from .nlie import NLieStructure
 from .poly import MAX_CASIMIR_WORK, MAX_WALK, Poly, refuse_above, sized_combinations
 
@@ -57,19 +57,22 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
     non-decomposable tensor may have none, so its witness comes from the
     monomial search of ``_find_fi_witness``, run only after that verdict.
 
-    The defect of cΛ is c²·L_{X_f}Λ, so both run on the ``integral``
-    multiple of Λ: the verdict and the witness are the same.
+    The defect of cΛ is c²·L_{X_f}Λ, so once both walks are sized they run
+    on the ``integral`` multiple of Λ, which ``is_decomposable`` finds
+    integral already: the verdict and the witness are the same.
     """
     n = tensor.degree
     if n < 2:
         raise ValueError("requires degree ≥ 2")
     if tensor.is_zero() or n == tensor.num_vars:
         return True, None
+    if n > 2:
+        wedge_walk(tensor)  # refused under its own name first, as it runs first
+    tuples = sized_combinations(tensor.num_vars, n - 1, step_cost(tensor), MAX_WALK,
+                                "coordinate defects")
     tensor, = integral(tensor)
     if n > 2 and not is_decomposable(tensor):
         return False, _find_fi_witness(tensor)
-    tuples = sized_combinations(tensor.num_vars, n - 1, step_cost(tensor), MAX_WALK,
-                                "coordinate defects")
     xs = Poly.variables(tensor.num_vars)
     for idx in tuples:
         fs = tuple(xs[i] for i in idx)
@@ -161,9 +164,9 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bo
 def _mixed_wedge_vanishes(a: MultiVector, b: MultiVector) -> bool:
     """Whether L_{X^a_{g…}}(b) ∧ b = 0 for all coordinate slot tuples g;
     homogeneous in a and in b, so decided on their ``integral`` multiples."""
-    a, b = integral(a, b)
     tuples = sized_combinations(a.num_vars, a.degree - 1, step_cost(a, b), MAX_WALK,
                                 "mixed wedge tuples")
+    a, b = integral(a, b)
     xs = Poly.variables(a.num_vars)
     for gs in tuples:
         field = a.hamiltonian_field([xs[i] for i in gs])

@@ -15,7 +15,7 @@ non-negative exponents.
 
 Every module imports this one, so it also holds the work budget: the table
 of limits, the one refusal ``refuse_above`` and ``sized_combinations``; and
-``common_denominator``, the factor of the integer multiples that the
+``integer_scaling``, which gives the integer multiples that the
 scale-invariant deciders run on.
 
 Text form: ``"3/2 x1^2 x3 - x2"`` (1-based variable names).
@@ -84,21 +84,32 @@ MAX_VARS = 10**3
 
 
 # The deciders run on an integer multiple c of their input (for example
-# ``multivector.integral``) while c has at most SCALE_BITS more bits than the
-# largest denominator.  Beyond that, products of c-sized integers cost more
-# than ``Fraction`` arithmetic on the separate denominators: deciding
-# f·∂₁∧∂₂ and f·∂₁∧∂₂∧∂₃ in 4 variables, f with 60–200 terms over distinct
-# primes between 10⁵ and 10⁶, the integer path broke even at 1,100 bits
-# above the largest denominator and was 1.4–2.4× slower at 1,500–3,800.
+# ``multivector.integral``) while c has at most SCALE_BITS bits.  The bound
+# is on c itself: c becomes a factor of every coefficient, so one huge
+# denominator among small ones would turn every product of the walk into a
+# product of huge integers.  Deciding
+# f·∂₁∧∂₂, f·∂₁∧∂₂∧∂₃ and an n-Jacobi pair in 4 variables, f with 20–200
+# integer terms and one term over a prime of 129–513 bits, the integer path
+# took 0.5–1.45× the time of the ``Fraction`` path, and 1.1–2.2× at 1,025
+# bits (best of 3 on a shared 2-core host, where two runs of one path
+# differed by up to 1.4×); with small denominators beside it, 0.2–0.55×.
 SCALE_BITS = 512
 
 
-def common_denominator(coefs: Iterable[Coef]) -> int | None:
-    """The lcm of the denominators of ``coefs`` (1 for none), or None when it
-    has more than SCALE_BITS bits above the largest of them."""
-    dens = {x.denominator for x in coefs}
-    c = math.lcm(*dens)
-    return c if c.bit_length() <= max(dens, default=1).bit_length() + SCALE_BITS else None
+def integer_scaling(coefs: Iterable[Coef]) -> Callable[[Coef], int] | None:
+    """x ↦ c·x as an ``int``, for c the lcm of the denominators of ``coefs``;
+    None when every coefficient is an ``int`` already, or as soon as c has
+    more than SCALE_BITS bits.  One pass, each step one gcd with a number of
+    at most SCALE_BITS bits, so the cost is linear in the input."""
+    c, ints = 1, True
+    for x in coefs:
+        if type(x) is not int:
+            ints, d = False, x.denominator
+            if c % d:
+                c *= d // math.gcd(c, d)
+                if c.bit_length() > SCALE_BITS:
+                    return None
+    return None if ints else lambda x: x.numerator * (c // x.denominator)
 
 
 def refuse_above(work: int, limit: int, what: str) -> None:

@@ -593,6 +593,15 @@ def rng():
     return random.Random(20240817)
 
 
+def primes_between(lo, hi):
+    """The primes p with lo ≤ p < hi, by a sieve."""
+    sieve = bytearray([1]) * hi
+    for i in range(2, math.isqrt(hi) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return [i for i in range(lo, hi) if sieve[i]]
+
+
 def rand_fraction(rng, lo=-3, hi=3, max_den=2):
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import fi_search_oracle
-from nambu import cli, dynamics, njacobi, npoisson
+from conftest import (compat_oracle, derivation_oracle, fi_search_oracle, jacobi_oracle,
+                      primes_between)
+from nambu import cli, dynamics, multivector, njacobi, npoisson
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
 from nambu.multivector import MultiVector, multivector_from_json, multivector_to_json
@@ -29,6 +30,10 @@ from nambu.poly import Poly
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 GOLDEN = Path(__file__).resolve().parent / "data"
+# a child ``python -m nambu.cli`` imports the package from this checkout
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -453,7 +458,7 @@ def fraction_jacobi_walk(op):
 class TestHostileDenominators:
     """Many distinct prime denominators near 10⁶, and one denominator of 3,001
     digits: every verb exits 0 or 1 with no traceback, with the verdict of the
-    Fraction path."""
+    Fraction path, or is refused from its walk size before any scaling."""
 
     BIG = 10**3000 + 3
 
@@ -514,14 +519,42 @@ class TestHostileDenominators:
         p = vector_product_algebra(3) * big
         q = algebra_from_form([[big if i == j == 3 else Fraction(int(i == j)) for j in range(4)]
                                for i in range(4)], 3)
+        outputs = {}
         for verb, files in (("check-nlie", [p]), ("compat", [p, q]), ("derivations", [q])):
             paths = []
             for i, s in enumerate(files):
                 path = tmp_path / f"s{i}.json"
                 path.write_text(json.dumps(nlie_to_json(s)))
                 paths.append(str(path))
-            code, _, err = run(capsys, verb, *paths)
+            code, outputs[verb], err = run_json(capsys, verb, *paths)
             assert code in (0, 1) and "Traceback" not in err
+        assert outputs["check-nlie"]["verdict"] is jacobi_oracle(p)[0]
+        assert outputs["compat"]["verdict"] is compat_oracle(p, q)[0]
+        basis = [[[Fraction(x) for x in row] for row in d]
+                 for d in outputs["derivations"]["basis"]]
+        assert basis and all(derivation_oracle(q, d) for d in basis)
+
+    def test_refused_before_any_scaling(self, capsys, tmp_path, monkeypatch):
+        """A 3-vector in 6 variables whose coefficient has 12,000 terms over
+        distinct primes has a walk above MAX_WALK.  The deciders size it
+        before they scale, and the one pass of check-jacobi over its pair
+        gives up as soon as the lcm passes SCALE_BITS, so the refusal costs
+        about what reading the file does: no lcm of 12,000 primes first."""
+        for owner in (multivector, npoisson, njacobi):
+            monkeypatch.setattr(owner, "integral", lambda *a: pytest.fail("scaled first"))
+        primes = primes_between(10**5, 3 * 10**5)[:12000]
+        f = Poly(6, dict(zip(itertools.product(range(5), repeat=6),
+                             (Fraction(1, p) for p in primes))))
+        blade = MultiVector.basis(6, (0, 1, 2), f)
+        for verb, doc in (("check-poisson", multivector_to_json(blade)),
+                          ("check-jacobi", njacobi.jacobiop_to_json(njacobi.JacobiOp(
+                              blade, MultiVector.zero(6, 2))))):
+            path = self.write(tmp_path, doc)
+            start = time.perf_counter()
+            code, out, err = run(capsys, verb, path)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "above the limit" in err
 
 
 class TestClassify:
@@ -828,7 +861,7 @@ class TestIntegrateStream:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "nambu.cli", "integrate", "--builtin", "spin",
                  "--B", "1,1/2,-1", "--x0", "1,0,0", "--steps", str(steps)],
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=CHILD_ENV)
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
             assert proc.returncode == 0
@@ -945,13 +978,13 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "nambu.cli", "--json", "check-nlie",
              str(DATA / "vector_product_3.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] is True
 
     def test_help_lists_verbs(self):
         proc = subprocess.run([sys.executable, "-m", "nambu.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         for verb in ("check-nlie", "check-poisson", "check-jacobi", "classify",
                      "derivations", "synthesize", "compat", "hereditary",

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import (comp_condition_oracle, compat_defect_oracle, compat_oracle,
                       derivation_oracle, fi_search_oracle, jacobi_defects_oracle,
-                      jacobi_oracle, lie_derivative_oracle, rand_4dim_3lie,
-                      rand_decomposable_tensor, rand_field_wedge,
+                      jacobi_oracle, lie_derivative_oracle, primes_between,
+                      rand_4dim_3lie, rand_decomposable_tensor, rand_field_wedge,
                       rand_invertible_matrix, rand_symmetric_matrix, rand_vectors)
 from nambu.bianchi import algebra_from_form, derivation_algebra
 from nambu.multivector import MultiVector, integral, is_decomposable
@@ -25,7 +25,7 @@ from nambu import nlie
 from nambu.nlie import NLieStructure
 from nambu.npoisson import (_mixed_wedge_vanishes, casimir_polynomials,
                             fi_defect, is_n_poisson)
-from nambu.poly import SCALE_BITS, Poly
+from nambu.poly import SCALE_BITS, Poly, integer_scaling
 
 SCALES = st.integers(1, 10**9)
 
@@ -132,15 +132,36 @@ class TestIntegral:
         assert integral(v)[0] is v
 
     def test_a_huge_lcm_keeps_the_fractions(self):
-        """Distinct primes push the lcm past SCALE_BITS bits above the
-        largest denominator: the input comes back as it is."""
+        """Distinct primes push the lcm past SCALE_BITS bits: the input
+        comes back as it is."""
         primes = [p for p in range(10**4, 2 * 10**4) if all(p % d for d in range(2, 142))]
         m = 4
         exps = [e for e in itertools.product(range(6), repeat=m) if sum(e) <= 5]
         f = Poly(m, {e: Fraction(1, p) for e, p in zip(exps, primes)})
-        assert math.lcm(*primes[:len(exps)]).bit_length() > 15 + SCALE_BITS
+        assert math.lcm(*primes[:len(exps)]).bit_length() > SCALE_BITS
         v = MultiVector.basis(m, (0, 1), f)
         assert integral(v)[0] is v
+
+    def test_one_huge_denominator_keeps_the_fractions(self):
+        """The bound is on c itself: one denominator above SCALE_BITS bits
+        among integers keeps every coefficient as it is."""
+        big = Fraction(1, 2**SCALE_BITS + 1)
+        assert integer_scaling([1, 2, Fraction(1, 3), big, 5]) is None
+        assert integer_scaling([2, Fraction(1, 2**(SCALE_BITS - 1) + 1)]) is not None
+
+    def test_scaling_stops_at_the_bound(self):
+        """The lcm is built one denominator at a time and given up as soon as
+        it passes SCALE_BITS bits: nothing after that is read."""
+        def coefs():
+            for p in primes_between(10**5, 10**6):
+                yield Fraction(1, p)
+            pytest.fail("read past the bound")
+        assert integer_scaling(coefs()) is None
+
+    def test_integers_need_no_scaling(self):
+        assert integer_scaling([3, -2, 0]) is None
+        assert integer_scaling([]) is None
+        assert integer_scaling([3, Fraction(4)])(Fraction(4)) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,14 +239,6 @@ def test_defects_are_unscaled(seed, c):
 
 # -- hostile denominators ------------------------------------------------------------
 
-def primes_between(lo, hi):
-    sieve = bytearray([1]) * hi
-    for i in range(2, math.isqrt(hi) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return [i for i in range(lo, hi) if sieve[i]]
-
-
 def prime_poly(rng, m, terms, max_degree, primes):
     """A polynomial whose coefficients have distinct prime denominators."""
     exps = [e for e in itertools.product(range(max_degree + 1), repeat=m)
@@ -256,20 +269,26 @@ def fraction_walk_jacobi(op):
     return True, None
 
 
-def best_of_three(fn):
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return result, min(times)
+def race(decider, fraction_walk, runs=5):
+    """Results and best wall times of the decider and of the Fraction walk,
+    run in turn so that a load on the host weighs on both alike."""
+    best = [math.inf, math.inf]
+    for _ in range(runs):
+        for i, fn in enumerate((decider, fraction_walk)):
+            start = time.perf_counter()
+            result = fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+            if i == 0:
+                got = result
+    return got, result, best[0], best[1]
 
 
 class TestHostileDenominators:
-    """Distinct primes below 10⁶ as denominators: below the SCALE_BITS bound
-    the integer path runs, above it the Fraction path does; either way the
-    verdict and witness are those of the Fraction path, and the decider is
-    never much slower than the Fraction walk it replaces."""
+    """Distinct primes below 10⁶ as denominators, or one huge one: while the
+    lcm has at most SCALE_BITS bits the integer path runs, beyond it the
+    Fraction path does.  Each case asserts which path ran, the verdict and
+    witness of the Fraction path, and that the decider is never much slower
+    than the Fraction walk it replaces."""
 
     @pytest.mark.parametrize("n, f_terms, h_terms, scaled",
                              [(2, 10, 8, True), (3, 10, 8, True), (2, 35, 1, False)])
@@ -285,8 +304,8 @@ class TestHostileDenominators:
         outside = MultiVector.basis(m, (3,) + tuple(range(n - 2)),
                                     Poly.const(m, Fraction(1, next(primes))))
         for case in (op, JacobiOp(nabla, op.box + outside)):
-            got, t_int = best_of_three(lambda: is_n_jacobi(case))
-            want, t_frac = best_of_three(lambda: fraction_walk_jacobi(case))
+            got, want, t_int, t_frac = race(lambda: is_n_jacobi(case),
+                                            lambda: fraction_walk_jacobi(case))
             assert got == want
             assert t_int <= 1.5 * t_frac + 0.01
 
@@ -299,14 +318,42 @@ class TestHostileDenominators:
         for n in (2, 3):
             v = MultiVector.basis(m, tuple(range(n)), f)
             assert (integral(v)[0] is not v) == scaled
-            got, t_int = best_of_three(lambda: is_n_poisson(v))
-            want, t_frac = best_of_three(lambda: fraction_walk_poisson(v))
+            got, want, t_int, t_frac = race(lambda: is_n_poisson(v),
+                                            lambda: fraction_walk_poisson(v))
             assert got == want == (True, None)
             assert t_int <= 1.5 * t_frac + 0.01
         v = frac_multivector(rng, m, 2, density=1) + MultiVector.basis(
             m, (0, 1), prime_poly(rng, m, terms // 2, 4, primes))
         ok, witness = is_n_poisson(v)
         assert not ok and not fi_defect(v, witness).is_zero()
+
+    @pytest.mark.parametrize("digits, scaled", [(150, True), (3001, False)])
+    def test_one_huge_denominator_among_small_ones(self, digits, scaled):
+        """One denominator of 150 digits (c has about 500 bits: the integer
+        path) or 3,001 digits (the Fraction path) among 60 terms with
+        denominators 1 to 3, which alone would leave every product of the
+        Fraction walk small."""
+        rng = random.Random(digits)
+        big = 10**(digits - 1) + 3
+        m = 4
+        exps = [e for e in itertools.product(range(5), repeat=m) if sum(e) <= 4]
+        terms = {e: Fraction(rng.randint(1, 9), rng.randint(1, 3)) for e in rng.sample(exps, 60)}
+        terms[next(iter(terms))] = Fraction(1, big)
+        f = Poly(m, terms)
+        for n in (2, 3):
+            v = MultiVector.basis(m, tuple(range(n)), f)
+            assert (integral(v)[0] is not v) == scaled
+            got, want, t_int, t_frac = race(lambda: is_n_poisson(v),
+                                            lambda: fraction_walk_poisson(v))
+            assert got == want == (True, None)
+            assert t_int <= 1.5 * t_frac + 0.01
+        nabla = MultiVector.basis(m, (0, 1, 2), Poly(m, dict(list(terms.items())[:12])))
+        op = JacobiOp(nabla, nabla.contract(Poly.parse("x1 + 1/2 x2 x4 - 3", m)))
+        assert (integral(op.nabla, op.box)[0] is not op.nabla) == scaled
+        got, want, t_int, t_frac = race(lambda: is_n_jacobi(op),
+                                        lambda: fraction_walk_jacobi(op))
+        assert got == want
+        assert t_int <= 1.5 * t_frac + 0.01
 
     @pytest.mark.parametrize("density", [0.3, 1])
     def test_structure_with_distinct_prime_denominators(self, density):
