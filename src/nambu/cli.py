@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import bianchi, dynamics, njacobi, npoisson
-from .multivector import derived_rank, integral, is_decomposable, multivector_from_json
+from .multivector import derived_rank, integral, multivector_from_json
 from .nlie import nlie_from_json, nlie_to_json
 from .njacobi import jacobiop_from_json
 from .poly import Poly
@@ -108,7 +108,7 @@ def cmd_check_jacobi(args) -> int:
     _emit({"verdict": ok,
            "witness": _witness_str(witness),
            "box_poisson": box_poisson,
-           "nabla_decomposable": is_decomposable(op.nabla)
+           "nabla_decomposable": npoisson.decomposable_given(op.nabla, ok)
            if op.nabla.degree >= 2 else None},
           args.json)
     return 0 if ok else 1

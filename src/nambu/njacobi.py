@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .multivector import (MultiVector, OneForm, integral, multivector_from_json,
                           multivector_to_json, step_cost)
-from .npoisson import decomposable_given, is_n_poisson
+from .npoisson import decomposable_given, is_n_poisson, structure_verdict
 from .poly import MAX_WALK, Poly, sized_combinations
 
 
@@ -128,30 +128,37 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
 
 
 def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
-    """Decide the n-Jacobi property by checking both defects on all tuples
-    drawn from {1, x₁,…,x_m}.
+    """Decide whether both defects vanish on every tuple f of n − 1
+    functions; the witness is the first tuple on which one does not.
 
-    This finite basis is complete: each slot of either defect has differential
-    order ≤ 1 and the defects are linear over constants in each slot; total
-    skewness reduces the tuples to increasing combinations.  Both defects are
-    homogeneous of degree 2 in (∇, □), so they are checked on the pair times
-    one ``integral`` factor.
+    L_Y differentiates the first derivatives of the f's in Y, as ∇_h does in
+    h, so each slot of either defect has order ≤ 2, and the distinct tuples
+    from {1} ∪ monomials of degree ≤ 2 decide.  ``structure_verdict`` walks
+    them when n ≥ 3 and ∇ is not decomposable (where the f's vanish, the
+    Hessian terms of Δ¹ are those of the fundamental identity of ∇), else the
+    tuples from {1, x₁,…,x_m}.  By the Leibniz rule, as in ``is_n_poisson``,
+    the defects of f are Σ_J g_J times those of x_J, plus multiples of those
+    of (1, x_K), L_{□_K}∇ and L_{□_K}□, plus Hessian terms: in Δ¹
+    −Σ_J ∇_J∧(dg_J⌋∇) − Σᵢ ±fᵢ Σ_K □_K∧(dg⁽ⁱ⁾_K⌋∇), g⁽ⁱ⁾ the minors of the
+    f's but fᵢ; in Δ⁰ the same with □ behind the wedge, and −Σ_J h_J·(dg_J⌋∇),
+    h_J = ±□(x_J).  For n = 2 the g⁽ⁱ⁾ are 1 and the rest cancels by the
+    symmetry of the Hessian.  For decomposable ∇ the first term vanishes as
+    in ``is_n_poisson``, and the second when □ lies in ∇'s distribution; that
+    all vanish once the smaller walk passed, □ outside it too, rests on the
+    property test against the complete walk.  Both defects are quadratic in
+    (∇, □), so the walk runs on the pair times one ``integral`` factor.
     """
     n = op.arity
     if op.nabla.degree != n:
         raise ValueError("arity exceeds the chart dimension")
     # a step builds one field and two Lie derivatives: weighted by the arity it
-    # measures 0.1–2 µs a unit, no more than a witness step (1–2 µs)
-    tuples = sized_combinations(op.num_vars + 1, n - 1, n * step_cost(op.nabla, op.box),
-                                MAX_WALK, "n-Jacobi slot tuples")
+    # measures 0.1–2 µs a unit; sized first, it bounds the decomposability walk
+    cost = n * step_cost(op.nabla, op.box)
+    tuples = sized_combinations(op.num_vars + 1, n - 1, cost, MAX_WALK, "n-Jacobi slot tuples")
     op = JacobiOp(*integral(op.nabla, op.box), arity=n)
     slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
-    for idx in tuples:
-        fs = tuple(slots[i] for i in idx)
-        d1, d0 = jacobi_defects(op, list(fs))
-        if not (d1.is_zero() and d0.is_zero()):
-            return False, fs
-    return True, None
+    return structure_verdict(op.nabla, tuples, slots, cost,
+                             lambda fs: jacobi_defects(op, fs))
 
 
 def from_poisson_and_form(nabla: MultiVector, omega: OneForm) -> JacobiOp:

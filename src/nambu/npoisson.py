@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .multivector import MultiVector, integral, is_decomposable, step_cost, wedge_walk
@@ -51,15 +51,11 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
     derivatives, hence zero.  Conversely, for n ≥ 3 the identity forces
     decomposability where Λ ≠ 0, hence everywhere, decomposability being a
     closed polynomial condition.  So Λ is n-Poisson iff it is decomposable
-    (or n = 2) and L_{Λ_J}Λ = 0 for the C(m, n − 1) coordinate tuples J.
+    (or n = 2) and L_{Λ_J}Λ = 0 for the C(m, n − 1) coordinate tuples J
+    (``structure_verdict``).
 
-    The first coordinate tuple with a nonzero defect is the witness.  A
-    non-decomposable tensor may have none, so its witness comes from the
-    monomial search of ``_find_fi_witness``, run only after that verdict.
-
-    The defect of cΛ is c²·L_{X_f}Λ, so once both walks are sized they run
-    on the ``integral`` multiple of Λ, which ``is_decomposable`` finds
-    integral already: the verdict and the witness are the same.
+    The defect of cΛ is c²·L_{X_f}Λ, so once the walk is sized it runs on
+    the ``integral`` multiple of Λ: the verdict and the witness are the same.
     """
     n = tensor.degree
     if n < 2:
@@ -68,46 +64,45 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
         return True, None
     if n > 2:
         wedge_walk(tensor)  # refused under its own name first, as it runs first
-    tuples = sized_combinations(tensor.num_vars, n - 1, step_cost(tensor), MAX_WALK,
-                                "coordinate defects")
+    cost = step_cost(tensor)
+    tuples = sized_combinations(tensor.num_vars, n - 1, cost, MAX_WALK, "coordinate defects")
     tensor, = integral(tensor)
-    if n > 2 and not is_decomposable(tensor):
-        return False, _find_fi_witness(tensor)
-    xs = Poly.variables(tensor.num_vars)
-    for idx in tuples:
-        fs = tuple(xs[i] for i in idx)
-        if not fi_defect(tensor, fs).is_zero():
-            return False, fs
-    return True, None
+    return structure_verdict(tensor, tuples, Poly.variables(tensor.num_vars), cost,
+                             lambda fs: (fi_defect(tensor, fs),))
+
+
+def structure_verdict(top: MultiVector, walk: Iterable[tuple[int, ...]], slots: list[Poly],
+                      cost: int, defect) -> tuple[bool, tuple | None]:
+    """The one decider of ``is_n_poisson`` and ``is_n_jacobi``: the witness is
+    the first tuple of ``slots`` in ``walk`` with a nonzero ``defect``.  For
+    n ≥ 3 a non-decomposable ``top`` is false (the structure theorem); its
+    witness walk, sized here at ``cost`` a step, adds the quadratic monomials
+    to ``slots``, as each slot of the defects has order ≤ 2."""
+    if top.degree > 2 and not is_decomposable(top):
+        m = top.num_vars
+        walk = sized_combinations(len(slots) + math.comb(m + 1, 2), top.degree - 1, cost,
+                                  MAX_WALK, "slot monomial tuples")
+        return False, first_failure(walk, slots + slot_monomials(m)[m:], defect)
+    witness = first_failure(walk, slots, defect)
+    return witness is None, witness
+
+
+def first_failure(walk: Iterable[tuple[int, ...]], slots: Sequence[Poly], defect):
+    """The first tuple of ``slots`` in ``walk`` with a nonzero ``defect``, or None."""
+    for idx in walk:
+        fs = tuple(slots[i] for i in idx)
+        if not all(d.is_zero() for d in defect(fs)):
+            return fs
+    return None
 
 
 def decomposable_given(tensor: MultiVector, poisson: bool) -> bool:
-    """``is_decomposable(tensor)``, given the verdict of ``is_n_poisson``.
-
-    For n ≥ 3 a true verdict implies decomposability: it is reached only for
-    zero or top-degree tensors or after ``is_decomposable`` passed.  So the
-    test runs again only for bivectors and false verdicts.
-    """
+    """``is_decomposable(tensor)``, given the verdict of ``is_n_poisson`` on it
+    or of ``is_n_jacobi`` on a pair with it on top.  For n ≥ 3 a true verdict
+    is reached only for zero or top-degree tensors or after ``is_decomposable``
+    passed in ``structure_verdict``, so the test runs again only for
+    bivectors and false verdicts."""
     return (poisson and tensor.degree > 2) or is_decomposable(tensor)
-
-
-def _find_fi_witness(tensor: MultiVector) -> tuple | None:
-    """First tuple of slot monomials with a nonvanishing defect, if any.
-
-    Unordered tuples of distinct monomials suffice: the defect is totally
-    skew in its slots and multilinear over the rationals.  Each slot of the
-    defect is a differential operator of order ≤ 2, so monomials of degree
-    1 and 2 detect every failure.
-    """
-    m = tensor.num_vars
-    tuples = sized_combinations(math.comb(m + 2, 2) - 1, tensor.degree - 1,
-                                step_cost(tensor), MAX_WALK, "slot monomial tuples")
-    monos = slot_monomials(m)
-    for idx in tuples:
-        fs = tuple(monos[i] for i in idx)
-        if not fi_defect(tensor, list(fs)).is_zero():
-            return fs
-    return None
 
 
 def dual_nvector(p: NLieStructure) -> MultiVector:
@@ -167,12 +162,8 @@ def _mixed_wedge_vanishes(a: MultiVector, b: MultiVector) -> bool:
     tuples = sized_combinations(a.num_vars, a.degree - 1, step_cost(a, b), MAX_WALK,
                                 "mixed wedge tuples")
     a, b = integral(a, b)
-    xs = Poly.variables(a.num_vars)
-    for gs in tuples:
-        field = a.hamiltonian_field([xs[i] for i in gs])
-        if not field.lie_derivative_of(b).wedge(b).is_zero():
-            return False
-    return True
+    return first_failure(tuples, Poly.variables(a.num_vars), lambda gs: (
+        a.hamiltonian_field(gs).lie_derivative_of(b).wedge(b),)) is None
 
 
 def poly_basis_exponents(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -16,6 +16,7 @@ from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
 from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank,
                           signature, transpose, zeros)
 from nambu.multivector import MultiVector, OneForm, merge_sign
+from nambu.njacobi import jacobi_defects
 from nambu.nlie import NLieStructure
 from nambu.npoisson import dual_nvector, fi_defect, slot_monomials
 from nambu.poly import Poly
@@ -31,6 +32,41 @@ def fi_search_oracle(tensor):
     for fs in itertools.combinations(slot_monomials(tensor.num_vars),
                                      tensor.degree - 1):
         if not fi_defect(tensor, list(fs)).is_zero():
+            return False, fs
+    return True, None
+
+
+def fraction_jacobi_walk(op):
+    """``is_n_jacobi`` on the Fraction pair itself, unscaled and unsized: the
+    reference for its verdict and witness.
+
+    For n ≥ 3 and a top part ∇ with some V_{a…}∧∇ ≠ 0 (not decomposable) it
+    is false, with the first tuple of {1, x₁,…,x_m} followed by the quadratic
+    monomials on which a defect is nonzero.  Otherwise it is the verdict and
+    first failing tuple of the walk over {1, x₁,…,x_m}.
+    """
+    m, n, nabla = op.num_vars, op.arity, op.nabla
+    slots = [Poly.const(m, 1)] + slot_monomials(m)
+    decomposable = n <= 2 or n >= m - 1 or all(
+        nabla.derived(a).wedge(nabla).is_zero() for a in itertools.combinations(range(m), n - 1))
+    if decomposable:
+        slots = slots[:m + 1]
+    for fs in itertools.combinations(slots, n - 1):
+        if not all(d.is_zero() for d in jacobi_defects(op, list(fs))):
+            return False, fs
+    return decomposable, None
+
+
+def complete_jacobi_walk(op, max_slot_degree=2):
+    """The n-Jacobi property by the complete walk: every tuple of distinct
+    elements of {1} ∪ monomials of degree ≤ max_slot_degree, the defects
+    from ``jacobi_defects_oracle``.  Each slot of a defect has differential
+    order ≤ 2, so degree 2 decides.  Returns (True, None) or (False, first
+    failing tuple)."""
+    m = op.num_vars
+    slots = [Poly.const(m, 1)] + slot_monomials(m, max_slot_degree)
+    for fs in itertools.combinations(slots, op.arity - 1):
+        if not all(d.is_zero() for d in jacobi_defects_oracle(op, list(fs))):
             return False, fs
     return True, None
 

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import (compat_oracle, derivation_oracle, fi_search_oracle, jacobi_oracle,
-                      primes_between)
+from conftest import (compat_oracle, derivation_oracle, fi_search_oracle,
+                      fraction_jacobi_walk, jacobi_oracle, primes_between)
 from nambu import cli, dynamics, multivector, njacobi, npoisson
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
@@ -330,7 +330,6 @@ class TestCheckPoisson:
             calls.append(v)
             return real(v)
         monkeypatch.setattr(npoisson, "is_decomposable", counting)
-        monkeypatch.setattr(cli, "is_decomposable", counting)
         path = tmp_path / "tensor.json"
         path.write_text(json.dumps(multivector_to_json(
             MultiVector.basis(5, (0, 1, 2), Poly.var(5, 3)))))
@@ -422,6 +421,43 @@ class TestCheckJacobi:
         assert data["verdict"] is False
         assert data["witness"] is not None
 
+    def write_pair(self, tmp_path, nabla, box):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(njacobi.jacobiop_to_json(njacobi.JacobiOp(nabla, box))))
+        return str(path)
+
+    def test_sum_of_blades_pair_is_false(self, capsys, tmp_path):
+        """(∂₁∧∂₂∧∂₃ + ∂₄∧∂₅∧∂₆, 0) passes every tuple of {1, x₁,…,x₆}, but its
+        top part is not decomposable: false, with the top part's witness."""
+        path = self.write_pair(tmp_path, MultiVector.basis(6, (0, 1, 2))
+                               + MultiVector.basis(6, (3, 4, 5)), MultiVector.zero(6, 2))
+        code, data, _ = run_json(capsys, "check-jacobi", path)
+        assert code == 1
+        assert data == {"verdict": False, "witness": ["x1", "x2 x4"], "box_poisson": True,
+                        "nabla_decomposable": False}
+
+    def test_true_verdict_implies_decomposable(self, capsys, tmp_path, monkeypatch):
+        """x4·∂₁∧∂₂∧∂₃ + s(∂₁∧∂₂) on 5 coordinates: the decider has walked the
+        decomposability wedges once, and the report does not walk them again."""
+        calls = []
+        real = multivector.wedge_walk
+        monkeypatch.setattr(multivector, "wedge_walk", lambda v: calls.append(v) or real(v))
+        path = self.write_pair(tmp_path, MultiVector.basis(5, (0, 1, 2), Poly.var(5, 3)),
+                               MultiVector.basis(5, (0, 1)))
+        code, data, _ = run_json(capsys, "check-jacobi", path)
+        assert code == 0 and data["nabla_decomposable"] is True
+        assert len(calls) == 1
+
+    def test_witness_walk_refused(self, capsys, tmp_path):
+        """(∂₁∧…∧∂₄ + ∂₅∧…∧∂₈, 0) passes its 84 slot tuples, and its top part
+        is not decomposable; the C(45, 3) tuples of its witness walk exceed
+        the limit, so it is refused rather than decided on the slot tuples."""
+        path = self.write_pair(tmp_path, MultiVector.basis(8, (0, 1, 2, 3))
+                               + MultiVector.basis(8, (4, 5, 6, 7)), MultiVector.zero(8, 3))
+        code, out, err = run(capsys, "check-jacobi", path)
+        assert (code, out) == (2, "")
+        assert "slot monomial tuples: C(45, 3) = 14190 tuples" in err and "above the limit" in err
+
     @pytest.mark.parametrize("name", ["gradient_extension", "rational_pair"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_output_matches_golden(self, capsys, name, as_json):
@@ -445,14 +481,10 @@ def prime_denominators(seed, count):
     return primes
 
 
-def fraction_jacobi_walk(op):
-    """(verdict, witness) of the walk of ``is_n_jacobi``, on the Fraction pair."""
-    slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
-    for idx in itertools.combinations(range(op.num_vars + 1), op.arity - 1):
-        fs = [slots[i] for i in idx]
-        if not all(d.is_zero() for d in njacobi.jacobi_defects(op, fs)):
-            return False, [str(f) for f in fs]
-    return True, None
+def fraction_jacobi_verdict(op):
+    """``fraction_jacobi_walk`` with its witness printed as the CLI prints it."""
+    ok, fs = fraction_jacobi_walk(op)
+    return ok, None if fs is None else [str(f) for f in fs]
 
 
 class TestHostileDenominators:
@@ -497,7 +529,7 @@ class TestHostileDenominators:
             code, data, err = run_json(capsys, "check-jacobi",
                                        self.write(tmp_path, njacobi.jacobiop_to_json(case)))
             assert code in (0, 1) and "Traceback" not in err
-            assert (data["verdict"], data["witness"]) == fraction_jacobi_walk(case)
+            assert (data["verdict"], data["witness"]) == fraction_jacobi_verdict(case)
 
     def test_thousands_of_digits(self, capsys, tmp_path):
         big = Fraction(1, self.BIG)
@@ -515,7 +547,7 @@ class TestHostileDenominators:
             code, data, err = run_json(capsys, "check-jacobi",
                                        self.write(tmp_path, njacobi.jacobiop_to_json(case)))
             assert code in (0, 1) and "Traceback" not in err
-            assert (data["verdict"], data["witness"]) == fraction_jacobi_walk(case)
+            assert (data["verdict"], data["witness"]) == fraction_jacobi_verdict(case)
         p = vector_product_algebra(3) * big
         q = algebra_from_form([[big if i == j == 3 else Fraction(int(i == j)) for j in range(4)]
                                for i in range(4)], 3)

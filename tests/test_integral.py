@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (comp_condition_oracle, compat_defect_oracle, compat_oracle,
-                      derivation_oracle, fi_search_oracle, jacobi_defects_oracle,
-                      jacobi_oracle, lie_derivative_oracle, primes_between,
-                      rand_4dim_3lie, rand_decomposable_tensor, rand_field_wedge,
+                      derivation_oracle, fi_search_oracle, fraction_jacobi_walk,
+                      jacobi_defects_oracle, jacobi_oracle, lie_derivative_oracle,
+                      primes_between, rand_4dim_3lie, rand_decomposable_tensor, rand_field_wedge,
                       rand_invertible_matrix, rand_symmetric_matrix, rand_vectors)
 from nambu.bianchi import algebra_from_form, derivation_algebra
 from nambu.multivector import MultiVector, integral, is_decomposable
@@ -188,7 +188,7 @@ def test_poisson_deciders_ignore_the_scale(seed, c):
 @given(seed=st.integers(0, 2**32), c=SCALES)
 def test_n_jacobi_ignores_the_scale_of_the_pair(seed, c):
     op = operators(random.Random(seed))
-    assert is_n_jacobi(scaled_op(op, c)) == is_n_jacobi(op) == fraction_walk_jacobi(op)
+    assert is_n_jacobi(scaled_op(op, c)) == is_n_jacobi(op) == fraction_jacobi_walk(op)
 
 
 @settings(max_examples=30, deadline=None)
@@ -258,17 +258,6 @@ def fraction_walk_poisson(v):
     return True, None
 
 
-def fraction_walk_jacobi(op):
-    """The walk of ``is_n_jacobi`` over {1, x₁,…,x_m}, on the Fraction pair."""
-    slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
-    for idx in itertools.combinations(range(op.num_vars + 1), op.arity - 1):
-        fs = tuple(slots[i] for i in idx)
-        d1, d0 = jacobi_defects(op, list(fs))
-        if not (d1.is_zero() and d0.is_zero()):
-            return False, fs
-    return True, None
-
-
 def race(decider, fraction_walk, runs=5):
     """Results and best wall times of the decider and of the Fraction walk,
     run in turn so that a load on the host weighs on both alike."""
@@ -305,7 +294,7 @@ class TestHostileDenominators:
                                     Poly.const(m, Fraction(1, next(primes))))
         for case in (op, JacobiOp(nabla, op.box + outside)):
             got, want, t_int, t_frac = race(lambda: is_n_jacobi(case),
-                                            lambda: fraction_walk_jacobi(case))
+                                            lambda: fraction_jacobi_walk(case))
             assert got == want
             assert t_int <= 1.5 * t_frac + 0.01
 
@@ -351,7 +340,7 @@ class TestHostileDenominators:
         op = JacobiOp(nabla, nabla.contract(Poly.parse("x1 + 1/2 x2 x4 - 3", m)))
         assert (integral(op.nabla, op.box)[0] is not op.nabla) == scaled
         got, want, t_int, t_frac = race(lambda: is_n_jacobi(op),
-                                        lambda: fraction_walk_jacobi(op))
+                                        lambda: fraction_jacobi_walk(op))
         assert got == want
         assert t_int <= 1.5 * t_frac + 0.01
 

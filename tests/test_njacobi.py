@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fi_search_oracle, jacobi_defects_oracle, rand_fraction,
-                      rand_jacobi_pair, rand_multivector, rand_poly,
+from conftest import (complete_jacobi_walk, fi_search_oracle, fraction_jacobi_walk,
+                      jacobi_defects_oracle, rand_decomposable_tensor, rand_field_wedge,
+                      rand_fraction, rand_jacobi_pair, rand_multivector, rand_poly,
                       raw_jacobi_oracle)
 from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
@@ -190,6 +191,78 @@ class TestIsNJacobi:
             h = op.box.apply(list(fs))
             field = op.nabla.hamiltonian_field(list(fs))
             assert field.lie_derivative_of(op.box) == op.nabla.contract(h)
+
+
+def structure_case(rng, kind):
+    """A pair of one of three kinds: "blades", a non-decomposable top
+    f·∂₁∧∂₂∧∂₃ + g·∂_I in 5 or 6 variables (I = {1, 4, 5} or {4, 5, 6});
+    "inside", a decomposable top (a constant blade times a polynomial, or a
+    wedge of affine fields) with □ = ω⌋∇, ω a gradient or an affine 1-form;
+    "outside", the same with a constant coordinate (n−1)-blade, mostly off the
+    distribution, added to □, or a zero top with an arbitrary □."""
+    if kind == "blades":
+        m = rng.choice([5, 6])
+        f, g = (Poly.var(m, rng.randrange(m)) * rand_fraction(rng) + rng.randint(1, 3)
+                for _ in range(2))
+        nabla = MultiVector.basis(m, (0, 1, 2), f) + MultiVector.basis(
+            m, rng.choice([(0, 3, 4), (3, 4, 5)][:m - 4]), g)
+        box = rng.choice([MultiVector.zero(m, 2), nabla.contract(rand_poly(rng, m)),
+                          rand_multivector(rng, m, 2, density=0.3)])
+        return JacobiOp(nabla, box)
+    m = rng.randint(3, 5)
+    n = rng.randint(2, 3 if m < 5 else 2)
+    if kind == "outside" and rng.random() < 0.25:
+        return JacobiOp(MultiVector.zero(m, n), rand_multivector(rng, m, n - 1, density=0.4))
+    nabla = (rand_decomposable_tensor(rng, m, n, coef_degree=1) if rng.random() < 0.5
+             else rand_field_wedge(rng, m, n))
+    box = (nabla.contract(rand_poly(rng, m)) if rng.random() < 0.5
+           else nabla.contract_form([rand_poly(rng, m, 1, 1) for _ in range(m)]))
+    if kind == "outside":
+        box = box + MultiVector.basis(m, tuple(sorted(rng.sample(range(m), n - 1))),
+                                      Poly.const(m, rand_fraction(rng) or 1))
+    return JacobiOp(nabla, box)
+
+
+class TestStructureVerdict:
+    """``is_n_jacobi`` and the shared decider of ``npoisson`` on pairs whose
+    top part is not decomposable, and against the complete walk."""
+
+    def test_sum_of_blades_is_false(self):
+        """(∂₁∧∂₂∧∂₃ + ∂₄∧∂₅∧∂₆, 0) passes every tuple of {1, x₁,…,x₆}; its top
+        part is not decomposable, and the identity fails at (x1, x2·x4), the
+        fundamental-identity witness of the top part."""
+        op = JacobiOp(MultiVector.basis(6, (0, 1, 2)) + MultiVector.basis(6, (3, 4, 5)),
+                      MultiVector.zero(6, 2))
+        x = Poly.variables(6)
+        assert is_n_jacobi(op) == (False, (x[0], x[1] * x[3])) == is_n_poisson(op.nabla)
+        assert not all(d.is_zero() for d in jacobi_defects_oracle(op, [x[0], x[1] * x[3]]))
+        assert fraction_jacobi_walk(op) == is_n_jacobi(op)
+
+    def test_witness_walk_refused_before_any_defect(self, monkeypatch):
+        """(∂₁∧…∧∂₄ + ∂₅∧…∧∂₈, 0): its 84 slot tuples of work 384 pass the
+        budget, its C(45, 3) witness tuples do not."""
+        op = JacobiOp(MultiVector.basis(8, (0, 1, 2, 3)) + MultiVector.basis(8, (4, 5, 6, 7)),
+                      MultiVector.zero(8, 3))
+        monkeypatch.setattr(njacobi, "jacobi_defects",
+                            lambda *a: pytest.fail("jacobi_defects called"))
+        with pytest.raises(ValueError, match=r"slot monomial tuples: C\(45, 3\) = 14190 "
+                                             r"tuples of work 384"):
+            is_n_jacobi(op)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(["blades", "inside", "outside"]))
+    def test_matches_the_complete_walk(self, seed, kind):
+        """The verdict of the complete walk over {1} ∪ monomials of degree ≤ 2
+        on ``jacobi_defects_oracle``; the same witness where the top part is
+        not decomposable (the same walk), else a tuple with a nonzero defect."""
+        op = structure_case(random.Random(seed), kind)
+        ok, witness = is_n_jacobi(op)
+        want = complete_jacobi_walk(op)
+        assert ok == want[0]
+        if kind == "blades":
+            assert not ok and witness == want[1]
+        elif not ok:
+            assert not all(d.is_zero() for d in jacobi_defects_oracle(op, list(witness)))
 
 
 class TestConstruction:

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (fi_search_oracle, rand_4dim_3lie,
                       rand_decomposable_tensor, rand_field_wedge,
@@ -15,6 +17,7 @@ from nambu import npoisson
 from nambu.bianchi import algebra_from_form
 from nambu.linalg import mat
 from nambu.multivector import MultiVector, is_decomposable, step_cost
+from nambu.njacobi import JacobiOp, is_n_jacobi, jacobi_defects
 from nambu.nlie import NLieStructure, vector_product_algebra
 from nambu.npoisson import (casimir_polynomials, dual_nvector, fi_defect,
                             is_n_poisson, scale, slot_monomials,
@@ -275,11 +278,16 @@ class TestWorkBudget:
                                                  r"C\(24, 11\) = 2496144 tuples"):
                 is_n_poisson(v)
 
-    def test_witness_search_refused_before_its_pool(self, no_work):
+    def test_witness_search_refused_before_its_pool(self, no_work, monkeypatch):
+        """The shared witness walk of ``structure_verdict`` on a tensor taken
+        as not decomposable (its own wedge walk would be refused first):
+        C(24 + 300, 11) tuples of the variables and quadratic monomials."""
         v = MultiVector.basis(24, tuple(range(12))) + MultiVector.basis(24, tuple(range(12, 24)))
+        monkeypatch.setattr(npoisson, "is_decomposable", lambda v: False)
         with pytest.raises(ValueError, match=rf"slot monomial tuples: "
                                              rf"C\(324, 11\) = {comb(324, 11)} tuples"):
-            npoisson._find_fi_witness(v)
+            npoisson.structure_verdict(v, (), Poly.variables(24), step_cost(v),
+                                       lambda fs: (fi_defect(v, fs),))
 
     def test_coordinate_defects_refused(self, no_work):
         """A bivector has no decomposability walk; in 1,000 variables its
@@ -308,3 +316,38 @@ class TestWorkBudget:
         product = dual_nvector(rand_4dim_3lie(rng).direct_product(rand_4dim_3lie(rng)))
         largest = comb(44, 2) * 3 * 8 * (1 + 32)
         assert comb(44, 2) * step_cost(product) <= largest == 749232 < MAX_WALK
+
+
+class TestWitnessWalkCompleteness:
+    """The shared witness walk of ``structure_verdict``, over the monomials of
+    degree ≤ 2 (1 too for pairs), finds a failure whenever the walk over
+    degree ≤ 3 does.  In 3–4 variables every top part of degree 3 is
+    decomposable, so the walk is reached with the decomposability test
+    taken as false; then a first tuple of degree ≤ 2 is the witness, and when
+    there is none, no tuple of degree ≤ 3 fails either."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(["tensor", "pair"]))
+    def test_degree_three_finds_no_more(self, seed, kind):
+        rng = random.Random(seed)
+        m = 4 if kind == "tensor" else rng.randint(3, 4)
+        top = rng.choice([lambda: MultiVector.basis(m, (0, 1, 2), rand_poly(rng, m)),
+                          lambda: rand_field_wedge(rng, m, 3),
+                          lambda: rand_multivector(rng, m, 3, max_degree=2)])()
+        assume(not top.is_zero())
+        op = JacobiOp(top, top.contract(rand_poly(rng, m)) if rng.random() < 0.7
+                      else rand_multivector(rng, m, 2, density=0.3))
+
+        def defects(fs):
+            return (fi_defect(top, fs),) if kind == "tensor" else jacobi_defects(op, fs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(npoisson, "is_decomposable", lambda v: False)
+            ok, witness = is_n_poisson(top) if kind == "tensor" else is_n_jacobi(op)
+        assert not ok
+        if witness is None:
+            slots = ([] if kind == "tensor" else [Poly.const(m, 1)]) + slot_monomials(m, 3)
+            assert all(all(d.is_zero() for d in defects(fs))
+                       for fs in itertools.combinations(slots, 2))
+        else:
+            assert not all(d.is_zero() for d in defects(witness))
