@@ -82,11 +82,11 @@ def cmd_check_poisson(args) -> int:
         raise ValueError(f"{args.file}: the fundamental identity needs degree ≥ 2")
     if args.max_degree:
         npoisson.bound_casimir_work(v, args.max_degree)
-    ok, witness = npoisson.is_n_poisson(v)
+    ok, witness = verdict = npoisson.is_n_poisson(v)
     out = {
         "verdict": ok,
         "witness": _witness_str(witness),
-        "decomposable": npoisson.decomposable_given(v, ok),
+        "decomposable": npoisson.decomposable_given(v, verdict),
         "rank_at_origin": derived_rank(v, [0] * v.num_vars),
     }
     if ok and args.max_degree:
@@ -101,14 +101,14 @@ def cmd_check_jacobi(args) -> int:
     # one integer multiple for the three deciders, so that they find it
     # integral and share the gradients cached on its coefficients
     op = njacobi.JacobiOp(*integral(op.nabla, op.box), arity=op.arity)
-    ok, witness = njacobi.is_n_jacobi(op)
+    ok, witness = verdict = njacobi.is_n_jacobi(op)
     box_poisson = None
     if op.box.degree >= 2:
         box_poisson = npoisson.is_n_poisson(op.box)[0]
     _emit({"verdict": ok,
            "witness": _witness_str(witness),
            "box_poisson": box_poisson,
-           "nabla_decomposable": npoisson.decomposable_given(op.nabla, ok)
+           "nabla_decomposable": npoisson.decomposable_given(op.nabla, verdict)
            if op.nabla.degree >= 2 else None},
           args.json)
     return 0 if ok else 1
@@ -211,11 +211,11 @@ def cmd_integrate(args) -> int:
         raise ValueError(f"cannot integrate: {exc}") from exc
     header = ["t"] + [f"x{i + 1}" for i in range(dim)] \
         + [f"drift{i + 1}" for i in range(len(monitors))]
-    row = ",".join(["{:.12g}"] * len(header)).format
+    row = ",".join(["%.12g"] * len(header)) + "\n"
     write = sys.stdout.write
     write(",".join(header) + "\n")
     for times, states, rows in itertools.chain([first], blocks):
-        write("".join([row(t, *state, *drifts) + "\n" for t, state, drifts
+        write("".join([row % (t, *state, *drifts) for t, state, drifts
                        in zip(times, states, rows)]))
     return 0
 

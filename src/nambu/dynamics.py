@@ -9,10 +9,11 @@ negative internally; file input may not carry them).  The Kepler tensor's
 rational prefactor ν = 2mk²/(ΣJ)³ is evaluated pointwise and never feeds back
 into the exact verifiers.
 
-Floats enter only here.  A vector field and a list of monitors each become
-one function generated by ``poly.compile_floats``, and the RK4 loop is
-generated once per state dimension and monitor count, with the stage
-arithmetic unrolled over scalars; every float is the one the term-by-term,
+Floats enter only here.  Each run generates one RK4 loop with the stage
+arithmetic unrolled over scalars.  The four stages of a polynomial field
+and the monitors are written into it as the statements of
+``poly.float_statements``, so a step makes no call; a callable field is
+called once per stage.  Every float is the one the term-by-term,
 list-by-list loop gives.  ``rk4_blocks`` yields the run in blocks of
 ``BLOCK`` rows, so the ``integrate`` verb streams its CSV in bounded
 memory; ``rk4_integrate`` collects the blocks into a ``Trajectory``.
@@ -20,7 +21,6 @@ memory; ``rk4_integrate`` collects the blocks into a ``Trajectory``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .multivector import MultiVector
 from .npoisson import is_n_poisson
-from .poly import Poly, compile_floats
+from .poly import Poly, compile_floats, float_statements
 
 
 # -- systems --------------------------------------------------------------------
@@ -94,27 +94,26 @@ class FlowAborted(Exception):
 BLOCK = 1024
 
 # The RK4 loop on n state scalars x0…x{n-1} with k drift monitors: the
-# classical stage combination written out per component, with f called
-# exactly 4 times per step.  It takes ``count`` steps from ``state`` at time
-# ``t``, appends each time, state and drift row, and returns ``(t, state)``,
-# or ``(t, None)`` at the time of a step that is not finite.
+# classical stage combination written out per component, each stage from its
+# inputs y0…y{n-1} (x0…x{n-1} for the first) into k1_i…k4_i, and the
+# monitors from x0…x{n-1} into m0…m{k-1}.  It takes ``count`` steps from
+# ``state`` at time ``t``, appends each time, state and drift row, and
+# returns ``(t, state)``, or ``(t, None)`` at the time of a step that is not
+# finite.
 _STEPPER = """\
-def run(f, g, initial, state, t, h, count, times, states, rows):
+def run(f, initial, state, t, h, count, times, states, rows):
     half, sixth = 0.5 * h, h / 6.0
     [{x}] = state
     [{v}] = initial
     for _ in range(count):
         t += h
         try:
-            [{a}] = f(state)
-            [{b}] = f([{x_a}])
-            [{c}] = f([{x_b}])
-            [{d}] = f([{x_c}])
+            {stages}
             {update}
             if not ({finite}):
                 return t, None
             state = [{x}]
-            [{m}] = g(state)
+            {monitors}
         except (OverflowError, ZeroDivisionError):
             return t, None
         times.append(t)
@@ -124,21 +123,39 @@ def run(f, g, initial, state, t, h, count, times, states, rows):
 """
 
 
-@functools.cache
-def _stepper(n: int, k: int) -> Callable:
-    """``_STEPPER`` for n state scalars and k monitors, compiled once."""
-    def vec(template: str, size: int = n, sep: str = ", ") -> str:
-        return sep.join(template.format(i=i) for i in range(size))
+def _stepper(field: Callable | MultiVector, n: int, monitors: Sequence[Poly]) -> Callable:
+    """``_STEPPER`` for n state scalars, with the stages of ``field`` and the
+    monitors written out: a polynomial field and the monitors by
+    ``poly.float_statements``, a callable field as one call
+    ``[k…] = f([y…])`` per stage."""
+    def names(template: str, size: int = n) -> list[str]:
+        return [template.format(i=i) for i in range(size)]
 
-    namespace = {"isfinite": math.isfinite}
+    coefs: list = []
+    if isinstance(field, MultiVector):
+        components = field.vector_coeffs()
+        def stage(args: list[str], outs: list[str]) -> list[str]:
+            return float_statements(components, args, outs, coefs)
+    else:
+        def stage(args: list[str], outs: list[str]) -> list[str]:
+            return [f"[{', '.join(outs)}] = f([{', '.join(args)}])"]
+    xs, ys, ms = names("x{i}"), names("y{i}"), names("m{i}", len(monitors))
+    k1, k2, k3, k4 = (names(f"k{s}_{{i}}") for s in (1, 2, 3, 4))
+    stages = [*stage(xs, k1), *names("y{i} = x{i} + half * k1_{i}"),
+              *stage(ys, k2), *names("y{i} = x{i} + half * k2_{i}"),
+              *stage(ys, k3), *names("y{i} = x{i} + h * k3_{i}"),
+              *stage(ys, k4)]
+    update = names("x{i} = x{i} + sixth * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})")
+    monitor_lines = float_statements(monitors, xs, ms, coefs)
+    line = "\n            "
+    namespace = {f"c{j}": c for j, c in enumerate(coefs)}
+    namespace["isfinite"] = math.isfinite
     exec(_STEPPER.format(
-        x=vec("x{i}"), a=vec("a{i}"), b=vec("b{i}"), c=vec("c{i}"), d=vec("d{i}"),
-        x_a=vec("x{i} + half * a{i}"), x_b=vec("x{i} + half * b{i}"),
-        x_c=vec("x{i} + h * c{i}"),
-        update=vec("x{i} = x{i} + sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})",
-                   sep="\n            "),
-        finite=vec("isfinite(x{i})", sep=" and ") or "True",
-        v=vec("v{i}", k), m=vec("m{i}", k), drift=vec("abs(m{i} - v{i})", k)),
+        x=", ".join(xs), v=", ".join(names("v{i}", len(monitors))),
+        stages=line.join(stages), update=line.join(update),
+        finite=" and ".join(names("isfinite(x{i})")) or "True",
+        monitors=line.join(monitor_lines),
+        drift=", ".join(names("abs(m{i} - v{i})", len(monitors)))),
         namespace)
     return namespace["run"]
 
@@ -151,24 +168,20 @@ def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     writes them out holds one block at a time.
 
     The first block starts with ``x0`` at t = 0 and a zero drift row; the
-    parameters are checked and the monitors evaluated at ``x0`` when that
-    block is requested.  A step that is not finite ends the run: the rows
-    before it are yielded, then ``FlowAborted`` is raised.
+    parameters are checked, the monitors evaluated at ``x0`` and the stepper
+    compiled when that block is requested.  A step that is not finite ends
+    the run: the rows before it are yielded, then ``FlowAborted`` is raised.
     """
     if not (math.isfinite(h) and h > 0) or steps < 1:
         raise ValueError("need a finite h > 0 and steps ≥ 1")
-    if isinstance(f, MultiVector):
-        f = field_function(f)
     state = [float(x) for x in x0]
     initial = [mon.evaluate_float(state) for mon in monitors]
-    monitor_values = compile_floats(monitors)
-    run = _stepper(len(state), len(monitors))
+    run = _stepper(f, len(state), monitors)
     times, states, rows = [0.0], [state], [[0.0] * len(monitors)]
     t = 0.0
     while True:
         count = min(steps, BLOCK - len(times))
-        t, state = run(f, monitor_values, initial, state, t, h, count,
-                       times, states, rows)
+        t, state = run(f, initial, state, t, h, count, times, states, rows)
         steps -= count
         yield times, states, rows
         if state is None:
@@ -287,8 +300,15 @@ class KeplerSystem:
         return 2.0 * self.mass * self.k_const**2 / total**3
 
     def field(self) -> Callable[[Sequence[float]], list[float]]:
-        base = compile_floats(self.constant_field().vector_coeffs())
+        """ν times the constant field, with the state-independent parts
+        computed once: ν's numerator, and the constant field's values, taken
+        at the origin (its Hamiltonians are linear, so it does not vary)."""
+        base = compile_floats(self.constant_field().vector_coeffs())([0.0] * 6)
+        numerator = 2.0 * self.mass * self.k_const**2
         def f(state):
-            nu = self.nu(state)
-            return [nu * c for c in base(state)]
+            total = state[0] + state[1] + state[2]
+            if total == 0:
+                raise ZeroDivisionError("singular locus ΣJ = 0")
+            nu = numerator / total**3
+            return [nu * c for c in base]
         return f

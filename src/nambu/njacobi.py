@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .multivector import (MultiVector, OneForm, integral, multivector_from_json,
                           multivector_to_json, step_cost)
-from .npoisson import decomposable_given, is_n_poisson, structure_verdict
+from .npoisson import Verdict, decomposable_given, is_n_poisson, structure_verdict
 from .poly import MAX_WALK, Poly, sized_combinations
 
 
@@ -127,7 +127,7 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
             y.lie_derivative_of(box) - nabla.contract(h) + box * scaled)
 
 
-def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
+def is_n_jacobi(op: JacobiOp) -> Verdict:
     """Decide whether both defects vanish on every tuple f of n − 1
     functions; the witness is the first tuple on which one does not.
 
@@ -164,10 +164,10 @@ def is_n_jacobi(op: JacobiOp) -> tuple[bool, tuple | None]:
 def from_poisson_and_form(nabla: MultiVector, omega: OneForm) -> JacobiOp:
     """Build the n-Jacobi operator ∇ + s(ω⌋∇) from a decomposable n-Poisson
     tensor and a closed 1-form."""
-    ok, _ = is_n_poisson(nabla)
+    ok, _ = verdict = is_n_poisson(nabla)
     if not ok:
         raise ValueError("top part must satisfy the fundamental identity")
-    if not decomposable_given(nabla, ok):
+    if not decomposable_given(nabla, verdict):
         raise ValueError("top part must be decomposable (rank equal to degree)")
     if not omega.is_closed():
         raise ValueError("the 1-form must be closed")

@@ -35,11 +35,23 @@ def fi_defect(tensor: MultiVector, fs: Sequence[Poly]) -> MultiVector:
     return field.lie_derivative_of(tensor)
 
 
-def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
+class Verdict(tuple):
+    """The ``(ok, witness)`` pair of ``is_n_poisson`` and ``is_n_jacobi``.
+    ``decomposable`` is whether the top tensor is decomposable, as the
+    decider found it for n ≥ 3, and None for bivectors, where it is not
+    tested."""
+
+    def __new__(cls, ok: bool, witness: tuple | None, decomposable: bool | None):
+        pair = super().__new__(cls, (ok, witness))
+        pair.decomposable = decomposable
+        return pair
+
+
+def is_n_poisson(tensor: MultiVector) -> Verdict:
     """Decide whether the tensor satisfies the fundamental identity.
 
-    Returns (verdict, witness); the witness is a tuple of n − 1 polynomials
-    whose Hamiltonian field does not preserve the tensor.
+    Returns the ``Verdict`` (verdict, witness); the witness is a tuple of
+    n − 1 polynomials whose Hamiltonian field does not preserve the tensor.
 
     Zero and top-degree tensors are Poisson.  Otherwise expand a Hamiltonian
     field over the coordinate ones, X_f = Σ_J g_J Λ_J with |J| = n − 1 and
@@ -61,7 +73,7 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
     if n < 2:
         raise ValueError("requires degree ≥ 2")
     if tensor.is_zero() or n == tensor.num_vars:
-        return True, None
+        return Verdict(True, None, True if n > 2 else None)
     if n > 2:
         wedge_walk(tensor)  # refused under its own name first, as it runs first
     cost = step_cost(tensor)
@@ -72,19 +84,22 @@ def is_n_poisson(tensor: MultiVector) -> tuple[bool, tuple | None]:
 
 
 def structure_verdict(top: MultiVector, walk: Iterable[tuple[int, ...]], slots: list[Poly],
-                      cost: int, defect) -> tuple[bool, tuple | None]:
+                      cost: int, defect) -> Verdict:
     """The one decider of ``is_n_poisson`` and ``is_n_jacobi``: the witness is
     the first tuple of ``slots`` in ``walk`` with a nonzero ``defect``.  For
     n ≥ 3 a non-decomposable ``top`` is false (the structure theorem); its
     witness walk, sized here at ``cost`` a step, adds the quadratic monomials
-    to ``slots``, as each slot of the defects has order ≤ 2."""
-    if top.degree > 2 and not is_decomposable(top):
+    to ``slots``, as each slot of the defects has order ≤ 2.  The verdict
+    carries the decomposability found for n ≥ 3."""
+    decomposable = is_decomposable(top) if top.degree > 2 else None
+    if decomposable is False:
         m = top.num_vars
         walk = sized_combinations(len(slots) + math.comb(m + 1, 2), top.degree - 1, cost,
                                   MAX_WALK, "slot monomial tuples")
-        return False, first_failure(walk, slots + slot_monomials(m)[m:], defect)
+        return Verdict(False, first_failure(walk, slots + slot_monomials(m)[m:], defect),
+                       False)
     witness = first_failure(walk, slots, defect)
-    return witness is None, witness
+    return Verdict(witness is None, witness, decomposable)
 
 
 def first_failure(walk: Iterable[tuple[int, ...]], slots: Sequence[Poly], defect):
@@ -96,13 +111,12 @@ def first_failure(walk: Iterable[tuple[int, ...]], slots: Sequence[Poly], defect
     return None
 
 
-def decomposable_given(tensor: MultiVector, poisson: bool) -> bool:
-    """``is_decomposable(tensor)``, given the verdict of ``is_n_poisson`` on it
-    or of ``is_n_jacobi`` on a pair with it on top.  For n ≥ 3 a true verdict
-    is reached only for zero or top-degree tensors or after ``is_decomposable``
-    passed in ``structure_verdict``, so the test runs again only for
-    bivectors and false verdicts."""
-    return (poisson and tensor.degree > 2) or is_decomposable(tensor)
+def decomposable_given(tensor: MultiVector, verdict: Verdict) -> bool:
+    """``is_decomposable(tensor)``, given the ``Verdict`` of ``is_n_poisson``
+    on it or of ``is_n_jacobi`` on a pair with it on top.  For n ≥ 3 the
+    verdict carries it, so the test runs again only for bivectors."""
+    found = verdict.decomposable
+    return is_decomposable(tensor) if found is None else found
 
 
 def dual_nvector(p: NLieStructure) -> MultiVector:
@@ -129,8 +143,8 @@ def scale(f: Poly, tensor: MultiVector) -> MultiVector:
     Refuses tensors that are not verified decomposable Poisson structures,
     since the conclusion needs the rank-n hypothesis.
     """
-    ok, _ = is_n_poisson(tensor)
-    if not (ok and decomposable_given(tensor, ok)):
+    ok, _ = verdict = is_n_poisson(tensor)
+    if not (ok and decomposable_given(tensor, verdict)):
         raise ValueError("scaling requires a decomposable n-Poisson tensor")
     return tensor * f
 
@@ -147,8 +161,8 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bo
     of a function rescaling is killed by the rank-n wedge identity.
     """
     for t in (delta, nabla):
-        ok, _ = is_n_poisson(t)
-        if not (ok and decomposable_given(t, ok)):
+        ok, _ = verdict = is_n_poisson(t)
+        if not (ok and decomposable_given(t, verdict)):
             raise ValueError("inputs must be decomposable multi-Poisson tensors")
     c1 = delta.schouten(nabla).is_zero()
     c2 = _mixed_wedge_vanishes(delta, nabla)

@@ -45,6 +45,31 @@ def _coef(value) -> Coef:
     return value.numerator if value.denominator == 1 else value
 
 
+def coef_text(value: Coef) -> str:
+    """``str(value)``, also when its numerator or denominator has more digits
+    than Python's int-to-str limit (``sys.get_int_max_str_digits``), so that
+    an exact answer is written however large it is."""
+    try:
+        return str(value)
+    except ValueError:
+        if type(value) is int:
+            return _decimal(value)
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of ``n``, split around 10**k for k about half its
+    digit count until each part is within the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal(-n)
+        k = n.bit_length() * 3 // 20  # half of n's digit count, from below
+        high, low = divmod(n, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def json_int(value) -> int:
     """An integer field of an input file: ValueError unless a JSON integer."""
     if type(value) is not int:
@@ -351,11 +376,11 @@ class Poly:
             ]
             mag = abs(coef)
             if not factors:
-                body = str(mag)
+                body = coef_text(mag)
             elif mag == 1:
                 body = " ".join(factors)
             else:
-                body = str(mag) + " " + " ".join(factors)
+                body = coef_text(mag) + " " + " ".join(factors)
             sign = "-" if coef < 0 else "+"
             parts.append((sign, body))
         head_sign, head = parts[0]
@@ -368,7 +393,7 @@ class Poly:
 
     def to_json(self) -> list[dict]:
         return [
-            {"coef": str(coef), "exps": list(exps)}
+            {"coef": coef_text(coef), "exps": list(exps)}
             for exps, coef in self.sorted_terms()
         ]
 
@@ -412,38 +437,55 @@ class Poly:
         return result
 
 
-def compile_floats(polys: Sequence[Poly]) -> Callable[[Sequence[float]], list[float]]:
-    """One function ``f(state) -> list[float]`` that evaluates ``polys`` in
-    floats at a state of exactly ``num_vars`` values.
-
-    Component j is ``tj = 0.0`` and then one statement ``tj += cK * xI**E *
-    …`` per term, terms in ``terms`` order and factors by ascending index.
-    Statements, not one sum: a sum of thousands of terms as one expression
-    overflows the compiler's recursion limit.  Coefficients are names bound
-    in the function's namespace and exponents pass ``operator.index``, so
-    no input reaches the source except as an integer.
+def float_statements(polys: Sequence[Poly], args: Sequence[str], outs: Sequence[str],
+                     coefs: list) -> list[str]:
+    """The statements that evaluate ``polys`` in floats from the variables
+    named ``args`` into the names ``outs``: ``out = 0.0``, then one
+    ``out += cK * arg**E * …`` per term, terms in ``terms`` order and factors
+    by ascending index, with ``* arg`` for an exponent of 1 (``x**1 == x``
+    bit for bit, without a ``pow`` call).  Statements, not one sum: a sum of
+    thousands of terms as one expression overflows the compiler's recursion
+    limit.  The coefficients are appended to ``coefs`` and named ``cK`` by
+    their index there, so no coefficient is source text, and exponents pass
+    ``operator.index`` before anything else sees them, so no input reaches
+    the source except as an integer.
     """
-    coefs: list = []
-    lines = ["def f(state):"]
-    if polys:
-        m = polys[0].num_vars
-        lines.append(f"    [{', '.join(f'x{i}' for i in range(m))}] = state")
-    for j, p in enumerate(polys):
-        if p.num_vars != m:
-            raise ValueError(f"variable count mismatch: {m} vs {p.num_vars}")
-        lines.append(f"    t{j} = 0.0")
+    lines = []
+    for out, p in zip(outs, polys, strict=True):
+        if p.num_vars != len(args):
+            raise ValueError(f"variable count mismatch: {len(args)} vs {p.num_vars}")
+        lines.append(f"{out} = 0.0")
         for exps, coef in p.terms.items():
-            factors = "".join(f" * x{i}**{operator.index(e)}"
-                              for i, e in enumerate(exps) if e)
-            lines.append(f"    t{j} += c{len(coefs)}{factors}")
+            factors = ""
+            for arg, e in zip(args, exps):
+                e = operator.index(e)
+                if e:
+                    factors += f" * {arg}" if e == 1 else f" * {arg}**{e}"
+            lines.append(f"{out} += c{len(coefs)}{factors}")
             try:
                 coefs.append(float(coef))
             except OverflowError:  # then the term raises it when evaluated
                 coefs.append(coef)
-    lines.append(f"    return [{', '.join(f't{j}' for j in range(len(polys)))}]")
+    return lines
+
+
+def compile_floats(polys: Sequence[Poly]) -> Callable[[Sequence[float]], list[float]]:
+    """One function ``f(state) -> list[float]`` that evaluates ``polys`` in
+    floats at a state of exactly ``num_vars`` values: the statements of
+    ``float_statements`` on the names ``x0…`` into ``t0…``.  Every float is
+    the one of the term-by-term loop that multiplies each coefficient by
+    ``x ** e`` over the nonzero exponents.
+    """
+    args = [f"x{i}" for i in range(polys[0].num_vars)] if polys else []
+    outs = [f"t{j}" for j in range(len(polys))]
+    coefs: list = []
+    body = float_statements(polys, args, outs, coefs)
+    if polys:
+        body.insert(0, f"[{', '.join(args)}] = state")
+    source = "\n    ".join(["def f(state):", *body, f"return [{', '.join(outs)}]"])
     namespace = {f"c{k}": c for k, c in enumerate(coefs)}
     namespace["__builtins__"] = {}
-    exec("\n".join(lines), namespace)
+    exec(source, namespace)
     return namespace["f"]
 
 

@@ -303,6 +303,17 @@ def write_altered(tmp_path, name, path, value):
     return bad
 
 
+def sum_of_blades():
+    return MultiVector.basis(6, (0, 1, 2)) + MultiVector.basis(6, (3, 4, 5))
+
+
+def non_integrable_blade():
+    """(∂₁ + x₂∂₄)∧∂₂∧∂₃: decomposable, but [∂₂, ∂₁ + x₂∂₄] = ∂₄ leaves its
+    distribution, so it is not 3-Poisson."""
+    first = MultiVector.basis(4, (0,)) + MultiVector.basis(4, (3,), Poly.var(4, 1))
+    return first.wedge(MultiVector.basis(4, (1,))).wedge(MultiVector.basis(4, (2,)))
+
+
 class TestCheckPoisson:
     def test_valid_tensor_with_casimirs(self, capsys):
         code, data, _ = run_json(capsys, "check-poisson",
@@ -336,6 +347,21 @@ class TestCheckPoisson:
         code, data, _ = run_json(capsys, "check-poisson", str(path))
         assert code == 0
         assert data["decomposable"] is True
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("decomposable", [False, True])
+    def test_false_verdict_walks_once(self, capsys, tmp_path, monkeypatch, decomposable):
+        """A false verdict on a 3-vector reports the decomposability that the
+        decider found, without testing it again: ∂₁∧∂₂∧∂₃ + ∂₄∧∂₅∧∂₆, and the
+        decomposable (∂₁ + x₂∂₄)∧∂₂∧∂₃, whose distribution is not integrable."""
+        calls = []
+        real = npoisson.is_decomposable
+        monkeypatch.setattr(npoisson, "is_decomposable", lambda v: calls.append(v) or real(v))
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(multivector_to_json(
+            non_integrable_blade() if decomposable else sum_of_blades())))
+        code, data, _ = run_json(capsys, "check-poisson", str(path))
+        assert (code, data["verdict"], data["decomposable"]) == (1, False, decomposable)
         assert len(calls) == 1
 
     def test_poisson_bivector_still_tested(self, capsys, tmp_path):
@@ -435,6 +461,18 @@ class TestCheckJacobi:
         assert code == 1
         assert data == {"verdict": False, "witness": ["x1", "x2 x4"], "box_poisson": True,
                         "nabla_decomposable": False}
+
+    @pytest.mark.parametrize("decomposable", [False, True])
+    def test_false_verdict_walks_once(self, capsys, tmp_path, monkeypatch, decomposable):
+        """As for ``check-poisson``: (∇, 0) with the two 3-vectors there."""
+        calls = []
+        real = npoisson.is_decomposable
+        monkeypatch.setattr(npoisson, "is_decomposable", lambda v: calls.append(v) or real(v))
+        nabla = non_integrable_blade() if decomposable else sum_of_blades()
+        path = self.write_pair(tmp_path, nabla, MultiVector.zero(nabla.num_vars, 2))
+        code, data, _ = run_json(capsys, "check-jacobi", path)
+        assert (code, data["verdict"], data["nabla_decomposable"]) == (1, False, decomposable)
+        assert len(calls) == 1
 
     def test_true_verdict_implies_decomposable(self, capsys, tmp_path, monkeypatch):
         """x4·∂₁∧∂₂∧∂₃ + s(∂₁∧∂₂) on 5 coordinates: the decider has walked the

@@ -4,11 +4,12 @@ central-force system."""
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import float_outcome, float_plan_oracle, rand_poly, rk4_oracle
@@ -275,6 +276,15 @@ class TestKepler:
         assert rates[3] == rates[4] == rates[5] != 0.0
 
 
+# Laurent terms whose monomials mix exponent 1 with the others, and the
+# points of ``test_field_function_matches_plan_loop`` with a negative huge one
+fused_terms = st.lists(
+    st.tuples(st.tuples(*[st.sampled_from([-2, -1, 0, 1, 1, 2, 3])] * 3),
+              st.fractions(-4, 4, max_denominator=6).filter(bool)),
+    max_size=4)
+fused_coords = st.sampled_from([0.0, -0.0, 0.5, -1.75, 3.0, 1e-170, 1e120, -1e120])
+
+
 class TestCompiledFlow:
     """The compiled fields and the generated stepper against the plan loop
     and the list-based RK4 loop, compared by ``repr``."""
@@ -310,8 +320,67 @@ class TestCompiledFlow:
     def test_stepper_matches_list_loop(self, make, x0):
         field = make()
         f = field_function(field) if isinstance(field, MultiVector) else field
-        traj = rk4_integrate(f, x0, 0.01, 200)
+        traj = rk4_integrate(field, x0, 0.01, 200)
         assert repr(traj.states) == repr(rk4_oracle(f, x0, 0.01, 200))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(fused_terms, min_size=3, max_size=3), st.lists(fused_terms, max_size=2),
+           st.lists(fused_coords, min_size=3, max_size=3),
+           st.sampled_from([0.01, 0.1, 0.5]), st.integers(1, 12), st.integers(2, 5))
+    @example([[((1, 1, 0), 1)], [((0, 1, 2), Fraction(-1, 3))], []], [[((2, 0, 1), 1)]],
+             [1e120, -0.0, 1.0], 0.1, 5, 3)  # overflow of x0**2
+    @example([[((1, 0, 0), 1)], [((0, -1, 0), 2)], [((0, 0, 1), -1)]], [[((0, 0, 1), 1)]],
+             [1.0, 0.0, 1e-170], 0.1, 5, 3)  # pole at y = 0
+    def test_fused_stepper_matches_oracle(self, comps, monitor_terms, x0, h, steps, block):
+        """The fused stepper of a polynomial field with its inlined monitors
+        against ``rk4_oracle`` on the term-by-term plan loop, by ``repr``:
+        Laurent terms, exponent 1 beside higher ones, signed zeros, tiny and
+        huge coordinates, runs cut by an overflow or a pole, and a block
+        boundary inside the run."""
+        field = MultiVector(3, 1, {(i,): Poly(3, dict(terms)) for i, terms in enumerate(comps)})
+        monitors = [Poly(3, dict(terms)) for terms in monitor_terms]
+        states = rk4_oracle(lambda x: [float_plan_oracle(c, x) for c in field.vector_coeffs()],
+                            x0, h, steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "BLOCK", block)
+            try:
+                initial = [float_plan_oracle(m, states[0]) for m in monitors]
+            except (OverflowError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    rk4_integrate(field, x0, h, steps, monitors)
+                return
+            traj = rk4_integrate(field, x0, h, steps, monitors)
+        rows = [[0.0] * len(monitors)]
+        for k, state in enumerate(states[1:], 1):
+            try:
+                rows.append([abs(float_plan_oracle(m, state) - v)
+                             for m, v in zip(monitors, initial)])
+            except (OverflowError, ZeroDivisionError):  # the step is not taken
+                states = states[:k]
+                break
+        assert repr(traj.states) == repr(states)
+        assert repr(traj.drift_rows) == repr(rows)
+        times = [0.0]
+        for _ in states[1:]:
+            times.append(times[-1] + h)
+        assert traj.times == times
+        assert traj.ok == (len(states) == steps + 1)
+
+    def test_stepper_source_has_no_pow_of_one_or_coefficients(self, monkeypatch):
+        """Every factor of exponent 1 is written as the plain name, and every
+        coefficient of the field and the monitors is a bound name."""
+        sources = []
+        monkeypatch.setattr(dynamics, "exec", lambda source, namespace:
+                            sources.append(source) or exec(source, namespace), raising=False)
+        x, y, z = Poly.variables(3)
+        field = MultiVector(3, 1, {(0,): Fraction(22, 7) * x * y**2, (1,): -12345 * x * z,
+                                   (2,): x**10 + Poly.monomial(3, (0, -1, 0), 1729)})
+        rk4_integrate(field, [1.0, 0.5, -2.0], 0.01, 5, [Fraction(5, 9) * x * y * z])
+        assert len(sources) == 1
+        assert re.search(r"\*\*1\b", sources[0]) is None
+        assert "x0**10" in sources[0] and "**-1" in sources[0]
+        for text in ("22/7", repr(22 / 7), "12345", "5/9", repr(5 / 9), "1729"):
+            assert text not in sources[0]
 
     def test_rhs_called_four_times_per_step(self):
         calls = []

@@ -108,12 +108,15 @@ class TestIsNPoisson:
 
     def test_decomposable_given_reruns_only_when_needed(self, monkeypatch):
         symplectic = MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3))
-        assert is_n_poisson(symplectic)[0]
-        assert not npoisson.decomposable_given(symplectic, True)
-        assert not npoisson.decomposable_given(blades_sum(), False)
+        bivector = is_n_poisson(symplectic)
+        assert bivector == (True, None) and bivector.decomposable is None
+        assert not npoisson.decomposable_given(symplectic, bivector)
+        verdicts = [(v, is_n_poisson(v)) for v in (blades_sum(), atomic_tensor(),
+                                                  MultiVector.zero(4, 3))]
         monkeypatch.setattr(npoisson, "is_decomposable",
                             lambda v: pytest.fail("implied test rerun"))
-        assert npoisson.decomposable_given(atomic_tensor(), True)
+        assert [(v[0], npoisson.decomposable_given(t, v)) for t, v in verdicts] \
+            == [(False, False), (True, True), (True, True)]
 
     def test_derived_wedge_identity(self, rng):
         # Λ_{f,φ} ∧ Λ_g + Λ_{g,φ} ∧ Λ_f = 0 for verified ternary Λ

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import RefPoly, float_outcome as outcome, float_plan_oracle
-from nambu import poly as poly_module
+from nambu import dynamics, poly as poly_module
+from nambu.multivector import MultiVector
 from nambu.poly import Poly, compile_floats, refuse_above, sized_combinations
 
 X1, X2, X3 = Poly.variables(3)
@@ -140,6 +142,25 @@ class TestSerialization:
         assert str(Poly.monomial(3, (0, 0, -2))) == "x3^-2"
         assert str(Poly.monomial(3, (1, 0, -1), 3)) == "3 x1 x3^-1"
         assert str(Poly.monomial(3, (2, 1, 0), -1) + 3) == "3 - x1^2 x2"
+
+    def test_coefficients_beyond_the_digit_limit(self):
+        """Output writes every digit of a coefficient above Python's
+        int-to-str limit (4,300 digits by default); input still refuses it."""
+        big = 3 * 10**4999 + 7  # 5,000 digits
+        p = Poly(2, {(1, 0): Fraction(1, 10**5000), (0, 2): -big, (0, 0): Fraction(big, 11)})
+        digits = "3" + "0" * 4998 + "7"
+        assert str(p) == f"{digits}/11 + 1/1{'0' * 5000} x1 - {digits} x2^2"
+        assert [t["coef"] for t in p.to_json()] == [f"{digits}/11", f"1/1{'0' * 5000}",
+                                                     f"-{digits}"]
+        with pytest.raises(ValueError, match="digits"):
+            Poly.from_json(p.to_json(), 2)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit: the text reads back
+        try:
+            assert Poly.from_json(p.to_json(), 2) == p
+            assert Poly.parse(str(p), 2) == p
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_negative_exponent_in_json_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
@@ -278,11 +299,17 @@ class TestCompiledFloats:
     def test_hostile_exponent_runs_nothing(self, monkeypatch):
         ran = []
         monkeypatch.setattr(poly_module, "exec", lambda *a: ran.append(a), raising=False)
+        monkeypatch.setattr(dynamics, "exec", lambda *a: ran.append(a), raising=False)
         p = Poly(1, {("1)+__import__('os')#",): 1})
         with pytest.raises((ValueError, TypeError)):
             compile_floats([p])
         with pytest.raises((ValueError, TypeError)):
             p.evaluate_float([1.0])
+        # in the fused stepper, as a field component and as a monitor
+        with pytest.raises((ValueError, TypeError)):
+            next(dynamics.rk4_blocks(MultiVector(1, 1, {(0,): p}), [1.0], 0.1, 1))
+        with pytest.raises((ValueError, TypeError)):
+            next(dynamics.rk4_blocks(lambda x: x, [1.0], 0.1, 1, [p]))
         assert ran == []
 
     def test_coefficients_are_not_source_text(self):
