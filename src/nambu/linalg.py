@@ -61,14 +61,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
     return [sum((x * Fraction(y) for x, y in zip(row, v)), Fraction(0)) for row in a]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def sparse(a: Matrix) -> list[Row]:
     """The rows of a dense matrix as sparse rows."""
     return [{j: x for j, x in enumerate(row) if x} for row in a]

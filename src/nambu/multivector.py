@@ -13,12 +13,16 @@ the n-Lie bracket uses for its structure constants: ``apply`` builds the
 wedge of the gradients once with ``linalg.wedge_minors`` and looks each
 component up in it, so coordinate slots cost a single minor.  Contraction is
 arranged so that ``df_k⌋…⌋df₁⌋V = V(f₁,…,f_k)``; contraction with coordinate
-covectors (``derived``) only drops indices.
+covectors (``derived``) only drops indices.  Contraction, Lie derivative and
+Schouten bracket are one index-drop kernel, ``_drop_into``: sign · Σᵢ
+(dxᵢ⌋A)∧(gᵢ,J ∂_J) added term by term into one ``{index tuple: {exponent:
+coef}}`` accumulator, with g = α on J = () for α⌋V and the partials of the
+other argument for ⌈A,B⌉, of which L_X is the case of a field X.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -46,12 +50,6 @@ def sort_indices(indices: Sequence[int]) -> tuple[IndexTuple, int] | None:
             sign = -sign
             b -= 1
     return tuple(idx), sign
-
-
-def merge_sign(left: IndexTuple, right: IndexTuple) -> int:
-    """Parity sign of sorting the concatenation of two increasing tuples."""
-    inversions = sum(1 for i in left for j in right if i > j)
-    return -1 if inversions & 1 else 1
 
 
 class MultiVector:
@@ -207,29 +205,19 @@ class MultiVector:
         if degree > self.num_vars:
             # the product vanishes identically; report it at the top degree
             return MultiVector.zero(self.num_vars, self.num_vars)
-        terms = []
-        for i1, p1 in self.components.items():
-            for i2, p2 in other.components.items():
-                terms.append((i1 + i2, p1 * p2))
-        return MultiVector.from_terms(self.num_vars, degree, terms)
+        acc: dict[IndexTuple, dict] = {}
+        right = [(j, q.terms) for j, q in other.components.items()]
+        for i, p in self.components.items():
+            _wedge_into(acc, i, p.terms, right, 1)
+        return _finished(self.num_vars, degree, acc)
 
     def contract_form(self, alpha: Sequence[Poly]) -> "MultiVector":
         """Contraction α⌋V with a 1-form given by its m coefficients."""
         if self.degree < 1:
             raise ValueError("cannot contract a degree-0 multivector")
-        zero = Poly.zero(self.num_vars)
-        acc: dict[IndexTuple, Poly] = {}
-        for idx, poly in self.components.items():
-            for t, i in enumerate(idx):
-                a = alpha[i]
-                if a.is_zero():
-                    continue
-                rest = idx[:t] + idx[t + 1:]
-                contrib = a * poly
-                if t & 1:
-                    contrib = -contrib
-                acc[rest] = acc.get(rest, zero) + contrib
-        return MultiVector._make(self.num_vars, self.degree - 1, _nonzero(acc))
+        acc: dict[IndexTuple, dict] = {}
+        _drop_into(acc, self, [[((), a.terms)] if a.terms else [] for a in alpha], 1)
+        return _finished(self.num_vars, self.degree - 1, acc)
 
     def contract(self, f: Poly) -> "MultiVector":
         """df⌋V — contraction with the differential of a function."""
@@ -295,68 +283,28 @@ class MultiVector:
     def evaluate(self, point: Sequence) -> dict[IndexTuple, Fraction]:
         return {idx: poly.evaluate(point) for idx, poly in self.components.items()}
 
-    # -- Lie derivative --------------------------------------------------------
+    # -- Lie derivative and Schouten bracket --------------------------------------
 
     def lie_derivative_of(self, v: "MultiVector") -> "MultiVector":
-        """L_X(V) for X = self (degree 1):
-
-        L_X(p ∂_I) = X(p) ∂_I − p Σ_t Σ_j ∂_{i_t}x_j ∂_{I with i_t → j}.
-
-        Every term product goes straight into one ``{index tuple: {exponent:
-        coef}}`` accumulator, read from the cached gradients of p and of X's
-        coefficients; a tuple that would repeat an index is dropped before
-        its product, and each output component is built once."""
+        """L_X(V) = ⌈X, V⌉ for X = self (degree 1)."""
         if self.degree != 1:
             raise ValueError("Lie derivative requires a degree-1 field")
-        self._check_compatible(v)
-        x = [(j, c.terms, c.gradient()) for (j,), c in self.components.items()]
-        acc: dict[IndexTuple, dict] = {}
-        for idx, poly in v.components.items():
-            grad = poly.gradient()
-            flow = acc.setdefault(idx, {})  # X(p)
-            for j, c, _ in x:
-                _add_products(flow, c, grad[j].terms)
-            for t, i in enumerate(idx):
-                for j, _, dx in x:
-                    d = dx[i].terms
-                    if not d:
-                        continue
-                    if j == i:
-                        key, sign = idx, 1
-                    elif j in idx:
-                        continue
-                    else:
-                        key, sign = sort_indices(idx[:t] + (j,) + idx[t + 1:])
-                    _add_products(acc.setdefault(key, {}), poly.terms, d, -sign)
-        comps = {}
-        for idx, terms in acc.items():
-            terms = _stored(terms)
-            if terms:
-                comps[idx] = Poly._make(self.num_vars, terms)
-        return MultiVector._make(self.num_vars, v.degree, comps)
-
-    # -- Schouten bracket --------------------------------------------------------
+        return self.schouten(v)
 
     def schouten(self, other: "MultiVector") -> "MultiVector":
-        """Schouten bracket of multi-derivations, degree k+l−1.
+        """Schouten bracket of multi-derivations, degree k+l−1 (k or l may be 0):
 
-        Components are reconstructed by evaluating the bracket on coordinate
-        tuples; exact because the bracket is again a multi-derivation.
-        """
+        ⌈A,B⌉ = (−1)^(k+1) Σᵢ [(dxᵢ⌋A)∧∂ᵢB + (−1)^(kl) (dxᵢ⌋B)∧∂ᵢA]."""
         self._check_compatible(other)
         k, l = self.degree, other.degree
         degree = k + l - 1
-        if degree > self.num_vars:
-            raise ValueError("bracket degree exceeds variable count")
-        if degree < 0:
-            raise ValueError("bracket of two degree-0 multivectors is undefined")
-        xs = Poly.variables(self.num_vars)
-        comps: dict[IndexTuple, Poly] = {}
-        for idx in itertools.combinations(range(self.num_vars), degree):
-            value = _schouten_value(self, other, [xs[i] for i in idx])
-            if not value.is_zero():
-                comps[idx] = value
-        return MultiVector(self.num_vars, degree, comps)
+        if not 0 <= degree <= self.num_vars:
+            raise ValueError(f"bracket degree {degree} out of range for {self.num_vars} variables")
+        sign = 1 if k & 1 else -1
+        acc: dict[IndexTuple, dict] = {}
+        _drop_into(acc, self, _partials(other), sign)
+        _drop_into(acc, other, _partials(self), -sign if k * l & 1 else sign)
+        return _finished(self.num_vars, degree, acc)
 
 
 def _nonzero(comps: dict[IndexTuple, Poly]) -> dict[IndexTuple, Poly]:
@@ -364,29 +312,60 @@ def _nonzero(comps: dict[IndexTuple, Poly]) -> dict[IndexTuple, Poly]:
     return {i: p for i, p in comps.items() if p.terms}
 
 
-def _schouten_value(a: MultiVector, b: MultiVector, fs: list[Poly]) -> Poly:
-    """Evaluate the Schouten bracket of multi-derivations on functions:
+# -- the index-drop kernel -------------------------------------------------------
 
-    ⌈A,B⌉(f₁,…,f_{k+l−1}) = Σ_{|I|=k−1} ±A(f_I, B(f_Ī)) − Σ_{|J|=k} ±B(A(f_J), f_J̄)
+def merge_indices(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple, int] | None:
+    """``sort_indices(left + right)`` for two increasing tuples, each index of
+    ``right`` inserted by ``bisect``; None when they share an index."""
+    if not (left and right):
+        return left + right, 1
+    out, sign = list(left), 1
+    for j in right:
+        pos = bisect_left(out, j)
+        if pos < len(out) and out[pos] == j:
+            return None
+        if (len(out) - pos) & 1:  # j passes the indices of left above it
+            sign = -sign
+        out.insert(pos, j)
+    return tuple(out), sign
 
-    where ± is the parity of shuffling I to the front.
-    """
-    k, l = a.degree, b.degree
-    total = Poly.zero(a.num_vars)
-    positions = range(len(fs))
-    for i_set in itertools.combinations(positions, k - 1):
-        comp = tuple(p for p in positions if p not in i_set)
-        sign = merge_sign(i_set, comp)
-        inner = b.apply([fs[p] for p in comp])
-        term = a.apply([fs[p] for p in i_set] + [inner])
-        total = total + (term if sign == 1 else -term)
-    for j_set in itertools.combinations(positions, k):
-        comp = tuple(p for p in positions if p not in j_set)
-        sign = merge_sign(j_set, comp)
-        inner = a.apply([fs[p] for p in j_set])
-        term = b.apply([inner] + [fs[p] for p in comp])
-        total = total - (term if sign == 1 else -term)
-    return total
+
+def _drop_into(acc: dict[IndexTuple, dict], a: MultiVector,
+               g: Sequence[list[tuple[IndexTuple, Mapping]]], sign: int) -> None:
+    """Add sign · Σᵢ (dxᵢ⌋A)∧(Σ_J gᵢ,J ∂_J) to ``acc``, each gᵢ a list of (J,
+    term map) pairs: dxᵢ⌋ drops i at position t of a component, sign (−1)^t."""
+    for idx, p in a.components.items():
+        for t, i in enumerate(idx):
+            if g[i]:
+                _wedge_into(acc, idx[:t] + idx[t + 1:], p.terms, g[i],
+                            -sign if t & 1 else sign)
+
+
+def _wedge_into(acc: dict[IndexTuple, dict], left: IndexTuple, p: Mapping,
+                right: list[tuple[IndexTuple, Mapping]], sign: int) -> None:
+    """Add sign · (p ∂_left)∧(Σ q ∂_J over (J, q) in ``right``) to ``acc``, a
+    ``{index tuple: {exponent: coef}}`` accumulator, term by term as q·p; a
+    product that would repeat an index is skipped before it is formed."""
+    for j, q in right:
+        merged = merge_indices(left, j)
+        if merged is not None:
+            _add_products(acc.setdefault(merged[0], {}), q, p, sign * merged[1])
+
+
+def _partials(v: MultiVector) -> list[list[tuple[IndexTuple, Mapping]]]:
+    """∂ᵢV for each i: the (J, term map of ∂ᵢv_J) with a nonzero partial."""
+    g: list[list[tuple[IndexTuple, Mapping]]] = [[] for _ in range(v.num_vars)]
+    for j, p in v.components.items():
+        for i, d in enumerate(p.gradient()):
+            if d.terms:
+                g[i].append((j, d.terms))
+    return g
+
+
+def _finished(num_vars: int, degree: int, acc: dict[IndexTuple, dict]) -> MultiVector:
+    """The multivector of an accumulator, its zero sums dropped."""
+    return MultiVector._make(num_vars, degree, {
+        idx: Poly._make(num_vars, terms) for idx, t in acc.items() if (terms := _stored(t))})
 
 
 # -- derived vectors, rank, decomposability ------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
 from .poly import (MAX_WORK, integer_scaling, json_int, json_rational, refuse_above,
@@ -106,22 +106,23 @@ def _defect(terms: Sequence[tuple[Sequence[Sparse], "NLieStructure"]],
     return out
 
 
-def _bound_work(dim: int, arity: int, count: int, what: str,
-                structures: Iterable["NLieStructure"]) -> None:
-    """Raise ValueError if ``count`` steps (tuple pairs or brackets) would do
-    more than MAX_WORK work.  Each step builds ``arity`` wedges, each of up to
-    ``arity`` arguments and paired with the nonzero constants of
-    ``structures``: count × arity × (arity + nonzero constants)."""
+def _step_cost(arity: int, structures: Iterable["NLieStructure"]) -> tuple[int, int]:
+    """(work, nonzero constants) of a step of an n-Lie walk: ``arity`` wedges of up
+    to ``arity`` arguments, paired with the constants of ``structures``."""
     nnz = sum(len(entries) for p in structures for entries in p._sparse.values())
-    work = count * arity * (arity + nnz)
-    refuse_above(work, MAX_WORK, f"dimension {dim}, arity {arity}: {count} {what} with "
-                                 f"{nnz} nonzero structure constants, work {work}")
+    return arity * (arity + nnz), nnz
 
 
-def _bound_tuple_pairs(dim: int, arity: int, structures: Iterable["NLieStructure"]) -> None:
-    """``_bound_work`` for a check over all (u, w) pairs of basis tuples."""
-    _bound_work(dim, arity, math.comb(dim, arity - 1) * math.comb(dim, arity),
-                "(u, w) basis tuple pairs", structures)
+def _u_tuples(dim: int, arity: int, structures: Iterable["NLieStructure"]
+              ) -> Iterator[IndexTuple]:
+    """The u tuples of a walk over all (u, w) pairs of basis tuples, refused
+    before the first if its pairs of ``_step_cost`` work exceed MAX_WORK."""
+    step, nnz = _step_cost(arity, structures)
+    w_count = math.comb(dim, arity)
+    return sized_combinations(dim, arity - 1, w_count * step, MAX_WORK,
+                              f"dimension {dim}, arity {arity}: "
+                              f"{math.comb(dim, arity - 1) * w_count} (u, w) basis tuple "
+                              f"pairs with {nnz} nonzero structure constants, u tuples")
 
 
 def form_row(dim: int, i: int) -> tuple[IndexTuple, int]:
@@ -190,12 +191,12 @@ def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
     us outer, where the kernel with the terms (ad^P_{u…}, Q) for (P, Q) in
     ``pairs`` is nonzero; None if there is none.  Every term is quadratic in
     the structures, so all of them are scaled by one ``integral`` factor."""
-    _bound_tuple_pairs(dim, arity, [q for _, q in pairs])
+    u_tuples = _u_tuples(dim, arity, [q for _, q in pairs])
     flat = integral(*(x for pair in pairs for x in pair))
     pairs = list(zip(flat[::2], flat[1::2]))
     basis = [[(i, 1)] for i in range(dim)]
     w_tuples = list(itertools.combinations(range(dim), arity))
-    for us in itertools.combinations(range(dim), arity - 1):
+    for us in u_tuples:
         u_args = [basis[i] for i in us]
         terms = [(list(p._frozen(u_args).values()), q) for p, q in pairs]
         for ws in w_tuples:
@@ -354,12 +355,14 @@ class NLieStructure:
         if k >= self.arity:
             raise ValueError("must freeze fewer arguments than the arity")
         new_arity = self.arity - k
-        _bound_work(self.dim, self.arity, math.comb(self.dim, new_arity),
-                    "brackets", [self])
+        step, nnz = _step_cost(self.arity, [self])
+        tuples = sized_combinations(self.dim, new_arity, step, MAX_WORK,
+                                    f"dimension {self.dim}, arity {self.arity}: brackets "
+                                    f"with {nnz} nonzero structure constants")
         u_vecs = [_to_vec(u, self.dim) for u in us]
         consts = {}
         basis = [NLieStructure.basis_vector(self.dim, i) for i in range(self.dim)]
-        for idx in itertools.combinations(range(self.dim), new_arity):
+        for idx in tuples:
             value = self.bracket(u_vecs + [basis[i] for i in idx])
             if any(x != 0 for x in value):
                 consts[idx] = value
@@ -378,8 +381,9 @@ class NLieStructure:
         integers first."""
         if len(d) != self.dim or any(len(row) != self.dim for row in d):
             raise ValueError("dimension mismatch")
-        n, nnz = self.arity, sum(len(entries) for entries in self._sparse.values())
-        tuples = sized_combinations(self.dim, n, n * (n + nnz), MAX_WORK,
+        n = self.arity
+        step, nnz = _step_cost(n, [self])
+        tuples = sized_combinations(self.dim, n, step, MAX_WORK,
                                     f"derivation check in dimension {self.dim}, arity {n}, "
                                     f"{nnz} nonzero structure constants")
         d = [[Fraction(x) for x in row] for row in d]
@@ -393,17 +397,17 @@ class NLieStructure:
     def commutator_check(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> bool:
         """Commutator identity for pure inner derivations:
 
-        [ad_{v…}, ad_{u…}] = Σᵢ ad_{u₁,…,[v₁,…,v_{n−1},uᵢ],…,u_{n−1}}.
+        [ad_{v…}, ad_{u…}] = Σᵢ ad_{u₁,…,[v₁,…,v_{n−1},uᵢ],…,u_{n−1}},
+
+        on each basis vector w the kernel ``_defect`` of D = ad_{v…} on (u…, w).
         """
-        ad_u = self.inner_derivation(us)
-        ad_v = self.inner_derivation(vs)
-        lhs = linalg.mat_sub(linalg.mat_mul(ad_v, ad_u), linalg.mat_mul(ad_u, ad_v))
-        rhs = linalg.zeros(self.dim, self.dim)
-        for i in range(len(us)):
-            varied = list(us)
-            varied[i] = self.bracket(list(vs) + [us[i]])
-            rhs = linalg.mat_add(rhs, self.inner_derivation(varied))
-        return lhs == rhs
+        if len(us) != self.arity - 1 or len(vs) != self.arity - 1:
+            raise ValueError(f"expected {self.arity - 1} u's and v's, "
+                             f"got {len(us)} and {len(vs)}")
+        terms = [(list(self._frozen(_reduced(vs, self.dim)).values()), self)]
+        u_args = [_entries(_to_vec(u, self.dim)) for u in us]
+        return not any(any(_defect(terms, u_args + [[(w, 1)]]).values())
+                       for w in range(self.dim))
 
     # -- compatibility -----------------------------------------------------------------
 
@@ -448,7 +452,7 @@ class NLieStructure:
             raise ValueError(f"order {k} out of range for arity {self.arity}")
         # before the hereditary structures exist, this structure's constants
         # stand in for theirs; _first_defect checks again with theirs
-        _bound_tuple_pairs(self.dim, self.arity - k, [self])
+        _u_tuples(self.dim, self.arity - k, [self])
         pairs = []
         for r in range(k):
             for rest in itertools.combinations(range(1, k), r):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
 from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank,
                           signature, transpose, zeros)
-from nambu.multivector import MultiVector, OneForm, merge_sign
+from nambu.multivector import MultiVector, OneForm
 from nambu.njacobi import jacobi_defects
 from nambu.nlie import NLieStructure
 from nambu.npoisson import dual_nvector, fi_defect, slot_monomials
@@ -304,9 +304,20 @@ def jacobi_defects_oracle(op, fs):
             defect(box, lie_derivative_oracle(field, box) - nabla.contract(h)))
 
 
+def merge_sign(left, right):
+    """Parity sign of sorting the concatenation of two increasing tuples."""
+    inversions = sum(1 for i in left for j in right if i > j)
+    return -1 if inversions & 1 else 1
+
+
 def schouten_oracle(a, b):
-    """⌈A,B⌉ on every coordinate tuple by the formula of ``schouten``,
-    evaluated with the determinant apply."""
+    """⌈A,B⌉ on every coordinate tuple, as a multi-derivation evaluated with
+    the determinant apply:
+
+    ⌈A,B⌉(f₁,…,f_{k+l−1}) = Σ_{|I|=k−1} ±A(f_I, B(f_Ī)) − Σ_{|J|=k} ±B(A(f_J), f_J̄)
+
+    where ± is the parity of shuffling I (or J) to the front; for k = 0 the
+    first sum is empty."""
     k, l = a.degree, b.degree
     xs = Poly.variables(a.num_vars)
     comps = {}
@@ -314,7 +325,7 @@ def schouten_oracle(a, b):
         fs = [xs[i] for i in idx]
         positions = range(len(fs))
         total = Poly.zero(a.num_vars)
-        for i_set in itertools.combinations(positions, k - 1):
+        for i_set in itertools.combinations(positions, k - 1) if k else ():
             comp = tuple(p for p in positions if p not in i_set)
             inner = apply_oracle(b, [fs[p] for p in comp])
             term = apply_oracle(a, [fs[p] for p in i_set] + [inner])
@@ -492,6 +503,23 @@ def jacobi_oracle(p):
             if any(derivation_defect_oracle(p, ad, v_vecs)):
                 return False, (us, vs)
     return True, None
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def commutator_oracle(p, us, vs):
+    """[ad_{v…}, ad_{u…}] = Σᵢ ad_{u₁,…,[v₁,…,v_{n−1},uᵢ],…,u_{n−1}} as
+    matrices, every entry from the determinant bracket."""
+    ad_u, ad_v = ad_oracle(p, us), ad_oracle(p, vs)
+    lhs = mat_sub(mat_mul(ad_v, ad_u), mat_mul(ad_u, ad_v))
+    rhs = [[Fraction(0)] * p.dim for _ in range(p.dim)]
+    for i in range(len(us)):
+        varied = list(us)
+        varied[i] = det_bracket(p, list(vs) + [us[i]])
+        rhs = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rhs, ad_oracle(p, varied))]
+    return lhs == rhs
 
 
 def compat_defect_oracle(p, q, us, ws):

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (apply_oracle, derived_oracle, derived_pairing_vanishes,
-                      lie_derivative_oracle, oneform_from_matrix,
+                      lie_derivative_oracle, merge_sign, oneform_from_matrix,
                       oneform_linear_matrix, rand_decomposable_tensor,
                       rand_multivector, rand_poly, rref_oracle, schouten_oracle,
                       wedge_d_self_is_zero)
 from nambu.multivector import (MultiVector, OneForm, derived_rank,
-                               is_decomposable, merge_sign,
+                               is_decomposable, merge_indices,
                                multivector_from_json, multivector_to_json,
                                sort_indices)
 from nambu.poly import Poly
@@ -35,6 +35,18 @@ class TestIndexHelpers:
     def test_merge_sign(self):
         assert merge_sign((0,), (1, 2)) == 1
         assert merge_sign((1,), (0, 2)) == -1
+
+    def test_merge_indices_matches_sort_indices(self, rng):
+        """The bisect merge of two increasing tuples against the insertion
+        sort of their concatenation, shared indices included."""
+        for _ in range(500):
+            m = rng.randint(0, 8)
+            left = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+            right = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+            assert merge_indices(left, right) == sort_indices(left + right)
+        assert merge_indices((0, 2), (1, 2)) is None
+        assert merge_indices((1, 3), (0, 2)) == ((0, 1, 2, 3), -1)
+        assert merge_indices((), (0, 2)) == ((0, 2), 1)
 
 
 class TestWedge:
@@ -107,6 +119,33 @@ class TestContract:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             MultiVector.zero(3, 0).contract(Poly.var(3, 0))
+
+    def test_contraction_against_apply(self, rng):
+        """df_j⌋…⌋df₁⌋V applied to the remaining slots is V(f₁,…,f_k) at
+        every j, against the determinant apply; the slots come from a pool
+        of sums, differences and products of coordinates and V's
+        coefficients from ±1 and coordinates, so many products cancel in
+        the accumulator, which must keep no zero coefficient."""
+        for _ in range(40):
+            m = rng.randint(1, 5)
+            k = rng.randint(1, m)
+            xs = Poly.variables(m)
+            pool = xs + [a + b for a in xs for b in xs] + [a - b for a in xs for b in xs] \
+                + [a * b for a in xs for b in xs] + [Poly.const(m, 2)]
+            coefs = [Poly.const(m, 1), Poly.const(m, -1), *xs, *(-x for x in xs)]
+            v = MultiVector(m, k, {idx: rng.choice(coefs)
+                                   for idx in itertools.combinations(range(m), k)
+                                   if rng.random() < 0.7})
+            fs = [rng.choice(pool) for _ in range(k)]
+            expected = apply_oracle(v, fs)
+            folded = v
+            for j, f in enumerate(fs):
+                folded = folded.contract(f)
+                assert all(p.terms for p in folded.components.values())
+                assert folded.apply(fs[j + 1:]) == expected
+        x1, x2, x3 = Poly.variables(3)
+        v = MultiVector.basis(3, (0, 1), x2) - MultiVector.basis(3, (0, 2), x3)
+        assert v.contract(x2 * x3).is_zero()
 
     def test_iterated_contraction_matches_apply(self, rng):
         for _ in range(5):
@@ -206,11 +245,23 @@ class TestSchouten:
         assert a.schouten(b) == -MultiVector.basis(3, (1, 2))
 
     def test_graded_skew_symmetry(self, rng):
-        for _ in range(6):
-            k, l = rng.choice([(1, 2), (2, 2), (2, 3), (1, 3)])
+        for _ in range(12):
+            k, l = rng.choice([(1, 2), (2, 2), (2, 3), (1, 3),
+                               (0, 1), (0, 2), (0, 4), (1, 0), (3, 0), (4, 0)])
             a = rand_multivector(rng, 4, k)
             b = rand_multivector(rng, 4, l)
             assert a.schouten(b) == b.schouten(a) * (-((-1) ** ((k - 1) * (l - 1))))
+
+    def test_degree_zero_argument(self):
+        """⌈f, B⌉ = −df⌋B = ⌈B, f⌉ for a function f and a bivector B; two
+        functions have no bracket."""
+        x1, x2, _ = Poly.variables(3)
+        f = MultiVector(3, 0, {(): x1 * x2})
+        b = MultiVector.basis(3, (0, 1))
+        expected = MultiVector.basis(3, (0,), x1) - MultiVector.basis(3, (1,), x2)
+        assert f.schouten(b) == b.schouten(f) == expected
+        with pytest.raises(ValueError, match="degree -1 out of range"):
+            f.schouten(f)
 
     def test_graded_jacobi_identity(self, rng):
         for _ in range(4):
@@ -289,6 +340,16 @@ class TestAgainstOracles:
             a = rand_multivector(rng, m, k, density=0.7)
             b = rand_multivector(rng, m, l, density=0.7)
             assert a.schouten(b) == schouten_oracle(a, b)
+
+    def test_schouten_every_degree_pair(self, rng):
+        """Every (k, l) with 0 ≤ k + l − 1 ≤ m ≤ 5, top degree and degree-0
+        arguments included, on ``Fraction`` coefficients of degree ≤ 2."""
+        for m in range(1, 6):
+            for k in range(m + 1):
+                for l in range(max(1 - k, 0), min(m, m + 1 - k) + 1):
+                    a = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+                    b = rand_multivector(rng, m, l, max_degree=2, density=0.7)
+                    assert a.schouten(b) == schouten_oracle(a, b), (m, k, l)
 
 
 class TestTrustedResults:

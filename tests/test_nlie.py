@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ad_oracle, comp_condition_oracle, compat_defect_oracle,
-                      compat_oracle, derivation_oracle, det_bracket,
-                      hereditary_oracle, jacobi_oracle, rand_4dim_3lie,
-                      rand_invertible_matrix, rand_symmetric_matrix, rand_vectors)
+from conftest import (ad_oracle, commutator_oracle, comp_condition_oracle,
+                      compat_defect_oracle, compat_oracle, derivation_oracle,
+                      det_bracket, hereditary_oracle, jacobi_oracle, mat_sub,
+                      rand_4dim_3lie, rand_invertible_matrix,
+                      rand_symmetric_matrix, rand_vectors)
 from nambu import linalg, nlie
 from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
                            synthesize, unimodular_label)
-from nambu.linalg import identity, mat, mat_mul, mat_sub, zeros
+from nambu.linalg import identity, mat, mat_mul, zeros
 from nambu.nlie import (MAX_WORK, NLieStructure, _defect, _first_defect,
                         frobenius_defect, nlie_from_json, nlie_to_json,
                         vector_product_algebra)
@@ -173,6 +174,28 @@ class TestCommutation:
             us, vs = rand_vectors(rng, 2, 4), rand_vectors(rng, 2, 4)
             assert p.commutator_check(us, vs)
 
+    def test_matches_matrix_oracle(self, rng):
+        """Arbitrary constants, most of them not n-Lie, so that the identity
+        fails for many (u, v): the kernel form against the matrix form."""
+        verdicts = []
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            dim = n + rng.randint(1, 2)
+            p = NLieStructure(dim, n, {
+                idx: [rng.choice([0, 0, 1, -1, 2]) for _ in range(dim)]
+                for idx in itertools.combinations(range(dim), n) if rng.random() < 0.4})
+            us, vs = rand_vectors(rng, n - 1, dim), rand_vectors(rng, n - 1, dim)
+            verdicts.append(p.commutator_check(us, vs))
+            assert verdicts[-1] == commutator_oracle(p, us, vs)
+        assert 0 < verdicts.count(False) < len(verdicts)
+
+    def test_argument_counts_checked(self):
+        vp = vector_product_algebra(3)
+        for us, vs in (([e(4, 0)], [e(4, 1), e(4, 2)]),
+                       ([e(4, 0), e(4, 1)], [e(4, 2)])):
+            with pytest.raises(ValueError, match="expected 2"):
+                vp.commutator_check(us, vs)
+
     def test_mixed_replacement_sums_cancel(self, rng):
         # Σᵢ ad_{u₁,…,[v…,uᵢ],…} + Σᵢ ad_{v₁,…,[u…,vᵢ],…} = 0 as operators
         for _ in range(5):
@@ -322,7 +345,8 @@ class TestInputBounds:
         """Freezing one vector of a 15-ary structure on 30 dimensions needs
         C(30,14) brackets: refused before the first; C(8,2) = 28 is fine."""
         big = NLieStructure.zero(30, 15)
-        with pytest.raises(ValueError, match=f"{comb(30, 14)} brackets.*above the limit"):
+        with pytest.raises(ValueError, match=rf"brackets .*C\(30, 14\) = {comb(30, 14)} tuples"
+                                             rf".*above the limit"):
             big.hereditary([e(30, 0)])
         assert NLieStructure.zero(8, 3).hereditary([e(8, 0)]).is_zero()
 
