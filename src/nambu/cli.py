@@ -104,7 +104,7 @@ def cmd_check_jacobi(args) -> int:
     ok, witness = verdict = njacobi.is_n_jacobi(op)
     box_poisson = None
     if op.box.degree >= 2:
-        box_poisson = npoisson.is_n_poisson(op.box)[0]
+        box_poisson = njacobi.box_poisson_given(op, verdict)
     _emit({"verdict": ok,
            "witness": _witness_str(witness),
            "box_poisson": box_poisson,

@@ -13,14 +13,16 @@ Floats enter only here.  Each run generates one RK4 loop with the stage
 arithmetic unrolled over scalars.  The four stages of a polynomial field
 and the monitors are written into it as the statements of
 ``poly.float_statements``, so a step makes no call; a callable field is
-called once per stage.  Every float is the one the term-by-term,
-list-by-list loop gives.  ``rk4_blocks`` yields the run in blocks of
-``BLOCK`` rows, so the ``integrate`` verb streams its CSV in bounded
-memory; ``rk4_integrate`` collects the blocks into a ``Trajectory``.
+called once per stage.  The coefficients are bound by name, so runs of one
+term structure share one compiled loop.  Every float is the one the
+term-by-term, list-by-list loop gives.  ``rk4_blocks`` yields the run in
+blocks of ``BLOCK`` rows, so the ``integrate`` verb streams its CSV in
+bounded memory; ``rk4_integrate`` collects the blocks into a ``Trajectory``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,14 +152,21 @@ def _stepper(field: Callable | MultiVector, n: int, monitors: Sequence[Poly]) ->
     line = "\n            "
     namespace = {f"c{j}": c for j, c in enumerate(coefs)}
     namespace["isfinite"] = math.isfinite
-    exec(_STEPPER.format(
+    exec(_compiled(_STEPPER.format(
         x=", ".join(xs), v=", ".join(names("v{i}", len(monitors))),
         stages=line.join(stages), update=line.join(update),
         finite=" and ".join(names("isfinite(x{i})")) or "True",
         monitors=line.join(monitor_lines),
-        drift=", ".join(names("abs(m{i} - v{i})", len(monitors)))),
+        drift=", ".join(names("abs(m{i} - v{i})", len(monitors))))),
         namespace)
     return namespace["run"]
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(source: str):
+    """The code object of a stepper source.  The coefficients are names bound
+    in each run's namespace, so runs of one term structure share it."""
+    return compile(source, "<string>", "exec")
 
 
 def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,

@@ -11,9 +11,13 @@ The multi-derivation attached to a multivector is the pairing
 ``V(f₁,…,f_k) = Σ_I p_I · (df₁∧…∧df_k)_I``, the same signed-minor pairing
 the n-Lie bracket uses for its structure constants: ``apply`` builds the
 wedge of the gradients once with ``linalg.wedge_minors`` and looks each
-component up in it, so coordinate slots cost a single minor.  Contraction is
-arranged so that ``df_k⌋…⌋df₁⌋V = V(f₁,…,f_k)``; contraction with coordinate
-covectors (``derived``) only drops indices.  Contraction, Lie derivative and
+component up in it.  Contraction is arranged so that ``df_k⌋…⌋df₁⌋V =
+V(f₁,…,f_k)``; contraction with coordinate covectors (``derived``) only drops
+indices.  Coordinate and constant slots skip the gradients and the kernel
+below (``poly.coordinate_index``): ``contract(x_a)`` is ``derived((a,))``,
+``apply`` on coordinates reads ±one component, and a constant slot gives
+zero, as d1 = 0.  So the Hamiltonian fields of coordinate tuples, which the
+deciders walk, are index drops.  Contraction, Lie derivative and
 Schouten bracket are one index-drop kernel, ``_drop_into``: sign · Σᵢ
 (dxᵢ⌋A)∧(gᵢ,J ∂_J) added term by term into one ``{index tuple: {exponent:
 coef}}`` accumulator, with g = α on J = () for α⌋V and the partials of the
@@ -27,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .poly import (MAX_VARS, MAX_WALK, Poly, _add_products, _stored,
+from .poly import (MAX_VARS, MAX_WALK, Poly, _add_products, _stored, coordinate_index,
                    integer_scaling, json_int, refuse_above, sized_combinations)
 
 IndexTuple = tuple[int, ...]
@@ -220,8 +224,14 @@ class MultiVector:
         return _finished(self.num_vars, self.degree - 1, acc)
 
     def contract(self, f: Poly) -> "MultiVector":
-        """df⌋V — contraction with the differential of a function."""
-        return self.contract_form(f.gradient())
+        """df⌋V — contraction with the differential of a function; for f
+        exactly x_a this only drops a (``derived``), and d(constant) = 0."""
+        a = coordinate_index(f)
+        if a is None or self.degree < 1:
+            return self.contract_form(f.gradient())
+        if a < 0:
+            return MultiVector.zero(self.num_vars, self.degree - 1)
+        return self.derived((a,))
 
     def hamiltonian_field(self, fs: Sequence[Poly]) -> "MultiVector":
         """X_{f₁,…,f_{n−1}} = df_{n−1}⌋…⌋df₁⌋V."""
@@ -239,7 +249,8 @@ class MultiVector:
         sign (−1)^t; distinct tuples stay distinct, so nothing accumulates.
         """
         if len(covector_indices) > self.degree:
-            raise ValueError("cannot contract a degree-0 multivector")
+            raise ValueError(f"cannot contract {len(covector_indices)} covectors "
+                             f"with a degree-{self.degree} multivector")
         comps: dict[IndexTuple, Poly] = {}
         for idx, poly in self.components.items():
             sign = 1
@@ -257,12 +268,20 @@ class MultiVector:
     # -- evaluation as a multi-derivation -------------------------------------
 
     def apply(self, fs: Sequence[Poly]) -> Poly:
-        """V(f₁,…,f_k) = Σ_I p_I · (df₁∧…∧df_k)_I, the minors det‖∂f_a/∂x_{i_b}‖."""
+        """V(f₁,…,f_k) = Σ_I p_I · (df₁∧…∧df_k)_I, the minors det‖∂f_a/∂x_{i_b}‖.
+        On coordinates x_{a₁},…,x_{a_k} the one minor is the sign of sorting
+        a, so the value is ±p_{sorted a}; a constant slot gives 0."""
         if len(fs) != self.degree:
             raise ValueError(f"expected {self.degree} functions, got {len(fs)}")
         total = Poly.zero(self.num_vars)
-        if self.degree == 0:
-            return self.components.get((), total)
+        slots = [coordinate_index(f) for f in fs]
+        if -1 in slots:
+            return total
+        if None not in slots:
+            found = sort_indices(slots)
+            if found is None or (p := self.components.get(found[0])) is None:
+                return total
+            return p if found[1] == 1 else -p
         # only minors on the coordinates V involves can meet a component
         support = {i for idx in self.components for i in idx}
         grads = [[(i, d) for i in support if not (d := grad[i]).is_zero()]
@@ -279,9 +298,6 @@ class MultiVector:
         if self.degree != 1:
             raise ValueError("apply_field requires degree 1")
         return self.apply([g])
-
-    def evaluate(self, point: Sequence) -> dict[IndexTuple, Fraction]:
-        return {idx: poly.evaluate(point) for idx, poly in self.components.items()}
 
     # -- Lie derivative and Schouten bracket --------------------------------------
 

@@ -15,6 +15,12 @@ slot tuple f₁,…,f_{n−1} both are Lie derivatives along one vector field,
 up to terms in h = ±□(f₁,…,f_{n−1}): the 2n Lie derivatives and n wedges of
 the expanded defects collapse to two Lie derivatives by the Leibniz rule
 L_{fX}T = f·L_X T − X∧(df⌋T) and linearity of L in the field.
+
+On a tuple (1, x_K) of the coordinate walk, d1 = 0 leaves Y = □_K and
+h = ±□(1, x_K) = 0, so Δ¹ = L_{□_K}∇ and Δ⁰ = L_{□_K}□, the coordinate
+defect of the fundamental identity of □ at K.  A true ``is_n_jacobi``
+verdict has walked every such tuple, so what remains of ``is_n_poisson(□)``
+is its structure test (``box_poisson_given``).
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .multivector import (MultiVector, OneForm, integral, multivector_from_json,
-                          multivector_to_json, step_cost)
+from .multivector import (MultiVector, OneForm, integral, is_decomposable,
+                          multivector_from_json, multivector_to_json, step_cost)
 from .npoisson import Verdict, decomposable_given, is_n_poisson, structure_verdict
 from .poly import MAX_WALK, Poly, sized_combinations
 
@@ -159,6 +165,20 @@ def is_n_jacobi(op: JacobiOp) -> Verdict:
     slots = [Poly.const(op.num_vars, 1)] + Poly.variables(op.num_vars)
     return structure_verdict(op.nabla, tuples, slots, cost,
                              lambda fs: jacobi_defects(op, fs))
+
+
+def box_poisson_given(op: JacobiOp, verdict: Verdict) -> bool:
+    """``is_n_poisson(op.box)[0]``, given the ``Verdict`` of ``is_n_jacobi``
+    on ``op``, for □ of degree ≥ 2.  A true verdict walked the coordinate
+    defects of □ (the tuples (1, x_K), see the module docstring), so only the
+    structure test is left: □ zero, of top degree, of degree 2 or
+    decomposable.  A false verdict says nothing of □, so it is decided.  The
+    decomposability walk, C(m, n−2) steps of ``step_cost(□)``, is smaller
+    than the n-Jacobi walk that was sized first, so it is never refused."""
+    box = op.box
+    if not verdict[0]:
+        return is_n_poisson(box)[0]
+    return box.is_zero() or box.degree in (2, box.num_vars) or is_decomposable(box)
 
 
 def from_poisson_and_form(nabla: MultiVector, omega: OneForm) -> JacobiOp:

@@ -50,7 +50,9 @@ Entries = Iterable[tuple[int, Fraction]]  # (index, value) pairs of a vector
 
 
 def _to_vec(v: Sequence, dim: int) -> Vector:
-    v = [Fraction(x) for x in v]
+    """``v`` as a new list of ``Fraction``s; an entry that is one already (as
+    ``nlie_from_json`` reads every constant) is not converted again."""
+    v = [x if type(x) is Fraction else Fraction(x) for x in v]
     if len(v) != dim:
         raise ValueError(f"vector has length {len(v)}, expected {dim}")
     return v

@@ -16,7 +16,8 @@ non-negative exponents.
 Every module imports this one, so it also holds the work budget: the table
 of limits, the one refusal ``refuse_above`` and ``sized_combinations``; and
 ``integer_scaling``, which gives the integer multiples that the
-scale-invariant deciders run on.
+scale-invariant deciders run on; and ``coordinate_index``, which tells the
+slots whose differential is dx_a or zero from the rest.
 
 Text form: ``"3/2 x1^2 x3 - x2"`` (1-based variable names).
 JSON form: ``[{"coef": "3/2", "exps": [2, 0, 1]}, ...]``.
@@ -135,6 +136,23 @@ def integer_scaling(coefs: Iterable[Coef]) -> Callable[[Coef], int] | None:
                 if c.bit_length() > SCALE_BITS:
                     return None
     return None if ints else lambda x: x.numerator * (c // x.denominator)
+
+
+def coordinate_index(f: "Poly") -> int | None:
+    """What df is without a gradient: a when f is exactly the coordinate x_a
+    (df = dx_a), −1 when f is a constant (df = 0), None for any other
+    polynomial.  ``MultiVector.contract`` and ``apply`` read such slots as
+    index drops."""
+    terms = f.terms
+    if not terms:
+        return -1
+    if len(terms) > 1:
+        return None
+    (e, c), = terms.items()
+    zeros = e.count(0)
+    if zeros == len(e):
+        return -1
+    return e.index(1) if c == 1 and zeros == len(e) - 1 and 1 in e else None
 
 
 def refuse_above(work: int, limit: int, what: str) -> None:

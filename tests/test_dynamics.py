@@ -370,8 +370,9 @@ class TestCompiledFlow:
         """Every factor of exponent 1 is written as the plain name, and every
         coefficient of the field and the monitors is a bound name."""
         sources = []
-        monkeypatch.setattr(dynamics, "exec", lambda source, namespace:
-                            sources.append(source) or exec(source, namespace), raising=False)
+        compiled = dynamics._compiled
+        monkeypatch.setattr(dynamics, "_compiled",
+                            lambda source: sources.append(source) or compiled(source))
         x, y, z = Poly.variables(3)
         field = MultiVector(3, 1, {(0,): Fraction(22, 7) * x * y**2, (1,): -12345 * x * z,
                                    (2,): x**10 + Poly.monomial(3, (0, -1, 0), 1729)})
@@ -381,6 +382,27 @@ class TestCompiledFlow:
         assert "x0**10" in sources[0] and "**-1" in sources[0]
         for text in ("22/7", repr(22 / 7), "12345", "5/9", repr(5 / 9), "1729"):
             assert text not in sources[0]
+
+    def test_runs_of_one_term_structure_share_one_compile(self, monkeypatch):
+        """Two fields and monitors with the same terms and different
+        coefficients compile one stepper, and each run keeps the rows of
+        the term-by-term loop."""
+        compiles = []
+        monkeypatch.setattr(dynamics, "compile", lambda *args: compiles.append(args[0])
+                            or compile(*args), raising=False)
+        dynamics._compiled.cache_clear()
+        x, y, z = Poly.variables(3)
+        for a, b in ((Fraction(1, 3), -2), (Fraction(-5, 7), 11)):
+            field = MultiVector.vector([a * y * z**3, b * x**2 + 1, a * x * y])
+            monitor = b * x * y + z**2
+            traj = rk4_integrate(field, [0.5, -1.0, 0.25], 0.01, 40, [monitor])
+            states = rk4_oracle(lambda s: [float_plan_oracle(c, s) for c in field.vector_coeffs()],
+                                [0.5, -1.0, 0.25], 0.01, 40)
+            assert repr(traj.states) == repr(states)
+            assert repr(traj.drift_rows) == repr(
+                [[abs(float_plan_oracle(monitor, s) - float_plan_oracle(monitor, states[0]))]
+                 for s in states])
+        assert len(compiles) == 1
 
     def test_rhs_called_four_times_per_step(self):
         calls = []

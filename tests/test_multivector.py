@@ -302,8 +302,12 @@ class TestAgainstOracles:
             for j in range(k + 1):
                 covs = [rng.randrange(m) for _ in range(j)]  # any order, repeats
                 assert v.derived(covs) == derived_oracle(v, covs)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot contract 2 covectors with a "
+                                             "degree-1 multivector"):
             MultiVector.basis(3, (0,)).derived((0, 1))
+        with pytest.raises(ValueError, match="cannot contract 1 covectors with a "
+                                             "degree-0 multivector"):
+            MultiVector.zero(3, 0).derived((2,))
 
     def test_lie_derivative(self, rng):
         for m, k in self.CASES:
@@ -350,6 +354,40 @@ class TestAgainstOracles:
                     a = rand_multivector(rng, m, k, max_degree=2, density=0.7)
                     b = rand_multivector(rng, m, l, max_degree=2, density=0.7)
                     assert a.schouten(b) == schouten_oracle(a, b), (m, k, l)
+
+
+class TestCoordinateSlots:
+    """``contract`` and ``apply`` read a slot x_a as an index drop and a
+    constant slot as zero.  x_a + 1 has the same differential and takes the
+    gradient path, so it is the reference, beside the determinant apply."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_contract(self, m, data, seed):
+        rng = random.Random(seed)
+        v = rand_multivector(rng, m, data.draw(st.integers(1, m)), max_degree=2, density=0.7)
+        x = Poly.var(m, data.draw(st.integers(0, m - 1)))
+        assert v.contract(x) == v.contract(x + 1)
+        const = Poly.const(m, data.draw(st.sampled_from([0, 1, -2, Fraction(1, 3)])))
+        assert v.contract(const) == v.contract_form([Poly.zero(m)] * m) \
+            == MultiVector.zero(m, v.degree - 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_apply(self, m, data, seed):
+        """Every degree, repeated and unsorted indices, and a constant among
+        coordinates and quadratic slots."""
+        rng = random.Random(seed)
+        k = data.draw(st.integers(0, m))
+        v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+        xs = [Poly.var(m, a) for a in
+              data.draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k))]
+        assert v.apply(xs) == v.apply([x + 1 for x in xs]) == apply_oracle(v, xs)
+        if k:
+            fs = [rand_poly(rng, m) if rng.random() < 0.5 else x for x in xs]
+            fs[data.draw(st.integers(0, k - 1))] = \
+                Poly.const(m, data.draw(st.sampled_from([0, 1, -2])))
+            assert v.apply(fs).is_zero() and apply_oracle(v, fs).is_zero()
 
 
 class TestTrustedResults:

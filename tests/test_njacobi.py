@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (complete_jacobi_walk, fi_search_oracle, fraction_jacobi_walk,
@@ -17,9 +17,9 @@ from conftest import (complete_jacobi_walk, fi_search_oracle, fraction_jacobi_wa
                       raw_jacobi_oracle)
 from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
-from nambu.njacobi import (JacobiOp, canonical_bracket, from_poisson_and_form,
-                           insert_unity, is_n_jacobi, jacobi_defects,
-                           jacobiop_from_json, jacobiop_to_json, s_op)
+from nambu.njacobi import (JacobiOp, box_poisson_given, canonical_bracket,
+                           from_poisson_and_form, insert_unity, is_n_jacobi,
+                           jacobi_defects, jacobiop_from_json, jacobiop_to_json, s_op)
 from nambu.npoisson import is_n_poisson
 from nambu.poly import MAX_WALK, Poly
 
@@ -263,6 +263,54 @@ class TestStructureVerdict:
             assert not ok and witness == want[1]
         elif not ok:
             assert not all(d.is_zero() for d in jacobi_defects_oracle(op, list(witness)))
+
+
+def box_case(rng, kind):
+    """A pair with □ of degree 2 or 3: "form", ∇ + s(ω⌋∇) by
+    ``from_poisson_and_form``, ∇ a Poisson wedge of affine fields or a
+    constant blade times a polynomial and ω a gradient plus a constant form;
+    "outside", such a ∇ with the gradient extension ∇_h plus constant
+    (n−1)-blades, mostly off ∇'s distribution, as □; "zero", that □ beside
+    ∇ = 0."""
+    m = rng.randint(3, 6)
+    n = rng.randint(3, min(m, 4))
+    nabla = rand_field_wedge(rng, m, n)
+    if not is_n_poisson(nabla)[0]:
+        nabla = rand_decomposable_tensor(rng, m, n, coef_degree=1)
+    if kind == "form":
+        omega = OneForm([d + rand_fraction(rng)
+                         for d in OneForm.differential(rand_poly(rng, m)).components])
+        return from_poisson_and_form(nabla, omega)
+    box = nabla.contract(rand_poly(rng, m))
+    for _ in range(rng.randint(1, 2)):
+        box = box + MultiVector.basis(m, tuple(sorted(rng.sample(range(m), n - 1))),
+                                      Poly.const(m, rand_fraction(rng) or 1))
+    return JacobiOp(MultiVector.zero(m, n) if kind == "zero" else nabla, box)
+
+
+class TestBoxPoissonGiven:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(["form", "outside", "zero"]))
+    def test_matches_is_n_poisson_after_a_true_verdict(self, seed, kind):
+        op = box_case(random.Random(seed), kind)
+        verdict = is_n_jacobi(op)
+        assume(verdict[0])
+        assert box_poisson_given(op, verdict) == is_n_poisson(op.box)[0]
+
+    def test_false_verdict_decides(self, monkeypatch):
+        """(0, ∂₁∧∂₂ + x₁·∂₃∧∂₄) fails, and its □ is a bivector, which the
+        structure test alone would call Poisson; it is not, as
+        ``is_n_poisson`` decides.  A true verdict does not call it."""
+        op = JacobiOp(MultiVector.zero(4, 3), MultiVector.basis(4, (0, 1))
+                      + MultiVector.basis(4, (2, 3), Poly.var(4, 0)))
+        verdict = is_n_jacobi(op)
+        calls = []
+        monkeypatch.setattr(njacobi, "is_n_poisson",
+                            lambda t: calls.append(t) or is_n_poisson(t))
+        assert not verdict[0] and not box_poisson_given(op, verdict) and calls == [op.box]
+        calls.clear()
+        assert box_poisson_given(canonical_pair(5, 4), is_n_jacobi(canonical_pair(5, 4)))
+        assert calls == []
 
 
 class TestConstruction:

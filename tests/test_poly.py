@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import RefPoly, float_outcome as outcome, float_plan_oracle
 from nambu import dynamics, poly as poly_module
 from nambu.multivector import MultiVector
-from nambu.poly import Poly, compile_floats, refuse_above, sized_combinations
+from nambu.poly import (Poly, compile_floats, coordinate_index, refuse_above,
+                        sized_combinations)
 
 X1, X2, X3 = Poly.variables(3)
 
@@ -54,6 +55,25 @@ class TestPartial:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             X1.partial(3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.tuples(*[st.integers(-1, 2)] * 3),
+                           st.sampled_from([1, -1, 2, Fraction(1, 2)]), max_size=2))
+    @example({(0, 1, 0): 1})
+    @example({(0, 0, 0): Fraction(-3, 4)})
+    def test_coordinate_index(self, terms):
+        """a exactly for x_a, −1 exactly for a polynomial with zero
+        gradient, None for the rest: 2·x_a, x_a², x_a⁻¹, x_a·x_b, x_a + 1."""
+        p = Poly(3, terms)
+        if all(d.is_zero() for d in p.gradient()):
+            want = -1
+        else:
+            want = next((a for a in range(3) if p == Poly.var(3, a)), None)
+        assert coordinate_index(p) == want
+        for q in (2 * X2, X2**2, X1 * X3, X3 + 1, Poly.monomial(3, (0, -1, 0))):
+            assert coordinate_index(q) is None
+        assert [coordinate_index(x) for x in Poly.variables(3)] == [0, 1, 2]
+        assert coordinate_index(Poly.zero(3)) == coordinate_index(Poly.const(3, 7)) == -1
 
     def test_partials_commute(self, rng):
         from conftest import rand_poly
