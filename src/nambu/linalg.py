@@ -8,11 +8,14 @@ Rank, nullspace and inverse share one elimination, ``rref``, on sparse rows
 (``{column: entry}`` dicts; ``sparse`` converts a dense matrix).  It is
 fraction-free in the manner of Bareiss (Math. Comp. 22, 1968): each row is
 kept as coprime integers, a row update is ``a·r − b·p`` followed by content
-removal, and only the rows that hold the pivot column are touched, so the
-Casimir and derivation systems, mostly zeros, cost in proportion to their
-nonzero entries.  Each pivot row is turned into ``Fraction``s once, at the
-end; the reduced form is canonical, so the result does not depend on how it
-was reached.
+removal.  It works row by row: each incoming row is reduced once against
+the pivot rows whose columns it holds, and its leading column, if anything
+is left, becomes a pivot that is cleared from the pivot rows holding it.
+So the Casimir and derivation systems, mostly zeros and with many repeated
+rows, cost in proportion to their nonzero entries, and a repeated row is
+one reduction to zero.  Each pivot row is turned into ``Fraction``s once,
+at the end; the reduced form is canonical, so the result does not depend on
+how it was reached.
 
 One routine is generic over the coefficient ring: ``wedge_minors`` builds
 wedge products as signed minors, for ``Fraction`` vectors (n-Lie brackets)
@@ -95,26 +98,27 @@ def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
     """Reduced row-echelon form of sparse rows: its nonzero rows, the r-th
     with leading 1 in column ``pivots[r]``, and the list of pivot columns.
 
-    Fraction-free: rows are kept as coprime integers and a row r holding the
-    pivot p's column c becomes a·r − b·p with a/b = p_c/r_c in lowest terms;
-    only rows that hold c are touched, the earlier pivot rows among them.
-    The result is canonical, so it does not depend on the elimination order.
+    Fraction-free and row by row: each incoming row, kept as coprime
+    integers, is reduced once against the pivot rows whose columns it holds
+    (r becomes a·r − b·p with a/b = p_c/r_c in lowest terms); what is left
+    has no pivot column, and its leading column c becomes a pivot, cleared
+    from the earlier pivot rows that hold it.  Each pivot row thus leads at
+    its pivot and is zero in every other pivot column, so the result is the
+    canonical reduced form, whatever the order of the rows.
     """
-    pending = [r for r in map(_primitive, rows) if r]
-    done: list[dict[int, int]] = []
-    pivots: list[int] = []
-    for c in sorted({j for r in pending for j in r}):
-        k = next((i for i, r in enumerate(pending) if c in r), None)
-        if k is None:
-            continue
-        p = pending.pop(k)
-        pending = [r for r in (_eliminate(r, p, c) if c in r else r for r in pending) if r]
-        done = [_eliminate(r, p, c) if c in r else r for r in done]
-        done.append(p)
-        pivots.append(c)
-        if not pending:
-            break
-    return [{j: Fraction(x, r[c]) for j, x in r.items()} for r, c in zip(done, pivots)], pivots
+    done: dict[int, dict[int, int]] = {}  # pivot column -> its pivot row
+    for r in map(_primitive, rows):
+        for c in [c for c in r if c in done]:
+            r = _eliminate(r, done[c], c)
+        if r:
+            c = min(r)
+            for k, p in done.items():
+                if c in p:
+                    done[k] = _eliminate(p, r, c)
+            done[c] = r
+    pivots = sorted(done)
+    return [{j: Fraction(x, r[c]) for j, x in r.items()}
+            for c, r in zip(pivots, map(done.get, pivots))], pivots
 
 
 def rank(a: Matrix) -> int:

@@ -20,15 +20,20 @@ zero, as d1 = 0.  So the Hamiltonian fields of coordinate tuples, which the
 deciders walk, are index drops.  Contraction, Lie derivative and
 Schouten bracket are one index-drop kernel, ``_drop_into``: sign · Σᵢ
 (dxᵢ⌋A)∧(gᵢ,J ∂_J) added term by term into one ``{index tuple: {exponent:
-coef}}`` accumulator, with g = α on J = () for α⌋V and the partials of the
-other argument for ⌈A,B⌉, of which L_X is the case of a field X.
+coef}}`` accumulator by the product loop ``poly._add_products`` compiled for
+the variable count, with g = α on J = () for α⌋V and the partials of the
+other argument for ⌈A,B⌉, of which L_X is the case of a field X.  A
+multivector keeps the two tables the kernel reads once they are built, as a
+``Poly`` keeps its gradient: its partials (``_partials``) and its drop table
+(``_drops``).  So a walk that takes the Lie derivatives of one fixed tensor
+along many fields builds that tensor's tables once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .poly import (MAX_VARS, MAX_WALK, Poly, _add_products, _stored, coordinate_index,
@@ -59,7 +64,10 @@ def sort_indices(indices: Sequence[int]) -> tuple[IndexTuple, int] | None:
 class MultiVector:
     """Immutable sparse multivector with exact polynomial coefficients."""
 
-    __slots__ = ("num_vars", "degree", "components")
+    # ``_grad`` and ``_drop_table`` hold the kernel's tables of this (immutable)
+    # multivector once they are built (``_partials``, ``_drops``); equality
+    # and hashing read only the components.
+    __slots__ = ("num_vars", "degree", "components", "_grad", "_drop_table")
 
     def __init__(self, num_vars: int, degree: int,
                  components: Mapping[IndexTuple, Poly] | None = None):
@@ -163,6 +171,10 @@ class MultiVector:
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch in addition")
+        if not other.components:
+            return self
+        if not self.components:
+            return other
         comps = dict(self.components)
         for idx, poly in other.components.items():
             total = comps.get(idx)
@@ -180,9 +192,11 @@ class MultiVector:
         """Multiply every coefficient by a Poly or scalar."""
         if not isinstance(factor, Poly):
             factor = Poly.const(self.num_vars, Fraction(factor))
-        comps = {i: p * factor for i, p in self.components.items()}
+        if not factor.terms:
+            return MultiVector._make(self.num_vars, self.degree, {})
         # a product of nonzero polynomials is nonzero
-        return MultiVector._make(self.num_vars, self.degree, comps if factor.terms else {})
+        return MultiVector._make(self.num_vars, self.degree,
+                                 {i: p * factor for i, p in self.components.items()})
 
     __rmul__ = __mul__
 
@@ -210,9 +224,10 @@ class MultiVector:
             # the product vanishes identically; report it at the top degree
             return MultiVector.zero(self.num_vars, self.num_vars)
         acc: dict[IndexTuple, dict] = {}
+        add = _add_products(self.num_vars)
         right = [(j, q.terms) for j, q in other.components.items()]
         for i, p in self.components.items():
-            _wedge_into(acc, i, p.terms, right, 1)
+            _wedge_into(add, acc, i, p.terms, right, 1)
         return _finished(self.num_vars, degree, acc)
 
     def contract_form(self, alpha: Sequence[Poly]) -> "MultiVector":
@@ -347,35 +362,57 @@ def merge_indices(left: IndexTuple, right: IndexTuple) -> tuple[IndexTuple, int]
 
 
 def _drop_into(acc: dict[IndexTuple, dict], a: MultiVector,
-               g: Sequence[list[tuple[IndexTuple, Mapping]]], sign: int) -> None:
-    """Add sign · Σᵢ (dxᵢ⌋A)∧(Σ_J gᵢ,J ∂_J) to ``acc``, each gᵢ a list of (J,
-    term map) pairs: dxᵢ⌋ drops i at position t of a component, sign (−1)^t."""
-    for idx, p in a.components.items():
-        for t, i in enumerate(idx):
-            if g[i]:
-                _wedge_into(acc, idx[:t] + idx[t + 1:], p.terms, g[i],
-                            -sign if t & 1 else sign)
+               g: Sequence[Sequence[tuple[IndexTuple, Mapping]]], sign: int) -> None:
+    """Add sign · Σᵢ (dxᵢ⌋A)∧(Σ_J gᵢ,J ∂_J) to ``acc``, each gᵢ a sequence of
+    (J, term map) pairs, over the drop table of A (``_drops``)."""
+    add = _add_products(a.num_vars)
+    for i, rest, p, odd in _drops(a):
+        if g[i]:
+            _wedge_into(add, acc, rest, p, g[i], -sign if odd else sign)
 
 
-def _wedge_into(acc: dict[IndexTuple, dict], left: IndexTuple, p: Mapping,
-                right: list[tuple[IndexTuple, Mapping]], sign: int) -> None:
+def _wedge_into(add: Callable[[dict, Mapping, Mapping, int], None],
+                acc: dict[IndexTuple, dict], left: IndexTuple, p: Mapping,
+                right: Sequence[tuple[IndexTuple, Mapping]], sign: int) -> None:
     """Add sign · (p ∂_left)∧(Σ q ∂_J over (J, q) in ``right``) to ``acc``, a
-    ``{index tuple: {exponent: coef}}`` accumulator, term by term as q·p; a
-    product that would repeat an index is skipped before it is formed."""
+    ``{index tuple: {exponent: coef}}`` accumulator, term by term as q·p with
+    ``add``, the product loop of ``poly._add_products``; a product that would
+    repeat an index is skipped before it is formed."""
     for j, q in right:
         merged = merge_indices(left, j)
         if merged is not None:
-            _add_products(acc.setdefault(merged[0], {}), q, p, sign * merged[1])
+            add(acc.setdefault(merged[0], {}), q, p, sign * merged[1])
 
 
-def _partials(v: MultiVector) -> list[list[tuple[IndexTuple, Mapping]]]:
-    """∂ᵢV for each i: the (J, term map of ∂ᵢv_J) with a nonzero partial."""
-    g: list[list[tuple[IndexTuple, Mapping]]] = [[] for _ in range(v.num_vars)]
-    for j, p in v.components.items():
-        for i, d in enumerate(p.gradient()):
-            if d.terms:
-                g[i].append((j, d.terms))
-    return g
+def _drops(v: MultiVector) -> tuple[tuple[int, IndexTuple, Mapping, bool], ...]:
+    """The drop table of V: (i, I without i, term map of v_I, whether i sits
+    at an odd position t of I) for each component I and each i in it, as
+    dxᵢ⌋ drops i with sign (−1)^t.  Built once per (immutable) multivector
+    and shared, so callers must not change it."""
+    try:
+        return v._drop_table
+    except AttributeError:
+        table = tuple((i, idx[:t] + idx[t + 1:], p.terms, bool(t & 1))
+                      for idx, p in v.components.items() for t, i in enumerate(idx))
+        object.__setattr__(v, "_drop_table", table)
+        return table
+
+
+def _partials(v: MultiVector) -> tuple[tuple[tuple[IndexTuple, Mapping], ...], ...]:
+    """∂ᵢV for each i: the (J, term map of ∂ᵢv_J) with a nonzero partial.
+    Built once per (immutable) multivector and shared, so callers must not
+    change it."""
+    try:
+        return v._grad
+    except AttributeError:
+        g: list[list[tuple[IndexTuple, Mapping]]] = [[] for _ in range(v.num_vars)]
+        for j, p in v.components.items():
+            for i, d in enumerate(p.gradient()):
+                if d.terms:
+                    g[i].append((j, d.terms))
+        table = tuple(map(tuple, g))
+        object.__setattr__(v, "_grad", table)
+        return table
 
 
 def _finished(num_vars: int, degree: int, acc: dict[IndexTuple, dict]) -> MultiVector:

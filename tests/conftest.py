@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
@@ -172,6 +173,18 @@ class RefPoly:
                 d[index] -= 1
                 out[tuple(d)] = out.get(tuple(d), Fraction(0)) + c * e[index]
         return RefPoly(self.num_vars, out)
+
+
+def add_products_oracle(acc, a, b, sign):
+    """The reference for the compiled loops of ``poly._add_products``: sign ×
+    the product of the term maps ``a`` and ``b`` added into ``acc`` with
+    ``tuple(map(add, e1, e2))``, keys in the order of the pairs (e1, e2),
+    zero sums kept in place."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = sign * c1 * c2
+            acc[e] = acc[e] + c if e in acc else c
 
 
 def float_plan_oracle(p, point):

@@ -77,12 +77,19 @@ ENTRIES = st.one_of(st.integers(-3, 3),
 
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw, square=False, tall=False):
     """Dense rational matrices, sparse to full, possibly empty, with zero rows
-    and columns and with rows that combine earlier ones (rank deficiency)."""
-    rows = draw(st.integers(0, 7))
-    cols = rows if square else draw(st.integers(0, 7))
-    density = draw(st.sampled_from([10, 30, 60, 100]))
+    and columns and with rows that combine earlier ones (rank deficiency).
+    ``tall`` ones are sparse, with more rows than columns, and repeat rows
+    as they are or as scalar multiples, as the Casimir systems do."""
+    if tall:
+        cols = draw(st.integers(1, 6))
+        rows = draw(st.integers(cols + 1, 2 * cols + 2))
+        density = draw(st.sampled_from([10, 25, 40]))
+    else:
+        rows = draw(st.integers(0, 7))
+        cols = rows if square else draw(st.integers(0, 7))
+        density = draw(st.sampled_from([10, 30, 60, 100]))
     a = [[draw(ENTRIES) if draw(st.integers(0, 99)) < density else 0
           for _ in range(cols)] for _ in range(rows)]
     for i in range(1, rows):
@@ -90,6 +97,9 @@ def matrices(draw, square=False):
             j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
             x, y = draw(ENTRIES), draw(ENTRIES)
             a[i] = [x * u + y * v for u, v in zip(a[j], a[k])]
+        elif tall and draw(st.booleans()):  # row i := row j or a multiple of it
+            j, x = draw(st.integers(0, i - 1)), draw(st.one_of(st.just(1), ENTRIES))
+            a[i] = [x * u for u in a[j]]
     for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
         if i < rows:
             a[i] = [0] * cols
@@ -100,8 +110,8 @@ def matrices(draw, square=False):
     return a
 
 
-@settings(max_examples=300, deadline=None)
-@given(a=matrices())
+@settings(max_examples=400, deadline=None)
+@given(a=st.one_of(matrices(), matrices(tall=True)))
 def test_rref_rank_nullspace_match_oracle(a):
     cols = len(a[0]) if a else 0
     red, pivots = rref(sparse(a))

@@ -1,6 +1,7 @@
 """Multivector calculus: wedge, contraction, Lie derivative, Schouten
 bracket, derived vectors, decomposability, and linear one-forms."""
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from conftest import (apply_oracle, derived_oracle, derived_pairing_vanishes,
                       oneform_linear_matrix, rand_decomposable_tensor,
                       rand_multivector, rand_poly, rref_oracle, schouten_oracle,
                       wedge_d_self_is_zero)
-from nambu.multivector import (MultiVector, OneForm, derived_rank,
+from nambu.multivector import (MultiVector, OneForm, _drops, _partials, derived_rank,
                                is_decomposable, merge_indices,
                                multivector_from_json, multivector_to_json,
                                sort_indices)
+from nambu.njacobi import JacobiOp, jacobi_defects
+from nambu.npoisson import fi_defect
 from nambu.poly import Poly
 
 
@@ -422,6 +425,81 @@ class TestTrustedResults:
         for r in results:
             assert r == MultiVector(r.num_vars, r.degree, r.components)
             assert all(p.terms for p in r.components.values())
+
+
+def uncached(v):
+    """A copy of ``v`` rebuilt from its terms, sharing no table with it."""
+    return MultiVector(v.num_vars, v.degree, {
+        idx: Poly(p.num_vars, dict(p.terms)) for idx, p in v.components.items()})
+
+
+class TestKernelTables:
+    """The partials and the drop table a multivector keeps for the kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_cached_tables_give_the_uncached_results(self, m, data, seed):
+        """Lie derivatives of one tensor along many fields, and brackets and
+        contractions with it, equal those on copies rebuilt each time."""
+        rng = random.Random(seed)
+        k = data.draw(st.integers(0, m))
+        t = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+        fields = [rand_multivector(rng, m, 1, max_degree=2, density=0.6) for _ in range(4)]
+        if k >= 2:
+            fields += [t.hamiltonian_field([Poly.var(m, i) for i in idx])
+                       for idx in itertools.combinations(range(m), k - 1)]
+        for x in fields:
+            assert x.lie_derivative_of(t) == uncached(x).lie_derivative_of(uncached(t))
+            assert t.schouten(x) == uncached(t).schouten(uncached(x))
+        l = data.draw(st.integers(max(0, 1 - k), min(m, m + 1 - k)))
+        w = rand_multivector(rng, m, l, max_degree=1, density=0.7)
+        assert t.schouten(w) == uncached(t).schouten(uncached(w))
+        assert w.schouten(t) == uncached(w).schouten(uncached(t))
+        if k:
+            alpha = [rand_poly(rng, m) for _ in range(m)]
+            assert t.contract_form(alpha) == uncached(t).contract_form(alpha)
+        assert _partials(t) is _partials(t) and _drops(t) is _drops(t)
+
+    def test_equality_and_hash_ignore_the_tables(self, rng):
+        t = rand_multivector(rng, 4, 2, max_degree=2, density=0.8)
+        u = uncached(t)
+        rand_multivector(rng, 4, 1, density=0.8).lie_derivative_of(t)
+        assert _partials(t) and _drops(t)
+        for slot in ("_grad", "_drop_table"):
+            assert hasattr(t, slot) and not hasattr(u, slot)
+        assert t == u and u == t and hash(t) == hash(u) and len({t, u}) == 1
+
+    def test_walks_leave_the_tables_unchanged(self, rng):
+        """A walk of defects reads the tables of its fixed tensors and
+        changes no part of them, the term maps included."""
+        m = 5
+        t = rand_decomposable_tensor(rng, m, 3, coef_degree=2)
+        box = rand_multivector(rng, m, 2, max_degree=2, density=0.6)
+        op = JacobiOp(t, box)
+        tables = [(_partials(v), _drops(v)) for v in (t, box)]
+        before = copy.deepcopy(tables)
+        xs = Poly.variables(m)
+        slots = xs + [Poly.const(m, 1), xs[0] * xs[1] + xs[2]]
+        for fs in itertools.combinations(slots, 2):
+            fi_defect(t, fs)
+            jacobi_defects(op, fs)
+        after = [(_partials(v), _drops(v)) for v in (t, box)]
+        assert all(a is b for pair, same in zip(after, tables) for a, b in zip(pair, same))
+        assert after == before
+
+    def test_zero_factor_and_summand_make_no_products(self, rng, monkeypatch):
+        v = rand_multivector(rng, 4, 2, max_degree=2, density=0.8)
+        zero = MultiVector.zero(4, 2)
+
+        def no_arithmetic(*args):
+            raise AssertionError("a polynomial product or sum was formed")
+
+        monkeypatch.setattr(Poly, "__mul__", no_arithmetic)
+        monkeypatch.setattr(Poly, "__add__", no_arithmetic)
+        assert (v * 0).is_zero() and (v * Fraction(0)).is_zero()
+        assert (v * Poly.zero(4)).is_zero()
+        assert v + zero is v and zero + v is v and v - zero is v
+        assert zero - v == -v
 
 
 class TestDerivedVectors:

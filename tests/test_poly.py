@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RefPoly, float_outcome as outcome, float_plan_oracle
+from conftest import (RefPoly, add_products_oracle, float_outcome as outcome,
+                      float_plan_oracle)
 from nambu import dynamics, poly as poly_module
 from nambu.multivector import MultiVector
 from nambu.poly import (Poly, compile_floats, coordinate_index, refuse_above,
@@ -260,6 +262,51 @@ def test_gradient_is_cached_but_not_shared(terms):
     grad.append(Poly.const(3, 1))
     assert p.gradient() == expected
     assert p.gradient() is not p.gradient()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.sampled_from([1, -1]), st.data())
+def test_compiled_products_match_reference_loop(m, sign, data):
+    """The product loop compiled for m variables adds the same terms as the
+    ``tuple(map(add, …))`` loop, int and Fraction alike, into a non-empty
+    accumulator that already holds some of the products, with the same key
+    order and the same zero sums in place."""
+    exps = st.tuples(*[st.integers(-2, 3)] * m)
+    nonzero = coefs.filter(bool)
+    a = data.draw(st.dictionaries(exps, nonzero, max_size=4))
+    b = data.draw(st.dictionaries(exps, nonzero, max_size=4))
+    acc = data.draw(st.dictionaries(exps, coefs, min_size=1, max_size=3))
+    for e1 in a:
+        for e2 in b:
+            if data.draw(st.booleans()):
+                acc[tuple(map(operator.add, e1, e2))] = data.draw(coefs)
+    got, want = dict(acc), dict(acc)
+    poly_module._add_products(m)(got, a, b, sign)
+    add_products_oracle(want, a, b, sign)
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def test_one_product_loop_per_variable_count(monkeypatch):
+    """Poly products, wedges, contractions, Schouten brackets and Lie
+    derivatives in m variables all run through one loop compiled for m."""
+    sources = []
+    monkeypatch.setattr(poly_module, "exec", lambda source, namespace:
+                        sources.append(source) or exec(source, namespace), raising=False)
+    poly_module._add_products.cache_clear()
+    for m in range(8):
+        for c in (Fraction(1, 3), -2):
+            f = sum(Poly.variables(m), Poly.const(m, c))
+            one = MultiVector(m, 0, {(): f})
+            assert one.wedge(one).coefficient(()) == f * f
+            if m:
+                x = MultiVector.basis(m, (0,), f)
+                v = MultiVector.basis(m, range(min(2, m)), f * c)
+                results = [x.wedge(v), v.contract_form([f] * m), x.schouten(v),
+                           x.lie_derivative_of(v)]
+                assert all(r.num_vars == m for r in results)
+    assert len(sources) == 8
+    assert poly_module._add_products.cache_info().misses == 8
 
 
 # signed zeros, poles, values whose powers overflow, and ordinary values
