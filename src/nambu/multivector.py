@@ -192,6 +192,8 @@ class MultiVector:
         """Multiply every coefficient by a Poly or scalar."""
         if not isinstance(factor, Poly):
             factor = Poly.const(self.num_vars, Fraction(factor))
+        elif factor.num_vars != self.num_vars:
+            raise ValueError(f"variable count mismatch: {self.num_vars} vs {factor.num_vars}")
         if not factor.terms:
             return MultiVector._make(self.num_vars, self.degree, {})
         # a product of nonzero polynomials is nonzero

@@ -501,6 +501,14 @@ class TestKernelTables:
         assert v + zero is v and zero + v is v and v - zero is v
         assert zero - v == -v
 
+    def test_factor_with_another_variable_count_is_rejected(self, rng):
+        """A zero factor returns early, but not before its variable count is
+        checked, as a nonzero factor's is."""
+        v = rand_multivector(rng, 4, 2, max_degree=2, density=0.8)
+        for factor in (Poly.zero(3), Poly.zero(5), Poly.const(3, 2), Poly.var(5, 4)):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                v * factor
+
 
 class TestDerivedVectors:
     def test_rank_of_constant_blade(self):
