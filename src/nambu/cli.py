@@ -26,7 +26,7 @@ from . import bianchi, dynamics, njacobi, npoisson
 from .multivector import derived_rank, integral, multivector_from_json
 from .nlie import nlie_from_json, nlie_to_json
 from .njacobi import jacobiop_from_json
-from .poly import Poly
+from .poly import Poly, coef_text
 
 
 def _load(path: str, parse, what: str):
@@ -120,7 +120,7 @@ def cmd_classify(args) -> int:
     form = bianchi.generating_form(p)
     _emit({"label": str(label),
            "label_json": label.to_json(),
-           "generating_form": [[str(x) for x in row] for row in form],
+           "generating_form": [[coef_text(x) for x in row] for row in form],
            "unimodular": bianchi.is_unimodular(p)},
           args.json)
     return 0
@@ -129,7 +129,7 @@ def cmd_classify(args) -> int:
 def cmd_derivations(args) -> int:
     basis = bianchi.derivation_algebra(_load(args.file, nlie_from_json, "algebra data"))
     _emit({"dimension": len(basis),
-           "basis": [[[str(x) for x in row] for row in mat] for mat in basis]},
+           "basis": [[[coef_text(x) for x in row] for row in mat] for mat in basis]},
           args.json)
     return 0
 

@@ -37,7 +37,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
 from .poly import (MAX_VARS, MAX_WALK, Poly, _add_products, _stored, coordinate_index,
-                   integer_scaling, json_int, refuse_above, sized_combinations)
+                   integer_scaling, json_int, refuse_above, refuse_repeated,
+                   sized_combinations)
 
 IndexTuple = tuple[int, ...]
 
@@ -71,25 +72,10 @@ class MultiVector:
 
     def __init__(self, num_vars: int, degree: int,
                  components: Mapping[IndexTuple, Poly] | None = None):
-        if not 0 <= degree <= num_vars:
-            raise ValueError(f"degree {degree} out of range for {num_vars} variables")
-        clean: dict[IndexTuple, Poly] = {}
-        if components:
-            for indices, poly in components.items():
-                indices = tuple(indices)
-                if len(indices) != degree:
-                    raise ValueError(f"index tuple {indices} has wrong length for degree {degree}")
-                if any(not 0 <= i < num_vars for i in indices):
-                    raise ValueError(f"index tuple {indices} out of range")
-                if list(indices) != sorted(set(indices)):
-                    raise ValueError(f"index tuple {indices} must be strictly increasing")
-                if poly.num_vars != num_vars:
-                    raise ValueError("coefficient variable count mismatch")
-                if not poly.is_zero():
-                    clean[indices] = poly
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
+        object.__setattr__(self, "components",
+                           _checked_components(num_vars, degree, components or {}))
 
     @staticmethod
     def _make(num_vars: int, degree: int,
@@ -340,6 +326,30 @@ class MultiVector:
         return _finished(self.num_vars, degree, acc)
 
 
+def _checked_components(num_vars: int, degree: int,
+                         components: Mapping[IndexTuple, Poly]) -> dict[IndexTuple, Poly]:
+    """The nonzero ``components`` in a new dict, after the checks of the
+    constructor: ValueError unless 0 ≤ ``degree`` ≤ ``num_vars`` and every
+    index tuple is strictly increasing, of length ``degree`` and in range,
+    with a coefficient in ``num_vars`` variables."""
+    if not 0 <= degree <= num_vars:
+        raise ValueError(f"degree {degree} out of range for {num_vars} variables")
+    clean: dict[IndexTuple, Poly] = {}
+    for indices, poly in components.items():
+        indices = tuple(indices)
+        if len(indices) != degree:
+            raise ValueError(f"index tuple {indices} has wrong length for degree {degree}")
+        if any(not 0 <= i < num_vars for i in indices):
+            raise ValueError(f"index tuple {indices} out of range")
+        if list(indices) != sorted(set(indices)):
+            raise ValueError(f"index tuple {indices} must be strictly increasing")
+        if poly.num_vars != num_vars:
+            raise ValueError("coefficient variable count mismatch")
+        if poly.terms:
+            clean[indices] = poly
+    return clean
+
+
 def _nonzero(comps: dict[IndexTuple, Poly]) -> dict[IndexTuple, Poly]:
     """``comps`` without its zero coefficients."""
     return {i: p for i, p in comps.items() if p.terms}
@@ -555,11 +565,21 @@ def multivector_to_json(v: MultiVector) -> dict:
 
 
 def multivector_from_json(data: Mapping) -> MultiVector:
+    """The JSON form read in one pass.  The errors, and which of several comes
+    first, are those of reading every component and then building
+    ``MultiVector(m, degree, components)``; after them, an index tuple that
+    the file lists twice is refused."""
     m = json_int(data["num_vars"])
     refuse_above(m, MAX_VARS, f"{m} variables")
     degree = json_int(data["degree"])
     comps = {}
+    repeated = None
     for item in data.get("components", []):
         idx = tuple(json_int(i) - 1 for i in item["indices"])
-        comps[idx] = Poly.from_json(item["poly"], m)
-    return MultiVector(m, degree, comps)
+        poly = Poly.from_json(item["poly"], m)
+        if repeated is None and idx in comps:
+            repeated = idx
+        comps[idx] = poly
+    comps = _checked_components(m, degree, comps)
+    refuse_repeated(repeated)
+    return MultiVector._make(m, degree, comps)

@@ -39,8 +39,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import linalg
-from .poly import (MAX_WORK, integer_scaling, json_int, json_rational, refuse_above,
-                   sized_combinations)
+from .poly import (MAX_WORK, coef_text, integer_scaling, json_int, json_rational,
+                   refuse_above, refuse_repeated, sized_combinations)
 
 IndexTuple = tuple[int, ...]
 Vector = list[Fraction]
@@ -50,8 +50,9 @@ Entries = Iterable[tuple[int, Fraction]]  # (index, value) pairs of a vector
 
 
 def _to_vec(v: Sequence, dim: int) -> Vector:
-    """``v`` as a new list of ``Fraction``s; an entry that is one already (as
-    ``nlie_from_json`` reads every constant) is not converted again."""
+    """``v`` as a new list of ``Fraction``s; an entry that is one already is
+    not converted again (``nlie_from_json`` reads each constant in the stored
+    form of ``poly.json_rational``, so only its integers are converted)."""
     v = [x if type(x) is Fraction else Fraction(x) for x in v]
     if len(v) != dim:
         raise ValueError(f"vector has length {len(v)}, expected {dim}")
@@ -207,6 +208,29 @@ def _first_defect(pairs: Sequence[tuple["NLieStructure", "NLieStructure"]],
     return None
 
 
+def _checked_constants(dim: int, arity: int,
+                       constants: Mapping[IndexTuple, Sequence]) -> dict[IndexTuple, Vector]:
+    """The nonzero ``constants`` as new ``Fraction`` lists in a new dict, after
+    the checks of the constructor: ValueError unless ``dim`` and ``arity``
+    are at least 1 and every key is a strictly increasing ``arity``-tuple in
+    range with a vector of length ``dim``."""
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+    clean: dict[IndexTuple, Vector] = {}
+    for idx, value in constants.items():
+        idx = tuple(idx)
+        if len(idx) != arity or list(idx) != sorted(set(idx)):
+            raise ValueError(f"constant key {idx} must be a strictly increasing {arity}-tuple")
+        if any(not 0 <= i < dim for i in idx):
+            raise ValueError(f"constant key {idx} out of range")
+        vec = _to_vec(value, dim)
+        if any(vec):
+            clean[idx] = vec
+    return clean
+
+
 class NLieStructure:
     """Arity-n skew bracket on an N-dimensional space, by structure constants."""
 
@@ -214,22 +238,7 @@ class NLieStructure:
 
     def __init__(self, dim: int, arity: int,
                  constants: Mapping[IndexTuple, Sequence] | None = None):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        clean: dict[IndexTuple, Vector] = {}
-        if constants:
-            for idx, value in constants.items():
-                idx = tuple(idx)
-                if len(idx) != arity or list(idx) != sorted(set(idx)):
-                    raise ValueError(f"constant key {idx} must be a strictly increasing {arity}-tuple")
-                if any(not 0 <= i < dim for i in idx):
-                    raise ValueError(f"constant key {idx} out of range")
-                vec = _to_vec(value, dim)
-                if any(x != 0 for x in vec):
-                    clean[idx] = vec
-        self._set(dim, arity, clean)
+        self._set(dim, arity, _checked_constants(dim, arity, constants or {}))
 
     def _set(self, dim: int, arity: int, constants: dict[IndexTuple, Vector]) -> None:
         object.__setattr__(self, "dim", dim)
@@ -520,20 +529,30 @@ def nlie_to_json(p: NLieStructure) -> dict:
         "arity": p.arity,
         "constants": [
             {"indices": [i + 1 for i in idx],
-             "value": [str(x) for x in p.constants[idx]]}
+             "value": [coef_text(x) for x in p.constants[idx]]}
             for idx in sorted(p.constants)
         ],
     }
 
 
 def nlie_from_json(data: Mapping) -> NLieStructure:
+    """The JSON form read in one pass.  The errors, and which of several comes
+    first, are those of reading every constant and then building
+    ``NLieStructure(dim, arity, constants)``; after them, an index tuple
+    that the file lists twice is refused."""
     dim = json_int(data["dim"])
     arity = json_int(data["arity"])
     consts = {}
+    repeated = None
     for item in data.get("constants", []):
         idx = tuple(json_int(i) - 1 for i in item["indices"])
         value = item["value"]
         if type(value) is not list:
             raise ValueError(f"expected a list of rationals, got {value!r}")
-        consts[idx] = [json_rational(x) for x in value]
-    return NLieStructure(dim, arity, consts)
+        vec = [json_rational(x) for x in value]
+        if repeated is None and idx in consts:
+            repeated = idx
+        consts[idx] = vec
+    consts = _checked_constants(dim, arity, consts)
+    refuse_repeated(repeated)
+    return NLieStructure._make(dim, arity, consts)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (compat_oracle, derivation_oracle, fi_search_oracle,
                       fraction_jacobi_walk, jacobi_oracle, primes_between)
-from nambu import cli, dynamics, multivector, njacobi, npoisson
+from nambu import cli, dynamics, multivector, njacobi, npoisson, poly
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
 from nambu.multivector import MultiVector, multivector_from_json, multivector_to_json
@@ -258,6 +258,120 @@ def test_malformed_rational_field_is_input_error(capsys, tmp_path, argv, name, p
     assert err.startswith(f"error: {bad}: ") and "expected a " in err
 
 
+TERM = [{"coef": "1", "exps": [0, 0, 0, 1]}]
+# the exit code, stdout and stderr of the one-pass loaders on malformed
+# files are those of reading every field and then building the object
+MALFORMED_FILES = [
+    ("bool-exponent", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "poly", 0, "exps", 0), True, {},
+     "multivector data: expected an integer, got True"),
+    ("float-coef", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "poly", 0, "coef"), 0.5, {},
+     "multivector data: expected a rational as a string or integer, got 0.5"),
+    ("negative-exponent", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "poly", 0, "exps", 2), -1, {},
+     "multivector data: negative exponent in [0, 0, -1, 1]"),
+    ("exponent-length", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "poly", 0, "exps"), [0, 1], {},
+     "multivector data: exponent tuple (0, 1) has length 2, expected 4"),
+    ("value-not-list", ["check-nlie"], "atomic_3lie.json",
+     ("constants", 0, "value"), 5, {}, "algebra data: expected a list of rationals, got 5"),
+    ("value-length", ["check-nlie"], "atomic_3lie.json",
+     ("constants", 0, "value"), ["1", "2"], {}, "algebra data: vector has length 2, expected 4"),
+    ("nlie-out-of-range", ["check-nlie"], "atomic_3lie.json",
+     ("constants", 0, "indices"), [1, 2, 5], {},
+     "algebra data: constant key (0, 1, 4) out of range"),
+    ("nlie-unsorted", ["check-nlie"], "atomic_3lie.json",
+     ("constants", 0, "indices"), [2, 1, 3], {},
+     "algebra data: constant key (1, 0, 2) must be a strictly increasing 3-tuple"),
+    ("nlie-indices-length", ["check-nlie"], "atomic_3lie.json",
+     ("constants", 0, "indices"), [1, 2], {},
+     "algebra data: constant key (0, 1) must be a strictly increasing 3-tuple"),
+    ("tensor-out-of-range", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "indices"), [1, 2, 5], {},
+     "multivector data: index tuple (0, 1, 4) out of range"),
+    ("tensor-unsorted", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "indices"), [1, 3, 2], {},
+     "multivector data: index tuple (0, 2, 1) must be strictly increasing"),
+    ("tensor-indices-length", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "indices"), [1, 2], {},
+     "multivector data: index tuple (0, 1) has wrong length for degree 3"),
+    ("degree-above-num-vars", ["check-poisson"], "atomic_tensor.json", ("degree",), 5, {},
+     "multivector data: degree 5 out of range for 4 variables"),
+    # of several faults, a field read later comes before a check of the object
+    ("length-then-float-coef", ["check-poisson"], "atomic_tensor.json",
+     ("components", 0, "poly"), [{"coef": "1", "exps": [0, 1]},
+                                 {"coef": 0.5, "exps": [0, 0, 0, 1]}], {},
+     "multivector data: expected a rational as a string or integer, got 0.5"),
+    ("range-then-bool-exponent", ["check-poisson"], "atomic_tensor.json", ("components",),
+     [{"indices": [1, 2, 9], "poly": TERM},
+      {"indices": [1, 2, 4], "poly": [{"coef": "1", "exps": [0, False, 0, 1]}]}], {},
+     "multivector data: expected an integer, got False"),
+    ("degree-then-float-coef", ["check-poisson"], "atomic_tensor.json", ("components",),
+     [{"indices": [1, 2, 3], "poly": TERM},
+      {"indices": [1, 2, 4], "poly": [{"coef": 1.0, "exps": [0, 0, 0, 1]}]}], {"degree": 9},
+     "multivector data: expected a rational as a string or integer, got 1.0"),
+    ("range-then-value-not-list", ["check-nlie"], "atomic_3lie.json", ("constants",),
+     [{"indices": [1, 2, 9], "value": ["1", "0", "0", "0"]},
+      {"indices": [1, 2, 4], "value": "1000"}], {},
+     "algebra data: expected a list of rationals, got '1000'"),
+    ("dim-then-float-entry", ["check-nlie"], "atomic_3lie.json",
+     ("constants", 0, "value", 1), 0.25, {"dim": 0},
+     "algebra data: expected a rational as a string or integer, got 0.25"),
+]
+
+
+@pytest.mark.parametrize("argv, name, path, value, top, message",
+                         [case[1:] for case in MALFORMED_FILES],
+                         ids=[case[0] for case in MALFORMED_FILES])
+def test_malformed_file_messages_are_kept(capsys, tmp_path, argv, name, path, value, top,
+                                          message):
+    bad = write_altered(tmp_path, name, path, value, top)
+    assert run(capsys, *argv, str(bad)) == (2, "", f"error: {bad}: invalid {message}\n")
+
+
+@pytest.mark.parametrize("argv, name, path, out", [
+    (["check-poisson"], "atomic_tensor.json", ("components", 0, "poly"),
+     "verdict: True\nwitness: None\ndecomposable: True\nrank_at_origin: 0\n"),
+    (["check-jacobi"], "jacobi_pair.json", ("nabla", "components", 0, "poly"),
+     "verdict: True\nwitness: None\nbox_poisson: True\nnabla_decomposable: True\n"),
+], ids=["check-poisson", "check-jacobi"])
+def test_exponents_that_cancel_leave_a_zero_component(capsys, tmp_path, argv, name, path,
+                                                      out):
+    """Terms on one exponent tuple are summed: "1/2" and "-1/2" on the only
+    component leave the zero multivector, which is decided, not refused."""
+    terms = [{"coef": c, "exps": [0, 0, 0, 1]} for c in ("1/2", "-1/2")]
+    bad = write_altered(tmp_path, name, path, terms)
+    assert run(capsys, *argv, str(bad)) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, name, path, what, listed", [
+    (["check-poisson"], "atomic_tensor.json", ("components",), "multivector data",
+     "[1, 2, 3]"),
+    (["check-jacobi"], "jacobi_pair.json", ("nabla", "components"), "operator pair",
+     "[1, 2, 3]"),
+    (INTEGRATE_SYSTEM, "oscillator_system.json", ("tensor", "components"), "system file",
+     "[1, 2]"),
+    (["check-nlie"], "atomic_3lie.json", ("constants",), "algebra data", "[1, 2, 3]"),
+    (["hereditary", "--freeze", "1,0,0,0"], "vector_product_3.json", ("constants",),
+     "algebra data", "[1, 2, 3]"),
+], ids=["check-poisson", "check-jacobi", "integrate", "check-nlie", "hereditary"])
+def test_repeated_index_tuple_is_input_error(capsys, tmp_path, argv, name, path, what,
+                                             listed):
+    """An index tuple that a file lists twice exits 2 and is named as the
+    file writes it; it used to be decided on the last entry alone, so a
+    zero vector listed second erased a bracket."""
+    entries = json.loads((DATA / name).read_text())
+    for key in path:
+        entries = entries[key]
+    again = dict(entries[0])
+    if "value" in again:
+        again["value"] = ["0"] * len(again["value"])
+    bad = write_altered(tmp_path, name, path, [*entries, again])
+    assert run(capsys, *argv, str(bad)) == (
+        2, "", f"error: {bad}: invalid {what}: index tuple {listed} is listed twice\n")
+
+
 FILE_VERBS = {
     "check-nlie": ["check-nlie", "@"],
     "classify": ["classify", "@"],
@@ -291,9 +405,11 @@ def test_load_failure_names_the_file(capsys, tmp_path, verb, content, message):
     assert err.startswith("error: ") and str(bad) in err and message in err
 
 
-def write_altered(tmp_path, name, path, value):
-    """A copy of the demo file ``name`` with the entry at ``path`` set to ``value``."""
+def write_altered(tmp_path, name, path, value, top=None):
+    """A copy of the demo file ``name`` with the entry at ``path`` set to
+    ``value`` and the top-level fields of ``top`` set."""
     data = json.loads((DATA / name).read_text())
+    data.update(top or {})
     parent = data
     for key in path[:-1]:
         parent = parent[key]
@@ -776,6 +892,21 @@ class TestHereditary:
         h = nlie_from_json(json.loads(out))
         assert h.arity == 2
         assert h.bracket_basis((0, 1)) == [0, 0, -1, 0]
+
+    def test_answer_beyond_the_digit_limit(self, capsys, tmp_path):
+        """A 4,000-digit constant frozen against a 4,000-digit vector writes
+        the 8,000-digit product (past the int-to-str limit) in full."""
+        big, other = 3 * 10**3999 + 1, -7 * 10**3999 - 9
+        doc = {"dim": 3, "arity": 2, "constants": [
+            {"indices": [1, 2], "value": ["0", "0", str(big)]}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "hereditary", str(path), f"--freeze={other},0,0")
+        assert code == 0 and not err
+        (entry,) = json.loads(out)["constants"]
+        assert entry["indices"] == [2]
+        assert entry["value"] == ["0", "0", poly.coef_text(big * other)]
+        assert len(entry["value"][2]) == 8001
 
     def test_bad_freeze_vector(self, capsys):
         code, _, err = run(capsys, "hereditary",

@@ -3,6 +3,7 @@ bracket, derived vectors, decomposability, and linear one-forms."""
 
 import copy
 import itertools
+import json
 from fractions import Fraction
 
 import random
@@ -613,6 +614,26 @@ class TestSerialization:
         for _ in range(5):
             v = rand_multivector(rng, 4, 2, max_degree=2)
             assert multivector_from_json(multivector_to_json(v)) == v
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 4), data=st.data())
+    def test_json_round_trip_keeps_stored_form(self, m, data):
+        """Components, their order and every coefficient's stored type come
+        back: no zero, and no ``Fraction`` with denominator 1."""
+        degree = data.draw(st.integers(0, m))
+        coefs = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30),
+                          st.fractions(-3, 3, max_denominator=6),
+                          st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)))
+        comps = {idx: Poly(m, data.draw(st.dictionaries(
+                     st.tuples(*[st.integers(0, 2)] * m), coefs, max_size=3)))
+                 for idx in data.draw(st.lists(st.sampled_from(
+                     list(itertools.combinations(range(m), degree))), max_size=4, unique=True))}
+        v = MultiVector(m, degree, comps)
+        w = multivector_from_json(json.loads(json.dumps(multivector_to_json(v))))
+        assert w == v and list(w.components) == sorted(v.components)
+        for idx, p in w.components.items():
+            assert p.terms == v.components[idx].terms
+            assert all(c and (type(c) is int or c.denominator != 1) for c in p.terms.values())
 
     def test_wire_indices_are_one_based(self):
         data = multivector_to_json(MultiVector.basis(3, (0, 2)))

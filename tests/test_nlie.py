@@ -2,6 +2,7 @@
 Jacobi identity, hereditary structures, derivations and compatibility."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -355,6 +356,22 @@ class TestSerialization:
     def test_round_trip(self, rng):
         p = rand_4dim_3lie(rng)
         assert nlie_from_json(nlie_to_json(p)) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 5), data=st.data())
+    def test_json_round_trip_keeps_fractions(self, dim, data):
+        """The structure comes back with every constant a ``Fraction``, as
+        ``classify`` halves sums of them."""
+        arity = data.draw(st.integers(1, dim))
+        values = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30),
+                           st.fractions(-3, 3, max_denominator=6))
+        consts = {idx: data.draw(st.lists(values, min_size=dim, max_size=dim))
+                  for idx in data.draw(st.lists(st.sampled_from(
+                      list(itertools.combinations(range(dim), arity))), max_size=4, unique=True))}
+        p = NLieStructure(dim, arity, consts)
+        q = nlie_from_json(json.loads(json.dumps(nlie_to_json(p))))
+        assert q == p and q._sparse == p._sparse
+        assert all(type(x) is Fraction for vec in q.constants.values() for x in vec)
 
     def test_wire_indices_one_based(self):
         data = nlie_to_json(atomic4())

@@ -1,6 +1,7 @@
 """Exact sparse-polynomial arithmetic."""
 
 import itertools
+import json
 import math
 import operator
 import sys
@@ -14,7 +15,7 @@ from conftest import (RefPoly, add_products_oracle, float_outcome as outcome,
                       float_plan_oracle)
 from nambu import dynamics, poly as poly_module
 from nambu.multivector import MultiVector
-from nambu.poly import (Poly, compile_floats, coordinate_index, refuse_above,
+from nambu.poly import (Poly, compile_floats, coordinate_index, json_rational, refuse_above,
                         sized_combinations)
 
 X1, X2, X3 = Poly.variables(3)
@@ -174,6 +175,8 @@ class TestSerialization:
         assert str(p) == f"{digits}/11 + 1/1{'0' * 5000} x1 - {digits} x2^2"
         assert [t["coef"] for t in p.to_json()] == [f"{digits}/11", f"1/1{'0' * 5000}",
                                                      f"-{digits}"]
+        # n-Lie constants are Fractions, integral ones too
+        assert poly_module.coef_text(Fraction(-big)) == f"-{digits}"
         with pytest.raises(ValueError, match="digits"):
             Poly.from_json(p.to_json(), 2)
         limit = sys.get_int_max_str_digits()
@@ -206,6 +209,111 @@ coefs = st.one_of(st.integers(-4, 4),
                   st.fractions(min_value=-4, max_value=4, max_denominator=6))
 laurent_terms = st.lists(st.tuples(st.tuples(*[st.integers(-2, 3)] * 3), coefs),
                          max_size=5)
+
+
+# -- input files: rationals, terms, values ----------------------------------------
+
+def stored_fraction(text):
+    """``Fraction(text)`` in stored form: the reference for ``json_rational``."""
+    value = Fraction(text)
+    return value.numerator if value.denominator == 1 else value
+
+
+def rational_outcome(fn, value):
+    """(type, value) of ``fn(value)``, or (type, text) of the error it raises."""
+    try:
+        result = fn(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+ODD_RATIONALS = ["+3", " 3 ", "3 / 4", "1_000", "0.5", "1e3", "1/0", "", "-", "\u0663",
+                 "\u00b2", "1" * 4301, "-0", "0/5", "007/014", "4/2", "-6/4", "3/-4", "/4",
+                 "3/", "--3", "1/2/3", "3\n", "0x10", "1/" + "7" * 4301,
+                 "9" * 4300 + "/3", "-" + "9" * 4300, "\u0663/2", "-0/0"]
+
+
+@pytest.mark.parametrize("text", ODD_RATIONALS,
+                         ids=[t if len(t) < 20 else f"{t[:4]}...{len(t)}-chars"
+                              for t in ODD_RATIONALS])
+def test_json_rational_matches_fraction_on_odd_strings(text):
+    """Every string gives the value and stored type of ``Fraction(text)``,
+    or its error with the same text."""
+    assert rational_outcome(json_rational, text) == rational_outcome(stored_fraction, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions().map(str), st.integers().map(str),
+                 st.text(alphabet="0123456789-+/ ._e\u0663\u00b2", max_size=8)))
+def test_json_rational_matches_fraction(text):
+    assert rational_outcome(json_rational, text) == rational_outcome(stored_fraction, text)
+
+
+@pytest.mark.parametrize("value", [0, 7, -12, 10**300])
+def test_json_rational_reads_json_integers(value):
+    assert rational_outcome(json_rational, value) == (int, value)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, float("inf"), True, False, None, [], ["1"],
+                                   {}, {"1": 2}])
+def test_json_rational_refuses_other_json(value):
+    with pytest.raises(ValueError) as info:
+        json_rational(value)
+    assert str(info.value) == f"expected a rational as a string or integer, got {value!r}"
+
+
+def test_digit_strings_skip_the_fraction_parser(monkeypatch):
+    """``Fraction(str)`` runs only for strings outside -?digits(/digits)?."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return Fraction(*args)
+    monkeypatch.setattr(poly_module, "Fraction", spy)
+    texts = ["3", "-17", "3/4", "-6/4", "8/2", "007", "-0"]
+    assert [json_rational(t) for t in texts] == [3, -17, Fraction(3, 4), Fraction(-3, 2),
+                                                 4, 7, 0]
+    assert calls == [(3, 4), (-6, 4)]
+    assert json_rational(" 3 ") == 3 and calls[-1] == (" 3 ",)
+
+
+json_coefs = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30),
+                       st.fractions(-3, 3, max_denominator=4).map(str),
+                       st.sampled_from(["0", "-0", "2/2", "-4/2", "1.5", " 3", "1/3"]))
+json_terms = st.lists(st.fixed_dictionaries({
+    "coef": json_coefs,
+    "exps": st.lists(st.integers(0, 2), min_size=3, max_size=3)}), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_terms)
+def test_from_json_matches_the_fraction_sum(data):
+    """Terms on one exponent tuple are summed and zero sums dropped: the
+    same terms, in the same order and stored types, as summing in
+    ``Fraction``s and building ``Poly(3, sums)``."""
+    sums = {}
+    for item in data:
+        exps = tuple(item["exps"])
+        sums[exps] = sums.get(exps, Fraction(0)) + Fraction(item["coef"])
+    want = Poly(3, sums)
+    got = Poly.from_json(data, 3)
+    assert_stored_form(got)
+    assert [(e, type(c), c) for e, c in got.terms.items()] == \
+        [(e, type(c), c) for e, c in want.terms.items()]
+
+
+big_coefs = st.one_of(coefs, st.integers(-10**40, 10**40),
+                      st.fractions(max_denominator=10**20).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3), big_coefs), max_size=6))
+def test_json_round_trip_keeps_stored_form(terms):
+    p = Poly(3, dict(terms))
+    q = Poly.from_json(json.loads(json.dumps(p.to_json())), 3)
+    assert_stored_form(q)
+    assert q == p and q.terms == p.terms
 
 
 @settings(max_examples=150, deadline=None)
