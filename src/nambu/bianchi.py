@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .multivector import MultiVector
 from .nlie import NLieStructure, form_row, frobenius_defect, generating_form, integral
-from .poly import MAX_ENTRIES, Poly, json_int, refuse_above
+from .poly import MAX_ENTRIES, Poly, refuse_above
 
 LAMBDA_KINDS = ("psi_plus", "psi_minus")
 
@@ -280,13 +280,3 @@ def witt_embedding_check() -> tuple[bool, dict[str, Poly]]:
     ok = brackets == expected and bivector.schouten(bivector).is_zero()
     return ok, brackets
 
-
-def label_from_json(data: Mapping) -> BianchiLabel:
-    kind = data["kind"]
-    keys = {"unimodular": {"r", "m"}, **dict.fromkeys(LAMBDA_KINDS, {"lambda"})}
-    stray = set(data) - {"kind"} - keys.get(kind, set())
-    if stray:
-        raise ValueError(f"unexpected keys {sorted(stray)} for kind {kind!r}")
-    if kind == "unimodular":
-        return unimodular_label(json_int(data["r"]), json_int(data["m"]))
-    return parse_psi_label(kind, data.get("lambda"))

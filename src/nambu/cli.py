@@ -86,7 +86,7 @@ def cmd_check_poisson(args) -> int:
     out = {
         "verdict": ok,
         "witness": _witness_str(witness),
-        "decomposable": npoisson.decomposable_given(v, verdict),
+        "decomposable": verdict.decomposable,
         "rank_at_origin": derived_rank(v, [0] * v.num_vars),
     }
     if ok and args.max_degree:
@@ -98,18 +98,16 @@ def cmd_check_poisson(args) -> int:
 
 def cmd_check_jacobi(args) -> int:
     op = _load(args.file, jacobiop_from_json, "operator pair")
-    # one integer multiple for the three deciders, so that they find it
-    # integral and share the gradients cached on its coefficients
+    # one integer multiple for both deciders, so that they find it integral
+    # and share the gradients cached on its coefficients
     op = njacobi.JacobiOp(*integral(op.nabla, op.box), arity=op.arity)
     ok, witness = verdict = njacobi.is_n_jacobi(op)
-    box_poisson = None
-    if op.box.degree >= 2:
-        box_poisson = njacobi.box_poisson_given(op, verdict)
+    # a true verdict makes □ = Δ(1, …) (n−1)-Poisson (njacobi's docstring)
+    box_poisson = (ok or npoisson.is_n_poisson(op.box)[0]) if op.box.degree >= 2 else None
     _emit({"verdict": ok,
            "witness": _witness_str(witness),
            "box_poisson": box_poisson,
-           "nabla_decomposable": npoisson.decomposable_given(op.nabla, verdict)
-           if op.nabla.degree >= 2 else None},
+           "nabla_decomposable": verdict.decomposable},
           args.json)
     return 0 if ok else 1
 
@@ -121,7 +119,7 @@ def cmd_classify(args) -> int:
     _emit({"label": str(label),
            "label_json": label.to_json(),
            "generating_form": [[coef_text(x) for x in row] for row in form],
-           "unimodular": bianchi.is_unimodular(p)},
+           "unimodular": label.kind == "unimodular"},
           args.json)
     return 0
 

@@ -541,15 +541,6 @@ class OneForm:
         return all(d[i][j].is_zero()
                    for i in range(self.num_vars) for j in range(i + 1, self.num_vars))
 
-    def to_json(self) -> dict:
-        return {"num_vars": self.num_vars,
-                "components": [c.to_json() for c in self.components]}
-
-    @staticmethod
-    def from_json(data: Mapping) -> "OneForm":
-        m = json_int(data["num_vars"])
-        return OneForm([Poly.from_json(c, m) for c in data["components"]])
-
 
 # -- serialization (1-based indices on the wire) -----------------------------------
 

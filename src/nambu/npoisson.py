@@ -37,9 +37,8 @@ def fi_defect(tensor: MultiVector, fs: Sequence[Poly]) -> MultiVector:
 
 class Verdict(tuple):
     """The ``(ok, witness)`` pair of ``is_n_poisson`` and ``is_n_jacobi``.
-    ``decomposable`` is whether the top tensor is decomposable, as the
-    decider found it for n ≥ 3, and None for bivectors, where it is not
-    tested."""
+    ``decomposable`` is whether the top tensor is decomposable, found for
+    every top of degree ≥ 2 (None below)."""
 
     def __new__(cls, ok: bool, witness: tuple | None, decomposable: bool | None):
         pair = super().__new__(cls, (ok, witness))
@@ -73,7 +72,7 @@ def is_n_poisson(tensor: MultiVector) -> Verdict:
     if n < 2:
         raise ValueError("requires degree ≥ 2")
     if tensor.is_zero() or n == tensor.num_vars:
-        return Verdict(True, None, True if n > 2 else None)
+        return Verdict(True, None, True)
     if n > 2:
         wedge_walk(tensor)  # refused under its own name first, as it runs first
     cost = step_cost(tensor)
@@ -90,7 +89,9 @@ def structure_verdict(top: MultiVector, walk: Iterable[tuple[int, ...]], slots: 
     n ≥ 3 a non-decomposable ``top`` is false (the structure theorem); its
     witness walk, sized here at ``cost`` a step, adds the quadratic monomials
     to ``slots``, as each slot of the defects has order ≤ 2.  The verdict
-    carries the decomposability found for n ≥ 3."""
+    carries the decomposability of ``top``: for n ≥ 3 found before the walk,
+    for bivectors after it, as their C(m, 1) wedges cost no more than the
+    walk that was sized first."""
     decomposable = is_decomposable(top) if top.degree > 2 else None
     if decomposable is False:
         m = top.num_vars
@@ -99,6 +100,8 @@ def structure_verdict(top: MultiVector, walk: Iterable[tuple[int, ...]], slots: 
         return Verdict(False, first_failure(walk, slots + slot_monomials(m)[m:], defect),
                        False)
     witness = first_failure(walk, slots, defect)
+    if top.degree == 2:
+        decomposable = is_decomposable(top)
     return Verdict(witness is None, witness, decomposable)
 
 
@@ -109,14 +112,6 @@ def first_failure(walk: Iterable[tuple[int, ...]], slots: Sequence[Poly], defect
         if not all(d.is_zero() for d in defect(fs)):
             return fs
     return None
-
-
-def decomposable_given(tensor: MultiVector, verdict: Verdict) -> bool:
-    """``is_decomposable(tensor)``, given the ``Verdict`` of ``is_n_poisson``
-    on it or of ``is_n_jacobi`` on a pair with it on top.  For n ≥ 3 the
-    verdict carries it, so the test runs again only for bivectors."""
-    found = verdict.decomposable
-    return is_decomposable(tensor) if found is None else found
 
 
 def dual_nvector(p: NLieStructure) -> MultiVector:
@@ -143,8 +138,8 @@ def scale(f: Poly, tensor: MultiVector) -> MultiVector:
     Refuses tensors that are not verified decomposable Poisson structures,
     since the conclusion needs the rank-n hypothesis.
     """
-    ok, _ = verdict = is_n_poisson(tensor)
-    if not (ok and decomposable_given(tensor, verdict)):
+    verdict = is_n_poisson(tensor)
+    if not (verdict[0] and verdict.decomposable):
         raise ValueError("scaling requires a decomposable n-Poisson tensor")
     return tensor * f
 
@@ -161,8 +156,8 @@ def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bo
     of a function rescaling is killed by the rank-n wedge identity.
     """
     for t in (delta, nabla):
-        ok, _ = verdict = is_n_poisson(t)
-        if not (ok and decomposable_given(t, verdict)):
+        verdict = is_n_poisson(t)
+        if not (verdict[0] and verdict.decomposable):
             raise ValueError("inputs must be decomposable multi-Poisson tensors")
     c1 = delta.schouten(nabla).is_zero()
     c2 = _mixed_wedge_vanishes(delta, nabla)

@@ -20,8 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (compat_oracle, derivation_oracle, fi_search_oracle,
-                      fraction_jacobi_walk, jacobi_oracle, primes_between)
-from nambu import cli, dynamics, multivector, njacobi, npoisson, poly
+                      fraction_jacobi_walk, jacobi_oracle, primes_between,
+                      rand_invertible_matrix)
+from nambu import bianchi, cli, dynamics, multivector, njacobi, npoisson, poly
 from nambu.cli import main
 from nambu.bianchi import MAX_ENTRIES, algebra_from_form
 from nambu.multivector import MultiVector, multivector_from_json, multivector_to_json
@@ -602,6 +603,32 @@ class TestCheckJacobi:
         assert code == 0 and data["nabla_decomposable"] is True
         assert len(calls) == 1
 
+    def test_box_of_two_blades_is_not_poisson(self, capsys, tmp_path):
+        """(0, ∂₁∧∂₂∧∂₃ + ∂₄∧∂₅∧∂₆) of arity 4 fails at (x1, x2, x3), and its □
+        is decided apart: not 3-Poisson, failing at (x1, x2·x4)."""
+        path = self.write_pair(tmp_path, MultiVector.zero(6, 4), sum_of_blades())
+        code, data, _ = run_json(capsys, "check-jacobi", path)
+        assert code == 1
+        assert data == {"verdict": False, "witness": ["x1", "x2", "x3"], "box_poisson": False,
+                        "nabla_decomposable": True}
+
+    def test_box_poisson_decided_after_a_false_verdict_only(self, capsys, tmp_path,
+                                                            monkeypatch):
+        """(0, ∂₁∧∂₂ + x₁·∂₃∧∂₄) fails, and ``is_n_poisson`` decides its □ once:
+        not Poisson.  The true (∂₁∧…∧∂₄, ∂₁∧∂₂∧∂₃) in 5 variables never calls it."""
+        calls = []
+        real = npoisson.is_n_poisson
+        monkeypatch.setattr(npoisson, "is_n_poisson", lambda v: calls.append(v) or real(v))
+        box = MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3), Poly.var(4, 0))
+        code, data, _ = run_json(capsys, "check-jacobi",
+                                 self.write_pair(tmp_path, MultiVector.zero(4, 3), box))
+        assert (code, data["verdict"], data["box_poisson"]) == (1, False, False)
+        assert calls == [box]
+        calls.clear()
+        code, data, _ = run_json(capsys, "check-jacobi", self.write_pair(
+            tmp_path, MultiVector.basis(5, (0, 1, 2, 3)), MultiVector.basis(5, (0, 1, 2))))
+        assert (code, data["box_poisson"], calls) == (0, True, [])
+
     def test_witness_walk_refused(self, capsys, tmp_path):
         """(∂₁∧…∧∂₄ + ∂₅∧…∧∂₈, 0) passes its 84 slot tuples, and its top part
         is not decomposable; the C(45, 3) tuples of its witness walk exceed
@@ -622,6 +649,31 @@ class TestCheckJacobi:
         assert code == (0 if name == "gradient_extension" else 1)
         suffix = "json" if as_json else "txt"
         assert out == (GOLDEN / f"check_jacobi_{name}.{suffix}").read_text()
+
+
+@pytest.mark.parametrize("verb, nabla, box", [
+    ("check-poisson", MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3)), None),
+    ("check-poisson", MultiVector.basis(4, (0, 1), Poly.var(4, 2)), None),
+    ("check-jacobi", MultiVector.basis(4, (0, 1)) + MultiVector.basis(4, (2, 3)),
+     MultiVector.basis(4, (0,))),
+    ("check-jacobi", MultiVector.zero(6, 4), sum_of_blades()),
+], ids=["planes", "plane", "pair-planes", "pair-box-blades"])
+def test_decomposability_tested_once_per_tensor(capsys, tmp_path, monkeypatch,
+                                                verb, nabla, box):
+    """The decomposability that ``check-poisson`` and ``check-jacobi`` print
+    comes off the verdict, bivectors included, and a false n-Jacobi verdict
+    tests □ apart: no tensor is tested twice (3-vectors: the ``walks_once``
+    tests)."""
+    calls = []
+    real = npoisson.is_decomposable
+    monkeypatch.setattr(npoisson, "is_decomposable", lambda v: calls.append(v) or real(v))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(multivector_to_json(nabla) if box is None
+                               else njacobi.jacobiop_to_json(njacobi.JacobiOp(nabla, box))))
+    code, data, _ = run_json(capsys, verb, str(path))
+    assert code in (0, 1)
+    assert len(calls) <= (1 if box is None else 2)
+    assert all(a != b for a, b in itertools.combinations(calls, 2))
 
 
 def prime_denominators(seed, count):
@@ -755,6 +807,28 @@ class TestClassify:
         assert code == 0
         assert data["label_json"]["kind"] == "psi_zero"
         assert data["unimodular"] is False
+
+    @pytest.mark.parametrize("arity", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["unimodular", "psi_plus", "psi_minus", "psi_one",
+                                      "psi_zero"])
+    def test_unimodular_matches_is_unimodular(self, capsys, tmp_path, kind, arity):
+        """``unimodular`` is read off the label; it agrees with the symmetry of
+        the generating form behind a random basis change."""
+        rng = random.Random(f"{kind}-{arity}")
+        if kind == "unimodular":
+            r = rng.randint(0, arity + 1)
+            label = bianchi.unimodular_label(r, rng.randint((r + 1) // 2, r))
+        else:
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 9)) if kind in (
+                "psi_plus", "psi_minus") else None
+            label = bianchi.psi_label(kind, lam)
+        p = bianchi.synthesize(label, arity).change_basis(
+            rand_invertible_matrix(rng, arity + 1))
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(nlie_to_json(p)))
+        code, data, _ = run_json(capsys, "classify", str(path))
+        assert code == 0
+        assert data["unimodular"] is bianchi.is_unimodular(p) is (kind == "unimodular")
 
     def test_invalid_algebra_is_input_error(self, capsys, tmp_path):
         with open(DATA / "vector_product_3.json") as fh:

@@ -638,14 +638,3 @@ class TestSerialization:
     def test_wire_indices_are_one_based(self):
         data = multivector_to_json(MultiVector.basis(3, (0, 2)))
         assert data["components"][0]["indices"] == [1, 3]
-
-    def test_oneform_round_trip(self, rng):
-        alpha = OneForm([rand_poly(rng, 3) for _ in range(3)])
-        assert OneForm.from_json(alpha.to_json()).components == alpha.components
-
-    @pytest.mark.parametrize("value", [3.0, float("inf"), "3", True])
-    def test_oneform_num_vars_must_be_an_integer(self, value):
-        data = OneForm(Poly.variables(3)).to_json()
-        data["num_vars"] = value
-        with pytest.raises(ValueError, match="expected an integer"):
-            OneForm.from_json(data)
