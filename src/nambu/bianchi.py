@@ -13,7 +13,9 @@ V/ker K.  Any plane P = span(e_i, e_j) with K_ij ≠ 0
 represents it, so det S_P / det K_P depends on neither P nor the basis.  The
 standard block ½(z₁dz₂ − z₂dz₁) has determinant 1/4, so the single scale
 invariant λ is kept exactly as the rational λ² = |d|, d = det S_P / (4 K_ij²),
-computed in the given basis.
+computed in the given basis.  Neither d nor the signature of S moves when a
+is multiplied by a positive number, so ``classify`` computes both in integers,
+on the form of the ``nlie.integral`` multiple with S and K unhalved.
 
 Orientation convention: the sign of the correspondence is fixed so that the
 algebra with single bracket [e₁,e₂,e₃] = e₄ has generating matrix a₄₄ = +1
@@ -153,15 +155,20 @@ def classify(p: NLieStructure) -> BianchiLabel:
     """Complete isomorphism label of a valid (n+1)-dimensional n-Lie algebra:
     (rank, max index) of S when K = 0, else the Ψ class of d (module docstring)
     on the plane of the first K_ij ≠ 0.  A structure failing α∧dα = 0 is
-    refused with the first nonzero coefficient (``nlie.frobenius_defect``)."""
+    refused with the first nonzero coefficient (``nlie.frobenius_defect``).
+
+    It reads the generating form a of the ``integral`` multiple c·P, c > 0,
+    in integers, and takes a + aᵀ = 2c·S and a − aᵀ = 2c·K unhalved: a
+    positive scale leaves the signature of S and d = det S_P / (4 K_ij²)
+    as they are, so the label is P's."""
     defect = frobenius_defect(p)
     if defect is not None:
         raise ValueError("not an n-Lie algebra: α∧dα ≠ 0, the coefficient c_ijkl is "
                          f"nonzero at (i, j, k, l) = {tuple(x + 1 for x in defect)}")
-    a = generating_form(p)
+    a = generating_form(*integral(p))
     at = linalg.transpose(a)
-    sym = [[(x + y) / 2 for x, y in zip(row, col)] for row, col in zip(a, at)]
-    skew = [[(x - y) / 2 for x, y in zip(row, col)] for row, col in zip(a, at)]
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(a, at)]
+    skew = [[x - y for x, y in zip(row, col)] for row, col in zip(a, at)]
     pivot = next(((i, j) for i, row in enumerate(skew) for j, x in enumerate(row) if x),
                  None)
     if pivot is None:

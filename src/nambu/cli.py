@@ -21,6 +21,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bianchi, dynamics, njacobi, npoisson
 from .multivector import derived_rank, integral, multivector_from_json
@@ -49,9 +50,37 @@ def _load(path: str, parse, what: str):
         raise ValueError(f"{path}: invalid {what}: {exc}") from exc
 
 
+def _json_text(x, indent: str = "\n") -> str:
+    """The text of ``json.dumps(x, indent=2, default=str)`` for what the
+    verbs write: dicts with string keys, lists and tuples, strings, ints,
+    and other leaves (True, False, None, floats, and through ``str`` any
+    other object) as ``json.dumps`` writes them alone.  ``json.dumps`` with
+    an indent always runs the pure-Python encoder; this is one call per
+    container and one C string encoder call per string."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(
+            [encode_basestring_ascii(v) if isinstance(v, str) else _json_text(v, inner)
+             for v in x]) + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+             for k, v in x.items()]) + indent + "}"
+    return json.dumps(x, default=str)
+
+
 def _emit(data: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(data, indent=2, default=str))
+        print(_json_text(data))
         return
     for key, value in data.items():
         print(f"{key}: {value}")
@@ -141,7 +170,7 @@ def cmd_synthesize(args) -> int:
         if args.r is not None or args.m is not None:
             raise ValueError(f"{args.kind} labels take no --r or --m")
         label = bianchi.parse_psi_label(args.kind, args.lam)
-    print(json.dumps(nlie_to_json(bianchi.synthesize(label, args.arity)), indent=2))
+    print(_json_text(nlie_to_json(bianchi.synthesize(label, args.arity))))
     return 0
 
 
@@ -162,7 +191,7 @@ def cmd_hereditary(args) -> int:
                    for chunk in args.freeze.split(";")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid --freeze argument: {exc}") from exc
-    print(json.dumps(nlie_to_json(p.hereditary(vectors)), indent=2))
+    print(_json_text(nlie_to_json(p.hereditary(vectors))))
     return 0
 
 

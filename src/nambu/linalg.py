@@ -79,8 +79,10 @@ def _primitive(row: Mapping[int, Rational]) -> dict[int, int]:
     return {j: x // g for j, x in ints.items()} if g > 1 else ints
 
 
-def _eliminate(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
-    """a·r − b·p with column ``c`` cancelled, content removed, zeros dropped."""
+def _eliminate(r: dict[int, int], p: dict[int, int], c: int
+               ) -> tuple[dict[int, int], int, int]:
+    """(a·r − b·p)/g with column ``c`` cancelled (a/b = p_c/r_c in lowest
+    terms), g the content of a·r − b·p, zeros dropped; and a and g."""
     g = math.gcd(p[c], r[c])
     a, b = p[c] // g, r[c] // g
     out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
@@ -91,7 +93,7 @@ def _eliminate(r: dict[int, int], p: dict[int, int], c: int) -> dict[int, int]:
         else:
             del out[j]
     g = math.gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
+    return ({j: x // g for j, x in out.items()} if g > 1 else out), a, g
 
 
 def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
@@ -109,12 +111,12 @@ def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
     done: dict[int, dict[int, int]] = {}  # pivot column -> its pivot row
     for r in map(_primitive, rows):
         for c in [c for c in r if c in done]:
-            r = _eliminate(r, done[c], c)
+            r = _eliminate(r, done[c], c)[0]
         if r:
             c = min(r)
             for k, p in done.items():
                 if c in p:
-                    done[k] = _eliminate(p, r, c)
+                    done[k] = _eliminate(p, r, c)[0]
             done[c] = r
     pivots = sorted(done)
     return [{j: Fraction(x, r[c]) for j, x in r.items()}

@@ -2,10 +2,15 @@
 
 An ``NLieStructure`` stores the bracket values on increasing basis tuples;
 total skew-symmetry and multilinearity recover everything else.  The bracket
-forms no determinant: it row-reduces its arguments, builds v₁∧…∧v_n with
-``linalg.wedge_minors``, the package's one wedge kernel (signed minors on
-increasing index tuples, visiting only nonzero entries), and pairs them with
-the constants: a basis tuple costs one lookup.  One kernel, ``_defect``,
+forms no determinant, and computes in integers: ``_reduced`` row-reduces its
+arguments fraction-free to integer rows with the same wedge up to one
+rational factor, removing each row's content as it goes so that the entries
+stay small; ``linalg.wedge_minors``, the package's one wedge kernel (signed
+minors on increasing index tuples, visiting only nonzero entries), builds
+their wedge, and it is paired with the constants of the structure's
+``integral`` multiple, cached on the structure: a basis tuple costs one
+lookup, and each entry of the answer is one ``Fraction``, the integer sum
+times the factor over the multiple.  One kernel, ``_defect``,
 computes D·Q(w₁,…,w_n) − Σᵢ Q(w₁,…,Dwᵢ,…,w_n) from the sparse columns of D.
 The n-ary Jacobi identity, ``is_derivation`` and the compatibility conditions
 of every order between two structures are that kernel with different D and
@@ -59,26 +64,48 @@ def _to_vec(v: Sequence, dim: int) -> Vector:
     return v
 
 
-def _entries(v: Vector) -> list[tuple[int, Fraction]]:
-    return [(i, x) for i, x in enumerate(v) if x]
+def _reduced(vs: Sequence[Sequence], dim: int) -> tuple[list[list[tuple[int, int]]], Fraction]:
+    """Integer rows r₁,…,r_k and the rational f with v₁∧…∧v_k = f·r₁∧…∧r_k,
+    f = 0 when the v's are dependent.
 
-
-def _reduced(vs: Sequence[Sequence], dim: int) -> list[list[tuple[int, Fraction]]]:
-    """Entries of vectors with the same wedge v₁∧…∧v_k, each cleared from the
-    others' pivot indices (adding a multiple of one argument to another leaves
-    the wedge unchanged).  Each keeps its pivot and at most c = dim − k other
-    indices, so the wedge has at most Σⱼ C(k, j)·C(c, j) minors (k + 1 for
-    c = 1) where dense arguments would make up to 2^dim partial minors."""
-    rows = [_to_vec(v, dim) for v in vs]
-    for r, row in enumerate(rows):
-        j = next((j for j, x in enumerate(row) if x), None)
-        if j is None:
-            break  # a zero argument: the wedge vanishes
-        for s, other in enumerate(rows):
-            if s != r and other[j]:
-                f = other[j] / row[j]
-                rows[s] = [a - f * b if b else a for a, b in zip(other, row)]
-    return [_entries(row) for row in rows]
+    Each argument is scaled to coprime integers; then the sparsest row
+    first pivots on its leading index, and each other row s that holds it
+    becomes (a·s − b·r)/g, a/b the ratio of the two entries in lowest terms
+    and g the content of a·s − b·r (``linalg._eliminate``, as in ``rref``);
+    f collects the scales and the a/g.  Adding a multiple of one row to
+    another leaves the wedge unchanged, so each row keeps its pivot and at
+    most c = dim − k other indices, and the wedge has at most Σⱼ C(k, j)·C(c, j)
+    minors (k + 1 for c = 1) where dense arguments would make up to 2^dim
+    partial minors.  Content removal keeps each row primitive, so it divides
+    a vector of minors of the arguments and its entries stay under their
+    Hadamard bound; without it they grow with every step (30 dense ±2
+    arguments in dimension 31: 18 bits, against 148)."""
+    num, den = 1, 1
+    rows = []
+    for v in vs:
+        if len(v) != dim:
+            raise ValueError(f"vector has length {len(v)}, expected {dim}")
+        try:
+            d = math.lcm(*[x.denominator for x in v])
+        except AttributeError:  # a float or another number: read as a Fraction
+            v = [Fraction(x) for x in v]
+            d = math.lcm(*[x.denominator for x in v])
+        ints = [x.numerator * (d // x.denominator) for x in v]
+        g = math.gcd(*ints)  # v = (g/d)·row
+        rows.append({j: x // g for j, x in enumerate(ints) if x})
+        num *= g
+        den *= d
+    for r in sorted(range(len(rows)), key=lambda s: len(rows[s])):
+        pivot = rows[r]
+        if not pivot:
+            return [[]] * len(rows), Fraction(0)
+        c = min(pivot)
+        for s, row in enumerate(rows):
+            if s != r and c in row:
+                rows[s], a, g = linalg._eliminate(row, pivot, c)
+                num *= g
+                den *= a
+    return [list(row.items()) for row in rows], Fraction(num, den)
 
 
 def _apply(cols: Sequence[Sparse], vec: Entries) -> Sparse:
@@ -234,7 +261,7 @@ def _checked_constants(dim: int, arity: int,
 class NLieStructure:
     """Arity-n skew bracket on an N-dimensional space, by structure constants."""
 
-    __slots__ = ("dim", "arity", "constants", "_sparse")
+    __slots__ = ("dim", "arity", "constants", "_sparse", "_scaled")
 
     def __init__(self, dim: int, arity: int,
                  constants: Mapping[IndexTuple, Sequence] | None = None):
@@ -246,6 +273,18 @@ class NLieStructure:
         object.__setattr__(self, "constants", constants)
         object.__setattr__(self, "_sparse", {
             idx: [(j, x) for j, x in enumerate(vec) if x] for idx, vec in constants.items()})
+        object.__setattr__(self, "_scaled", None)
+
+    def _integral(self) -> tuple["NLieStructure", Fraction]:
+        """(Q, 1/c) for Q = c·P the ``integral`` multiple, built on first use:
+        P's brackets are Q's divided by c, paired in integers."""
+        if self._scaled is None:
+            q, = integral(self)
+            key = next(iter(self._sparse), None)
+            inv = (Fraction(1) if q is self or key is None
+                   else Fraction(self._sparse[key][0][1], q._sparse[key][0][1]))
+            object.__setattr__(self, "_scaled", (q, inv))
+        return self._scaled
 
     @staticmethod
     def _make(dim: int, arity: int, constants: dict[IndexTuple, list]) -> "NLieStructure":
@@ -320,15 +359,20 @@ class NLieStructure:
                 out[j] = out.get(j, 0) + coef * c
         return out
 
-    def _dense(self, vec: Sparse) -> Vector:
-        zero = Fraction(0)
-        return [vec.get(j, zero) for j in range(self.dim)]
+    def _dense(self, vec: Sparse, f: Fraction) -> Vector:
+        """f·vec as a list of ``Fraction``s, one built per entry."""
+        num, den, zero = f.numerator, f.denominator, Fraction(0)
+        return [Fraction(x * num, den) if (x := vec.get(j)) else zero
+                for j in range(self.dim)]
 
     def bracket(self, vs: Sequence[Sequence]) -> Vector:
-        """Multilinear totally skew evaluation of [v₁,…,v_n]."""
+        """Multilinear totally skew evaluation of [v₁,…,v_n], wedged and
+        paired in integers (``_reduced`` and the ``integral`` multiple)."""
         if len(vs) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(vs)}")
-        return self._dense(self._frozen(_reduced(vs, self.dim))[()])
+        rows, f = _reduced(vs, self.dim)
+        q, inv = self._integral()
+        return self._dense(q._frozen(rows)[()], f * inv)
 
     def bracket_basis(self, idx: Sequence[int]) -> Vector:
         """Bracket of basis vectors e_{i₁},…,e_{i_n} for arbitrary index order."""
@@ -383,8 +427,10 @@ class NLieStructure:
         """Matrix of ad_{u₁,…,u_{n−1}}: v ↦ [u₁,…,u_{n−1},v]."""
         if len(us) != self.arity - 1:
             raise ValueError(f"expected {self.arity - 1} arguments, got {len(us)}")
-        cols = self._frozen(_reduced(us, self.dim)).values()
-        return linalg.transpose([self._dense(c) for c in cols])
+        rows, f = _reduced(us, self.dim)
+        q, inv = self._integral()
+        f *= inv
+        return linalg.transpose([self._dense(c, f) for c in q._frozen(rows).values()])
 
     def is_derivation(self, d: linalg.Matrix) -> bool:
         """Whether D[u₁,…,u_n] = Σᵢ [u₁,…,Duᵢ,…,u_n] on all basis tuples.  The
@@ -411,12 +457,16 @@ class NLieStructure:
         [ad_{v…}, ad_{u…}] = Σᵢ ad_{u₁,…,[v₁,…,v_{n−1},uᵢ],…,u_{n−1}},
 
         on each basis vector w the kernel ``_defect`` of D = ad_{v…} on (u…, w).
+        The kernel is linear in D and in the structure, and alternating
+        multilinear in (u…, w), so it runs on the integral multiple and the
+        ``_reduced`` rows of the u's and v's, their factors dropped.
         """
         if len(us) != self.arity - 1 or len(vs) != self.arity - 1:
             raise ValueError(f"expected {self.arity - 1} u's and v's, "
                              f"got {len(us)} and {len(vs)}")
-        terms = [(list(self._frozen(_reduced(vs, self.dim)).values()), self)]
-        u_args = [_entries(_to_vec(u, self.dim)) for u in us]
+        q, _ = self._integral()
+        terms = [(list(q._frozen(_reduced(vs, self.dim)[0]).values()), q)]
+        u_args = _reduced(us, self.dim)[0]
         return not any(any(_defect(terms, u_args + [[(w, 1)]]).values())
                        for w in range(self.dim))
 
@@ -427,15 +477,20 @@ class NLieStructure:
         """[P_{u…}(Q) + Q_{u…}(P)](w₁,…,w_n) — zero for compatible P, Q.
 
         Here ∂(Q)(w…) = ∂(Q(w…)) − Σᵢ Q(w₁,…,∂wᵢ,…,w_n) with ∂ the pure inner
-        derivation ad_{u₁,…,u_{n−1}} of the respective structure.
+        derivation ad_{u₁,…,u_{n−1}} of the respective structure.  Both terms
+        are bilinear in (P, Q) and alternating multilinear in the u's and in
+        the w's, so they are computed on the integral multiples cP, c′Q and
+        the ``_reduced`` rows, and the sum is divided by cc′ and the factors.
         """
         if (self.dim, self.arity, self.arity - 1) != (other.dim, other.arity, len(us)) \
                 or len(ws) != self.arity:
             raise ValueError("dimension/arity or argument count mismatch")
-        u_args = _reduced(us, self.dim)
-        terms = [(list(self._frozen(u_args).values()), other),
-                 (list(other._frozen(u_args).values()), self)]
-        return self._dense(_defect(terms, [_entries(_to_vec(w, self.dim)) for w in ws]))
+        u_args, fu = _reduced(us, self.dim)
+        w_args, fw = _reduced(ws, self.dim)
+        (p, ip), (q, iq) = self._integral(), other._integral()
+        terms = [(list(p._frozen(u_args).values()), q),
+                 (list(q._frozen(u_args).values()), p)]
+        return self._dense(_defect(terms, w_args), fu * fw * ip * iq)
 
     def compat(self, other: "NLieStructure") -> tuple[bool, tuple | None]:
         """Whether the mutual Lie-derivative defect vanishes on all basis tuples;

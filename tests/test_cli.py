@@ -989,6 +989,27 @@ class TestHereditary:
         assert code == 2 and "invalid --freeze" in err
 
 
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from(["Ψ", "λ", "PsiLambdaPlus{λ=sqrt(3/7)}", "", '"\\\n\t', "\u2028\x7f"]),
+    st.fractions())  # not JSON: written through default=str
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.sampled_from(["Ψ", "λ", ""])), inner, max_size=4)),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_bytes_equal_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, default=str)
+
+    def test_nesting_and_empty_containers(self):
+        value = {"a": [], "b": {}, "c": [[], [{}], {"Ψ": ["λ", 1, None, True]}], "": [[[]]]}
+        assert cli._json_text(value) == json.dumps(value, indent=2, default=str)
+
+
 class TestIntegrate:
     def test_builtin_spin_csv(self, capsys):
         code, out, _ = run(capsys, "integrate", "--builtin", "spin",

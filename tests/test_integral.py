@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (comp_condition_oracle, compat_defect_oracle, compat_oracle,
+from conftest import (ad_oracle, classify_oracle, comp_condition_oracle,
+                      compat_defect_oracle, compat_oracle, det_bracket, hereditary_oracle,
                       derivation_oracle, fi_search_oracle, fraction_jacobi_walk,
                       jacobi_defects_oracle, jacobi_oracle, lie_derivative_oracle,
                       primes_between, rand_4dim_3lie, rand_decomposable_tensor, rand_field_wedge,
                       rand_invertible_matrix, rand_symmetric_matrix, rand_vectors)
-from nambu.bianchi import algebra_from_form, derivation_algebra
+from nambu import linalg
+from nambu.bianchi import (algebra_from_form, classify, derivation_algebra, psi_label,
+                           synthesize, unimodular_label)
 from nambu.multivector import MultiVector, integral, is_decomposable
 from nambu.njacobi import JacobiOp, is_n_jacobi, jacobi_defects
 from nambu import nlie
@@ -381,3 +384,125 @@ class TestHostileDenominators:
         form[0][1] += Fraction(1, next(primes))
         q = algebra_from_form(form, dim - 1)
         assert q.check_n_jacobi() == jacobi_oracle(q)
+
+
+# -- the integer bracket ---------------------------------------------------------------
+
+def oracle_structures(seed):
+    """(P, Q) of dimension 5 and arity 3 with constants of each kind: small
+    denominators, about ten distinct prime denominators (lcm under
+    SCALE_BITS), and fifty (past it: ``integral`` keeps the Fractions), each
+    with ``int`` entries among the ``Fraction``s."""
+    rng = random.Random(seed)
+    primes = iter(rng.sample(primes_between(10**5, 10**6), 80))
+    keys = list(itertools.combinations(range(5), 3))
+
+    def structure(prime_share):
+        return NLieStructure(5, 3, {idx: [
+            Fraction(rng.randint(-3, 3), next(primes)) if rng.random() < prime_share
+            else rng.choice((rng.randint(-3, 3), frac(rng))) for _ in range(5)]
+            for idx in keys})
+
+    small, prime, huge = structure(0), structure(0.2), structure(1)
+    assert all(nlie.integral(x)[0] is not x for x in (small, prime))
+    assert nlie.integral(huge)[0] is huge
+    return [(small, prime), (prime, huge), (huge, small)]
+
+
+def oracle_arguments(rng, kind, count, dim=5):
+    """``count`` arguments of one kind: distinct prime denominators, mixed
+    ``int`` and ``Fraction`` entries, or mixed ones with a zero argument in
+    a random slot, or (for two or more) a repeated one or a combination of
+    the others there."""
+    if kind == "prime":
+        primes = iter(rng.sample(primes_between(10**5, 10**6), count * dim))
+        return [[Fraction(rng.randint(-5, 5), next(primes)) for _ in range(dim)]
+                for _ in range(count)]
+    vs = [[rng.choice((rng.randint(-3, 3), frac(rng))) for _ in range(dim)]
+          for _ in range(count)]
+    slot = rng.randrange(count)
+    others = vs[:slot] + vs[slot + 1:]
+    if kind == "zero":
+        vs[slot] = [rng.choice((0, Fraction(0))) for _ in range(dim)]
+    elif kind == "repeated" and others:
+        vs[slot] = list(rng.choice(others))
+    elif kind == "dependent" and others:
+        vs[slot] = [sum(x) for x in zip(*([(frac(rng) or 1) * x for x in v] for v in others))]
+    return vs
+
+
+ARGUMENT_KINDS = ["prime", "mixed", "zero", "repeated", "dependent"]
+
+
+class TestIntegerBracket:
+    """``bracket`` and the verbs built on ``_reduced`` and the cached integral
+    multiple, against the determinant bracket on inputs where the integer
+    path has something to get wrong."""
+
+    @pytest.mark.parametrize("kind", ARGUMENT_KINDS)
+    def test_bracket_and_hereditary_match_the_determinant_bracket(self, kind):
+        rng = random.Random(kind)
+        for p, _ in oracle_structures(len(kind)):
+            vs = oracle_arguments(rng, kind, p.arity)
+            got = p.bracket(vs)
+            assert got == det_bracket(p, vs)
+            assert all(type(x) is Fraction for x in got)
+            for k in range(1, p.arity):
+                us = oracle_arguments(rng, kind, k)
+                assert p.hereditary(us) == hereditary_oracle(p, us)
+
+    @pytest.mark.parametrize("kind", ARGUMENT_KINDS)
+    def test_inner_derivation_and_compat_defect_match_the_oracles(self, kind):
+        rng = random.Random(kind)
+        for p, q in oracle_structures(len(kind) + 1):
+            us = oracle_arguments(rng, kind, p.arity - 1)
+            assert p.inner_derivation(us) == ad_oracle(p, us)
+            ws = oracle_arguments(rng, rng.choice(ARGUMENT_KINDS), p.arity)
+            got = p.compat_defect(q, us, ws)
+            assert got == compat_defect_oracle(p, q, us, ws)
+            assert all(type(x) is Fraction for x in got)
+
+    def test_reduced_rows_stay_under_the_hadamard_bound(self):
+        """30 dense ±2 arguments in dimension 31: every entry of the rows is
+        below the Hadamard bound ∏‖vᵢ‖ of the arguments, each row keeps its
+        pivot and at most dim − 30 other indices, and the factor times a
+        maximal minor of the rows is that minor of the arguments."""
+        rng = random.Random(31)
+        vs = [[rng.choice((-2, 2)) for _ in range(31)] for _ in range(30)]
+        rows, f = nlie._reduced(vs, 31)
+        bound_sq = math.prod(sum(x * x for x in v) for v in vs)
+        assert all(type(x) is int and x * x < bound_sq for row in rows for _, x in row)
+        assert all(len(row) <= 2 for row in rows)
+        dense = [[dict(row).get(j, 0) for j in range(31)] for row in rows]
+        for omit in (0, 30):
+            cols = [j for j in range(31) if j != omit]
+            assert f * linalg.det(linalg.mat([[r[j] for j in cols] for r in dense])) \
+                == linalg.det(linalg.mat([[v[j] for j in cols] for v in vs]))
+
+
+def prime_denominator_algebras(seed):
+    """(n+1)-dimensional n-Lie algebras of every label kind, n = 3, 4, behind
+    a basis change whose columns are integer columns over distinct primes,
+    so the constants carry products of those primes."""
+    rng = random.Random(seed)
+    primes = iter(rng.sample(primes_between(10**3, 10**4), 60))
+    labels = [unimodular_label(3, 2), unimodular_label(2, 1), psi_label("psi_zero"),
+              psi_label("psi_one"), psi_label("psi_plus", Fraction(3, 7)),
+              psi_label("psi_minus", Fraction(5, 2))]
+    for label in labels:
+        n = rng.choice((3, 4))
+        c = rand_invertible_matrix(rng, n + 1)
+        for j in range(n + 1):
+            p = next(primes)
+            for row in c:
+                row[j] /= p
+        yield synthesize(label, n).change_basis(c)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_matches_the_oracle_on_prime_denominators(seed):
+    for p in prime_denominator_algebras(seed):
+        label = classify(p)
+        assert label == classify_oracle(p)
+        for c in (Fraction(1, 7919), 3, Fraction(10**6 + 3, 11)):
+            assert classify(p * c) == label
