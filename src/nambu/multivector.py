@@ -16,17 +16,23 @@ V(f₁,…,f_k)``; contraction with coordinate covectors (``derived``) only drop
 indices.  Coordinate and constant slots skip the gradients and the kernel
 below (``poly.coordinate_index``): ``contract(x_a)`` is ``derived((a,))``,
 ``apply`` on coordinates reads ±one component, and a constant slot gives
-zero, as d1 = 0.  So the Hamiltonian fields of coordinate tuples, which the
-deciders walk, are index drops.  Contraction, Lie derivative and
-Schouten bracket are one index-drop kernel, ``_drop_into``: sign · Σᵢ
+zero, as d1 = 0.  So the Hamiltonian field of a coordinate tuple a, which the
+deciders walk, is one index drop ``derived(a)``.  Contraction and Schouten
+bracket are one index-drop kernel, ``_drop_into``: sign · Σᵢ
 (dxᵢ⌋A)∧(gᵢ,J ∂_J) added term by term into one ``{index tuple: {exponent:
 coef}}`` accumulator by the product loop ``poly._add_products`` compiled for
 the variable count, with g = α on J = () for α⌋V and the partials of the
-other argument for ⌈A,B⌉, of which L_X is the case of a field X.  A
-multivector keeps the two tables the kernel reads once they are built, as a
-``Poly`` keeps its gradient: its partials (``_partials``) and its drop table
-(``_drops``).  So a walk that takes the Lie derivatives of one fixed tensor
-along many fields builds that tensor's tables once.
+other argument for ⌈A,B⌉.  The Lie derivative along a field X, the bracket
+⌈X,T⌉, runs on its own kernel, ``_lie_into``: L_X T = Σᵢ Xᵢ·∂ᵢT +
+(−1)^l Σᵢ (dxᵢ⌋T)∧∂ᵢX, the one index k of ∂ᵢX_k put into each remaining
+tuple of T by bisection, and skipped before any product when the tuple
+holds it.  It reads X as term maps and their partials, so
+``njacobi.jacobi_defects`` runs it on a field it never builds as a
+multivector.  A multivector keeps the two tables the kernels read once they
+are built, as a ``Poly`` keeps its gradient: its partials (``_partials``, all
+of a component's partials read in one pass over its terms) and its drop
+table (``_drops``).  So a walk that takes the Lie derivatives of one fixed
+tensor along many fields builds that tensor's tables once.
 """
 
 from __future__ import annotations
@@ -237,9 +243,14 @@ class MultiVector:
         return self.derived((a,))
 
     def hamiltonian_field(self, fs: Sequence[Poly]) -> "MultiVector":
-        """X_{f₁,…,f_{n−1}} = df_{n−1}⌋…⌋df₁⌋V."""
+        """X_{f₁,…,f_{n−1}} = df_{n−1}⌋…⌋df₁⌋V; on coordinates x_{a₁},…,x_{a_{n−1}}
+        one index drop ``derived(a)``, zero if a slot is constant (its −1 is in
+        no index tuple)."""
         if len(fs) != self.degree - 1:
             raise ValueError(f"expected {self.degree - 1} functions, got {len(fs)}")
+        slots = [coordinate_index(f) for f in fs]
+        if None not in slots:
+            return self.derived(slots)
         out = self
         for f in fs:
             out = out.contract(f)
@@ -308,7 +319,11 @@ class MultiVector:
         """L_X(V) = ⌈X, V⌉ for X = self (degree 1)."""
         if self.degree != 1:
             raise ValueError("Lie derivative requires a degree-1 field")
-        return self.schouten(v)
+        self._check_compatible(v)
+        acc: dict[IndexTuple, dict] = {}
+        _lie_into(acc, [(i, p.terms) for (i,), p in self.components.items()],
+                  _partials(self), v)
+        return _finished(self.num_vars, v.degree, acc)
 
     def schouten(self, other: "MultiVector") -> "MultiVector":
         """Schouten bracket of multi-derivations, degree k+l−1 (k or l may be 0):
@@ -410,21 +425,61 @@ def _drops(v: MultiVector) -> tuple[tuple[int, IndexTuple, Mapping, bool], ...]:
         return table
 
 
+def _lie_into(acc: dict[IndexTuple, dict], x: Iterable[tuple[int, Mapping]],
+              dx: Sequence[Sequence[tuple[IndexTuple, Mapping]]], t: MultiVector) -> None:
+    """Add L_X T = Σᵢ Xᵢ·∂ᵢT + (−1)^l Σᵢ (dxᵢ⌋T)∧∂ᵢX to ``acc`` for a field X
+    given by the (i, term map of Xᵢ) of its nonzero components, ``x``, and its
+    partials ``dx`` in the form of ``_partials``, and T of degree l: the
+    Schouten bracket ⌈X, T⌉ of ``_drop_into`` with the one index k of each
+    ∂ᵢX_k put into the remaining tuple of each drop of T by bisection, and
+    a k that the tuple holds already skipped before any product."""
+    add = _add_products(t.num_vars)
+    dt = _partials(t)
+    for i, p in x:
+        for j, q in dt[i]:
+            add(acc.setdefault(j, {}), q, p, 1)
+    flip = t.degree & 1
+    for i, rest, p, odd in _drops(t):
+        for (k,), q in dx[i]:
+            pos = bisect_left(rest, k)
+            if pos < len(rest) and rest[pos] == k:
+                continue
+            # k passes the len(rest) − pos indices of rest above it
+            negative = flip ^ odd ^ ((len(rest) - pos) & 1)
+            add(acc.setdefault(rest[:pos] + (k,) + rest[pos:], {}), q, p,
+                -1 if negative else 1)
+
+
 def _partials(v: MultiVector) -> tuple[tuple[tuple[IndexTuple, Mapping], ...], ...]:
-    """∂ᵢV for each i: the (J, term map of ∂ᵢv_J) with a nonzero partial.
-    Built once per (immutable) multivector and shared, so callers must not
-    change it."""
+    """``_term_partials`` of the components of V.  Built once per (immutable)
+    multivector and shared, so callers must not change it."""
     try:
         return v._grad
     except AttributeError:
-        g: list[list[tuple[IndexTuple, Mapping]]] = [[] for _ in range(v.num_vars)]
-        for j, p in v.components.items():
-            for i, d in enumerate(p.gradient()):
-                if d.terms:
-                    g[i].append((j, d.terms))
-        table = tuple(map(tuple, g))
+        table = _term_partials(v.num_vars, ((j, p.terms) for j, p in v.components.items()))
         object.__setattr__(v, "_grad", table)
         return table
+
+
+def _term_partials(num_vars: int, components: Iterable[tuple[IndexTuple, Mapping]]
+                   ) -> tuple[tuple[tuple[IndexTuple, Mapping], ...], ...]:
+    """∂ᵢ of a multivector given by the (J, term map of v_J) of its components,
+    for each i: the (J, term map of ∂ᵢv_J) with a nonzero partial, all of a
+    component's partials read in one pass over its terms.  Distinct terms
+    have distinct partials in each variable, so nothing accumulates."""
+    g: list[list[tuple[IndexTuple, Mapping]]] = [[] for _ in range(num_vars)]
+    for j, terms in components:
+        ds: list[dict] = [{} for _ in range(num_vars)]
+        for e, c in terms.items():
+            for i, k in enumerate(e):
+                if k:
+                    d = c * k
+                    ds[i][e[:i] + (k - 1,) + e[i + 1:]] = \
+                        d if type(d) is int or d.denominator != 1 else d.numerator
+        for i, d in enumerate(ds):
+            if d:
+                g[i].append((j, d))
+    return tuple(map(tuple, g))
 
 
 def _finished(num_vars: int, degree: int, acc: dict[IndexTuple, dict]) -> MultiVector:

@@ -68,3 +68,29 @@ def test_algebra_verbs_reach_the_traced_kernels(monkeypatch, tmp_path, capsys):
         calls.clear()
         assert cli.main([verb, *args]) == 0, capsys.readouterr().err
         assert calls[target] > 0, f"{verb} did not reach {target}"
+
+
+def test_check_jacobi_reaches_the_traced_kernels(tracer, capsys):
+    """Every counter ``layer_map.json`` expects to fire on the jacobi workload
+    fires on two ``check-jacobi`` calls under the benchmark's own tracer: a
+    true gradient extension ∇ + s(∇_h) and a false rational pair, whose
+    ``box_poisson`` runs ``is_n_poisson`` on □.  A fused kernel that stops
+    one of them fails here, not only in ``bench/selftest.py``."""
+    layer_map = json.loads((ROOT / "bench" / "layer_map.json").read_text())
+    expected = sorted(name for name, workloads in layer_map["fires_on"].items()
+                      if "jacobi" in workloads)
+    t = tracer.Tracer()
+    out_bytes = 0
+    try:
+        t.install()
+        t.enabled = True
+        for name, code in [("gradient_extension", 0), ("rational_pair", 1)]:
+            assert cli.main(["check-jacobi", str(ROOT / "tests" / "data" / f"{name}.json")]) \
+                == code
+            out_bytes += len(capsys.readouterr().out)
+    finally:
+        t.uninstall()
+    fired = {f"{name}.calls": count for name, count in t.calls.items()}
+    fired.update({"poly.term_products": t.term_products, "cli.output_bytes": out_bytes})
+    assert [name for name in expected if not fired.get(name)] == []
+    assert "poly.term_products" in expected and "multivector.lie_derivative_of.calls" in expected

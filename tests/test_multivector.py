@@ -183,6 +183,32 @@ class TestHamiltonianField:
         f, g = rand_poly(rng, 4), rand_poly(rng, 4)
         assert v.hamiltonian_field([f, g]) == -v.hamiltonian_field([g, f])
 
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2**32))
+    def test_coordinate_and_constant_slots(self, m, data, seed):
+        """Coordinates in any order, repeated ones among them, constants, and
+        then one other slot mixed in: the field is the fold of single
+        ``contract`` calls and of contractions with the gradients."""
+        rng = random.Random(seed)
+        k = data.draw(st.integers(1, m))
+        v = rand_multivector(rng, m, k, max_degree=2, density=0.7)
+        fs = [Poly.var(m, a) if a >= 0 else Poly.const(m, rng.choice([0, 1, -2, Fraction(1, 3)]))
+              for a in data.draw(st.lists(st.integers(-1, m - 1), min_size=k - 1,
+                                          max_size=k - 1))]
+        cases = [fs]
+        if fs:
+            mixed = list(fs)
+            mixed[data.draw(st.integers(0, k - 2))] = rand_poly(rng, m)
+            cases.append(mixed)
+        for gs in cases:
+            by_contract, by_gradient = v, v
+            for g in gs:
+                by_contract = by_contract.contract(g)
+                by_gradient = by_gradient.contract_form(g.gradient())
+            field = v.hamiltonian_field(gs)
+            assert field.degree == 1
+            assert field == by_contract == by_gradient
+
 
 class TestLieDerivative:
     def test_constant_fields_commute(self):

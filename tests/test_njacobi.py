@@ -140,15 +140,33 @@ class TestDefects:
     def test_matches_term_by_term_oracle(self, m, data, seed):
         """The one-field defects equal the 2n-Lie-derivative expansion on
         arbitrary pairs and slots: polynomials of degree ≤ 2 with Fraction
-        coefficients, constants among them."""
+        coefficients, constants among them, or the walk's own slots
+        {1, x₁,…,x_m}, a coordinate repeated among them."""
         rng = random.Random(seed)
         n = data.draw(st.integers(2, m))
         density = data.draw(st.sampled_from([0.3, 0.7]))
         op = JacobiOp(rand_multivector(rng, m, n, max_degree=2, density=density),
                       rand_multivector(rng, m, n - 1, max_degree=2, density=density))
-        fs = [Poly.const(m, rand_fraction(rng)) if rng.random() < 0.25
-              else rand_poly(rng, m) for _ in range(n - 1)]
+        if data.draw(st.booleans()):
+            slots = [Poly.const(m, 1)] + Poly.variables(m)
+            fs = [slots[i] for i in data.draw(st.lists(st.integers(0, m), min_size=n - 1,
+                                                       max_size=n - 1))]
+            if n > 2 and data.draw(st.booleans()):
+                fs[-1] = fs[0] = Poly.var(m, data.draw(st.integers(0, m - 1)))
+        else:
+            fs = [Poly.const(m, rand_fraction(rng)) if rng.random() < 0.25
+                  else rand_poly(rng, m) for _ in range(n - 1)]
         assert jacobi_defects(op, fs) == jacobi_defects_oracle(op, fs)
+
+    def test_capped_pair_is_refused(self):
+        """s of a top-degree pair has arity m + 1: refused up front, as by
+        ``is_n_jacobi``, not deep inside a Hamiltonian field."""
+        op = s_op(canonical_pair(m=3, n=3))
+        assert op.arity == 4 and op.nabla.degree == 3
+        for decide in (lambda: jacobi_defects(op, Poly.variables(3)),
+                       lambda: is_n_jacobi(op)):
+            with pytest.raises(ValueError, match="arity exceeds the chart dimension"):
+                decide()
 
 
 class TestIsNJacobi:
