@@ -14,7 +14,10 @@ slot tuple f₁,…,f_{n−1} both are Lie derivatives along one vector field,
 
 up to terms in h = ±□(f₁,…,f_{n−1}): the 2n Lie derivatives and n wedges of
 the expanded defects collapse to two Lie derivatives by the Leibniz rule
-L_{fX}T = f·L_X T − X∧(df⌋T) and linearity of L in the field.
+L_{fX}T = f·L_X T − X∧(df⌋T) and linearity of L in the field.  On a tuple of
+coordinates x_K and one constant c at position t, as (1, x_K) of the walks,
+∇_{f…}, h and every Xᵢ but X_t hold the constant, so Y = (−1)^t·c·□_K and
+the defects are L_Y∇ and L_Y□; with two constants both vanish.
 
 □ = Δ(1, ·, …, ·) is (n−1)-Poisson whenever Δ is n-Jacobi:
 Δ(1, g₂, …, g_n) = □(g₂, …, g_n), because d1 = 0; and freezing a in an n-Lie
@@ -31,7 +34,8 @@ from typing import Mapping, Sequence
 from .multivector import (MultiVector, OneForm, _finished, _lie_into, _term_partials,
                           integral, multivector_from_json, multivector_to_json, step_cost)
 from .npoisson import Verdict, is_n_poisson, structure_verdict
-from .poly import MAX_WALK, Poly, _add_products, _stored, sized_combinations
+from .poly import (MAX_WALK, Poly, _add_products, _stored, coordinate_index,
+                   sized_combinations)
 
 
 class JacobiOp:
@@ -117,11 +121,16 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
     the expanded form L_{∇_{f…}}T + Σᵢ(−1)^{i−1}(fᵢ·L_{Xᵢ}T − Xᵢ∧T_{fᵢ}).
     Δ is n-Jacobi iff both vanish for all f's.
 
-    Y is never built as a multivector: its components are summed as term
-    maps, their partials read in one pass, and both Lie derivatives run on
-    the kernel ``multivector._lie_into``, (1−n)h□ added into Δ⁰'s sum.  A
-    pair whose arity exceeds the chart dimension is refused, as in
-    ``is_n_jacobi``.
+    On coordinates x_K and one constant c at position t, told apart by one
+    ``poly.coordinate_index`` a slot, Y = (−1)^t·c·□_K is one index drop
+    (times the factor only when it is not 1), h = 0, and the defects are
+    ``Y.lie_derivative_of`` ∇ and □, sharing Y's partials; a second constant
+    slot, or c = 0, makes Y zero.  Otherwise Y is never built as a
+    multivector: its components are summed as term maps, their partials read
+    in one pass, and both Lie derivatives run on the kernel
+    ``multivector._lie_into``, (1−n)h□ added into Δ⁰'s sum and the h-terms
+    skipped when h = 0.  A pair whose arity exceeds the chart dimension is
+    refused, as in ``is_n_jacobi``.
     """
     n = op.arity
     if op.nabla.degree != n:
@@ -129,6 +138,17 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
     if len(fs) != n - 1:
         raise ValueError(f"expected {n - 1} arguments, got {len(fs)}")
     nabla, box = op.nabla, op.box
+    slots = [coordinate_index(f) for f in fs]
+    if -1 in slots and None not in slots:
+        # (c, x_K): ∇_{f…}, h and every Xᵢ but X_t hold the constant slot t
+        t = slots.index(-1)
+        y = box.derived(slots[:t] + slots[t + 1:])
+        c = sum(fs[t].terms.values())
+        if t & 1:
+            c = -c
+        if c != 1:
+            y = y * c
+        return y.lie_derivative_of(nabla), y.lie_derivative_of(box)
     m = op.num_vars
     add = _add_products(m)
     y = {k: dict(p.terms) for (k,), p in nabla.hamiltonian_field(fs).components.items()}
@@ -138,14 +158,16 @@ def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, Multi
             add(y.setdefault(k, {}), f.terms, p.terms, -1 if i & 1 else 1)
     y = [(k, terms) for k, t in y.items() if (terms := _stored(t))]
     dy = _term_partials(m, (((k,), terms) for k, terms in y))
-    h = box.apply(fs)
-    if (n - 1) % 2 == 1:
-        h = -h
-    scaled = h * Fraction(1 - n)
     d1: dict = {}
     _lie_into(d1, y, dy, nabla)
     d0: dict = {}
     _lie_into(d0, y, dy, box)
+    h = box.apply(fs)
+    if not h.terms:
+        return _finished(m, n, d1), _finished(m, n - 1, d0)
+    if (n - 1) % 2 == 1:
+        h = -h
+    scaled = h * Fraction(1 - n)
     for j, p in box.components.items():
         add(d0.setdefault(j, {}), p.terms, scaled.terms, 1)
     return (_finished(m, n, d1) + nabla * scaled,
@@ -177,7 +199,7 @@ def is_n_jacobi(op: JacobiOp) -> Verdict:
     if op.nabla.degree != n:
         raise ValueError("arity exceeds the chart dimension")
     # a step sums one field and takes two Lie derivatives: weighted by the arity
-    # it measures 0.06–1.5 µs a unit (0.06–0.2 on walks of 20 tuples or more;
+    # it measures 0.05–1.4 µs a unit (0.05–0.12 on walks of 20 tuples or more;
     # degree ≤ 2 coefficients, Python 3.11 on a 2-core x86-64 guest); sized
     # first, it bounds the decomposability walk
     cost = n * step_cost(op.nabla, op.box)

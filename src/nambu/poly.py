@@ -366,19 +366,24 @@ class Poly:
         return list(grad)
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, as a ``Fraction``.  ``int``
+        coordinates stay ``int``s, and a term adds nothing once a zero
+        coordinate has a positive exponent in it; a pole still raises."""
         if len(point) != self.num_vars:
             raise ValueError(
                 f"point has length {len(point)}, expected {self.num_vars}"
             )
-        pt = [Fraction(x) for x in point]
+        pt = [x if type(x) is int else Fraction(x) for x in point]
         total = Fraction(0)
         for exps, coef in self.terms.items():
             v = coef
             for x, e in zip(pt, exps):
-                if e:
-                    v *= x**e
-            total += v
+                if e > 0:
+                    v = v * x**e if x else 0
+                elif e:
+                    v *= Fraction(x)**e
+            if v:
+                total += v
         return total
 
     def evaluate_float(self, point: Sequence[float]) -> float:

@@ -317,6 +317,15 @@ def jacobi_defects_oracle(op, fs):
             defect(box, lie_derivative_oracle(field, box) - nabla.contract(h)))
 
 
+def binary_jacobi_oracle(op):
+    """n = 2 with no slot walk: (Λ, E) is a Jacobi structure iff
+    ⌈Λ,Λ⌉ = 2E∧Λ and ⌈E,Λ⌉ = 0 (Lichnerowicz), which in this code's sign
+    convention of ``schouten`` reads ⌈Λ,Λ⌉ = −2 E∧Λ: the test reference for
+    ``is_n_jacobi`` at arity 2 on at least three variables."""
+    lam, e = op.nabla, op.box
+    return lam.schouten(lam) == e.wedge(lam) * -2 and e.schouten(lam).is_zero()
+
+
 def merge_sign(left, right):
     """Parity sign of sorting the concatenation of two increasing tuples."""
     inversions = sum(1 for i in left for j in right if i > j)

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (complete_jacobi_walk, fi_search_oracle, fraction_jacobi_walk,
-                      jacobi_defects_oracle, rand_decomposable_tensor, rand_field_wedge,
-                      rand_fraction, rand_jacobi_pair, rand_multivector, rand_poly,
-                      raw_jacobi_oracle)
+from conftest import (binary_jacobi_oracle, complete_jacobi_walk, fi_search_oracle,
+                      fraction_jacobi_walk, jacobi_defects_oracle, rand_decomposable_tensor,
+                      rand_field_wedge, rand_fraction, rand_jacobi_pair, rand_multivector,
+                      rand_poly, raw_jacobi_oracle)
 from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
 from nambu.njacobi import (JacobiOp, canonical_bracket,
@@ -158,6 +158,31 @@ class TestDefects:
                   else rand_poly(rng, m) for _ in range(n - 1)]
         assert jacobi_defects(op, fs) == jacobi_defects_oracle(op, fs)
 
+    @pytest.mark.parametrize("c", [0, 1, -1, Fraction(5, 3)])
+    def test_constant_slot_matches_the_oracle(self, rng, c):
+        """One constant c among coordinates, the (1, x_K) tuples of the walks:
+        Y = (−1)^t·c·□_K with h = 0, at every position t of the constant and
+        on coordinates in any order, repeated ones included.  A second
+        constant makes both defects zero."""
+        nonzero = 0
+        for m, n in ((3, 2), (4, 3), (4, 4), (5, 4)):
+            op = JacobiOp(rand_multivector(rng, m, n, max_degree=2, density=0.7),
+                          rand_multivector(rng, m, n - 1, max_degree=2, density=0.7))
+            for coords in itertools.product(range(m), repeat=n - 2):
+                for t in range(n - 1):
+                    fs = [Poly.var(m, a) for a in coords]
+                    fs.insert(t, Poly.const(m, c))
+                    got = jacobi_defects(op, fs)
+                    assert got == jacobi_defects_oracle(op, fs)
+                    nonzero += t % 2 == 1 and not got[0].is_zero()
+                    if n > 2:
+                        fs[t - 1] = Poly.const(m, 1 - c)
+                        got = jacobi_defects(op, fs)
+                        assert got == jacobi_defects_oracle(op, fs)
+                        assert got[0].is_zero() and got[1].is_zero()
+        # the sign (−1)^t and the factor c are seen at odd positions
+        assert (nonzero > 0) == (c != 0)
+
     def test_capped_pair_is_refused(self):
         """s of a top-degree pair has arity m + 1: refused up front, as by
         ``is_n_jacobi``, not deep inside a Hamiltonian field."""
@@ -209,6 +234,26 @@ class TestIsNJacobi:
             h = op.box.apply(list(fs))
             field = op.nabla.hamiltonian_field(list(fs))
             assert field.lie_derivative_of(op.box) == op.nabla.contract(h)
+
+
+class TestBinaryOracle:
+    def test_matches_two_schouten_brackets(self, rng):
+        """At n = 2 ``is_n_jacobi`` agrees with ``binary_jacobi_oracle``, which
+        walks no slots: on conformal pairs (a·Λ₀, ±Λ₀⌋da), Λ₀ = ∂₁∧∂₂ + ∂₃∧∂₄,
+        Jacobi with the + sign, and on random pairs."""
+        ops = []
+        for m in (4, 5):
+            lam0 = MultiVector.basis(m, (0, 1)) + MultiVector.basis(m, (2, 3))
+            for _ in range(15):
+                a = rand_poly(rng, m)
+                for sign in (1, -1):
+                    ops.append(JacobiOp(lam0 * a, lam0.contract(a) * sign))
+        for _ in range(20):
+            m = rng.randint(3, 5)
+            ops.append(JacobiOp(rand_multivector(rng, m, 2), rand_multivector(rng, m, 1)))
+        verdicts = [(is_n_jacobi(op)[0], binary_jacobi_oracle(op)) for op in ops]
+        assert all(got == want for got, want in verdicts)
+        assert 0 < sum(got for got, _ in verdicts) < len(verdicts)
 
 
 def structure_case(rng, kind):

@@ -102,6 +102,20 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             X1.evaluate([1, 2])
 
+    def test_int_coordinates_and_poles(self):
+        """int coordinates stay ints, negative exponents too, and the value is
+        a Fraction; a term with a zero coordinate under a positive exponent
+        adds nothing, and a pole raises even after such a zero."""
+        p = Poly(3, {(1, -1, 0): 3, (0, 2, 1): Fraction(1, 2), (2, 0, 0): -1})
+        for point, want in (([2, -3, 5], Fraction(33, 2)), ([0, 2, 0], 0),
+                            ([1, 2, 0], Fraction(1, 2)), ([4, 2, 1], -8)):
+            value = p.evaluate(point)
+            assert type(value) is Fraction and value == want
+            assert p.evaluate([Fraction(x) for x in point]) == want
+        for point in ([1, 0, 1], [0, 0, 1]):
+            with pytest.raises(ZeroDivisionError):
+                p.evaluate(point)
+
 
 small_polys = st.builds(
     lambda terms: Poly(2, {e: Fraction(c) for e, c in terms}),
