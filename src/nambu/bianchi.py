@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .multivector import MultiVector
-from .nlie import NLieStructure, form_row, frobenius_defect, generating_form, integral
+from .nlie import NLieStructure, form_row, frobenius_defect, generating_form
 from .poly import MAX_ENTRIES, Poly, refuse_above
 
 LAMBDA_KINDS = ("psi_plus", "psi_minus")
@@ -158,14 +158,15 @@ def classify(p: NLieStructure) -> BianchiLabel:
     refused with the first nonzero coefficient (``nlie.frobenius_defect``).
 
     It reads the generating form a of the ``integral`` multiple c·P, c > 0,
-    in integers, and takes a + aᵀ = 2c·S and a − aᵀ = 2c·K unhalved: a
-    positive scale leaves the signature of S and d = det S_P / (4 K_ij²)
-    as they are, so the label is P's."""
+    that ``frobenius_defect`` cached on P, in integers, and takes
+    a + aᵀ = 2c·S and a − aᵀ = 2c·K unhalved: a positive scale leaves the
+    signature of S and d = det S_P / (4 K_ij²) as they are, so the label
+    is P's."""
     defect = frobenius_defect(p)
     if defect is not None:
         raise ValueError("not an n-Lie algebra: α∧dα ≠ 0, the coefficient c_ijkl is "
                          f"nonzero at (i, j, k, l) = {tuple(x + 1 for x in defect)}")
-    a = generating_form(*integral(p))
+    a = generating_form(p._integral()[0])
     at = linalg.transpose(a)
     sym = [[x + y for x, y in zip(row, col)] for row, col in zip(a, at)]
     skew = [[x - y for x, y in zip(row, col)] for row, col in zip(a, at)]
@@ -218,12 +219,6 @@ def synthesize(label: BianchiLabel, arity: int) -> NLieStructure:
                        for i, row in rows.items()}, arity)
 
 
-def is_isomorphic(p: NLieStructure, q: NLieStructure) -> bool:
-    if (p.dim, p.arity) != (q.dim, q.arity):
-        raise ValueError("dimension/arity mismatch")
-    return classify(p) == classify(q)
-
-
 # -- derivations ---------------------------------------------------------------------------
 
 def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
@@ -232,15 +227,15 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
     Derivations correspond to infinitesimal conformal symmetries A of the
     generating form G — solutions of AᵀG + GA = tr(A)·G — acting on the dual;
     the derivation on the algebra itself is the transpose Aᵀ.  The system is
-    linear in G, so it is built from the ``nlie.integral`` multiple.  An
-    answer of up to n² matrices of n² entries above MAX_ENTRIES is refused
-    first.
+    linear in G, so it is built from the ``nlie.integral`` multiple cached
+    on the structure.  An answer of up to n² matrices of n² entries above
+    MAX_ENTRIES is refused first.
     """
     n = p.dim
     if n == p.arity + 1:  # else generating_form refuses
         refuse_above(n**4, MAX_ENTRIES, f"dimension {n}: up to {n * n} derivations "
                                         f"of {n * n} entries, {n**4} in all")
-    g = generating_form(*integral(p))
+    g = generating_form(p._integral()[0])
 
     def unknown(i, j):
         return i * n + j

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .multivector import MultiVector
-from .npoisson import is_n_poisson
 from .poly import Poly, compile_floats, float_statements
 
 
@@ -47,11 +46,6 @@ class NambuSystem:
         if len(self.hamiltonians) != self.tensor.degree - 1:
             raise ValueError("need exactly degree−1 Hamiltonians")
 
-    def validate(self) -> None:
-        ok, witness = is_n_poisson(self.tensor)
-        if not ok:
-            raise ValueError(f"tensor fails the fundamental identity; witness {witness}")
-
     def dynamics_field(self) -> MultiVector:
         return self.tensor.hamiltonian_field(list(self.hamiltonians))
 
@@ -60,11 +54,6 @@ def field_function(v: MultiVector) -> Callable[[Sequence[float]], list[float]]:
     """Float evaluation of a polynomial vector field: its components
     compiled into one function (``poly.compile_floats``)."""
     return compile_floats(v.vector_coeffs())
-
-
-def check_preserved_bracket(x: MultiVector, tensor: MultiVector) -> bool:
-    """Whether the flow of X preserves the tensor: L_X(Λ) = 0 identically."""
-    return x.lie_derivative_of(tensor).is_zero()
 
 
 # -- integration ------------------------------------------------------------------

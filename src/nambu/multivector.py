@@ -328,12 +328,17 @@ class MultiVector:
     def schouten(self, other: "MultiVector") -> "MultiVector":
         """Schouten bracket of multi-derivations, degree k+l−1 (k or l may be 0):
 
-        ⌈A,B⌉ = (−1)^(k+1) Σᵢ [(dxᵢ⌋A)∧∂ᵢB + (−1)^(kl) (dxᵢ⌋B)∧∂ᵢA]."""
+        ⌈A,B⌉ = (−1)^(k+1) Σᵢ [(dxᵢ⌋A)∧∂ᵢB + (−1)^(kl) (dxᵢ⌋B)∧∂ᵢA].
+
+        Above the top degree the bracket vanishes identically and, as with
+        ``wedge``, is the zero multivector of the top degree."""
         self._check_compatible(other)
         k, l = self.degree, other.degree
         degree = k + l - 1
-        if not 0 <= degree <= self.num_vars:
+        if degree < 0:
             raise ValueError(f"bracket degree {degree} out of range for {self.num_vars} variables")
+        if degree > self.num_vars:
+            return MultiVector.zero(self.num_vars, self.num_vars)
         sign = 1 if k & 1 else -1
         acc: dict[IndexTuple, dict] = {}
         _drop_into(acc, self, _partials(other), sign)
@@ -580,10 +585,6 @@ class OneForm:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("OneForm is immutable")
-
-    @staticmethod
-    def differential(f: Poly) -> "OneForm":
-        return OneForm(f.gradient())
 
     def exterior_derivative(self) -> list[list[Poly]]:
         """Skew matrix (dα)_{ij} = ∂α_j/∂x_i − ∂α_i/∂x_j."""

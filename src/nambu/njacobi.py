@@ -104,11 +104,6 @@ def s_op(op: JacobiOp) -> JacobiOp:
     return JacobiOp(top, box, arity=arity)
 
 
-def insert_unity(op: JacobiOp) -> MultiVector:
-    """The multi-derivation obtained by fixing 1 in the first slot: just □."""
-    return op.box
-
-
 def jacobi_defects(op: JacobiOp, fs: Sequence[Poly]) -> tuple[MultiVector, MultiVector]:
     """The two components of the canonical decomposition of Δ_{f…}(Δ):
 

@@ -177,12 +177,15 @@ def frobenius_defect(p: "NLieStructure", q: "NLieStructure | None" = None
     """First (i, j, k, l), i < j < k, in lexicographic order, where
     c_ijkl(a_P, K_P) is nonzero (module docstring), or with ``q`` its
     polarisation c_ijkl(a_P, K_Q) + c_ijkl(a_Q, K_P); None if there is none.
-    Needs dimension = arity + 1; refuses C(dim, 3)·dim above MAX_WORK."""
+    Needs dimension = arity + 1; refuses C(dim, 3)·dim above MAX_WORK.  It
+    reads the forms of the cached ``integral`` multiples c_P·P and c_Q·Q: c
+    is bilinear in (a, K), so both polarisation terms scale by c_P·c_Q and
+    the first nonzero coefficient stays where it is."""
     dim = p.dim
     work = math.comb(dim, 3) * dim
     if dim == p.arity + 1:  # else generating_form refuses
         refuse_above(work, MAX_WORK, f"dimension {dim}: {work} coefficients of α∧dα")
-    forms = [generating_form(x) for x in integral(*((p,) if q is None else (p, q)))]
+    forms = [generating_form(x._integral()[0]) for x in ((p,) if q is None else (p, q))]
     skews = [[[x - y for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
              for a in forms]
     terms = list(zip(forms, reversed(skews)))  # (a_P, K_Q) and (a_Q, K_P)
@@ -374,10 +377,6 @@ class NLieStructure:
         q, inv = self._integral()
         return self._dense(q._frozen(rows)[()], f * inv)
 
-    def bracket_basis(self, idx: Sequence[int]) -> Vector:
-        """Bracket of basis vectors e_{i₁},…,e_{i_n} for arbitrary index order."""
-        return self.bracket([NLieStructure.basis_vector(self.dim, i) for i in idx])
-
     # -- Jacobi identity ------------------------------------------------------------
 
     def check_n_jacobi(self) -> tuple[bool, tuple | None]:
@@ -447,28 +446,9 @@ class NLieStructure:
         scale = integer_scaling(x for row in d for x in row) or Fraction
         cols = [{i: scale(d[i][j]) for i in range(self.dim) if d[i][j]}
                 for j in range(self.dim)]
-        p, = integral(self)
+        p = self._integral()[0]
         return not any(any(_defect([(cols, p)], [[(i, 1)] for i in idx]).values())
                        for idx in tuples)
-
-    def commutator_check(self, us: Sequence[Sequence], vs: Sequence[Sequence]) -> bool:
-        """Commutator identity for pure inner derivations:
-
-        [ad_{v…}, ad_{u…}] = Σᵢ ad_{u₁,…,[v₁,…,v_{n−1},uᵢ],…,u_{n−1}},
-
-        on each basis vector w the kernel ``_defect`` of D = ad_{v…} on (u…, w).
-        The kernel is linear in D and in the structure, and alternating
-        multilinear in (u…, w), so it runs on the integral multiple and the
-        ``_reduced`` rows of the u's and v's, their factors dropped.
-        """
-        if len(us) != self.arity - 1 or len(vs) != self.arity - 1:
-            raise ValueError(f"expected {self.arity - 1} u's and v's, "
-                             f"got {len(us)} and {len(vs)}")
-        q, _ = self._integral()
-        terms = [(list(q._frozen(_reduced(vs, self.dim)[0]).values()), q)]
-        u_args = _reduced(us, self.dim)[0]
-        return not any(any(_defect(terms, u_args + [[(w, 1)]]).values())
-                       for w in range(self.dim))
 
     # -- compatibility -----------------------------------------------------------------
 

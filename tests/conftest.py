@@ -321,7 +321,7 @@ def binary_jacobi_oracle(op):
     """n = 2 with no slot walk: (Λ, E) is a Jacobi structure iff
     ⌈Λ,Λ⌉ = 2E∧Λ and ⌈E,Λ⌉ = 0 (Lichnerowicz), which in this code's sign
     convention of ``schouten`` reads ⌈Λ,Λ⌉ = −2 E∧Λ: the test reference for
-    ``is_n_jacobi`` at arity 2 on at least three variables."""
+    ``is_n_jacobi`` at arity 2."""
     lam, e = op.nabla, op.box
     return lam.schouten(lam) == e.wedge(lam) * -2 and e.schouten(lam).is_zero()
 

@@ -14,7 +14,7 @@ from nambu.dynamics import (KeplerSystem, SpinSystem, field_function,
                             rk4_integrate, spin_closed_form)
 from nambu.linalg import zeros
 from nambu.multivector import MultiVector, is_decomposable
-from nambu.njacobi import JacobiOp, insert_unity, is_n_jacobi, s_op
+from nambu.njacobi import JacobiOp, is_n_jacobi, s_op
 from nambu.nlie import NLieStructure, vector_product_algebra
 from nambu.npoisson import dual_nvector, fi_defect, is_n_poisson
 from nambu.poly import Poly
@@ -58,8 +58,7 @@ def test_04_s_complex_and_homotopy(rng):
         arity = rng.choice([2, 3])
         op = rand_jacobi_pair(rng, 4, arity)
         assert s_op(s_op(op)).is_zero()
-        rebuilt = JacobiOp(insert_unity(s_op(op)),
-                           insert_unity(op), arity=arity)
+        rebuilt = JacobiOp(s_op(op).box, op.box, arity=arity)
         assert rebuilt == op
 
 

@@ -965,7 +965,7 @@ class TestHereditary:
         assert code == 0
         h = nlie_from_json(json.loads(out))
         assert h.arity == 2
-        assert h.bracket_basis((0, 1)) == [0, 0, -1, 0]
+        assert h.bracket([[1, 0, 0, 0], [0, 1, 0, 0]]) == [0, 0, -1, 0]
 
     def test_answer_beyond_the_digit_limit(self, capsys, tmp_path):
         """A 4,000-digit constant frozen against a 4,000-digit vector writes

@@ -18,7 +18,7 @@ from conftest import (binary_jacobi_oracle, complete_jacobi_walk, fi_search_orac
 from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
 from nambu.njacobi import (JacobiOp, canonical_bracket,
-                           from_poisson_and_form, insert_unity, is_n_jacobi,
+                           from_poisson_and_form, is_n_jacobi,
                            jacobi_defects, jacobiop_from_json, jacobiop_to_json, s_op)
 from nambu.npoisson import is_n_poisson
 from nambu.poly import MAX_WALK, Poly
@@ -75,8 +75,7 @@ class TestSOperator:
         for _ in range(20):
             arity = rng.choice([2, 3])
             op = rand_jacobi_pair(rng, 4, arity)
-            rebuilt = JacobiOp(insert_unity(s_op(op)),
-                               insert_unity(op), arity=arity)
+            rebuilt = JacobiOp(s_op(op).box, op.box, arity=arity)
             assert rebuilt == op
 
     def test_commutes_with_constant_lie_transport(self, rng):
@@ -239,17 +238,20 @@ class TestIsNJacobi:
 class TestBinaryOracle:
     def test_matches_two_schouten_brackets(self, rng):
         """At n = 2 ``is_n_jacobi`` agrees with ``binary_jacobi_oracle``, which
-        walks no slots: on conformal pairs (a·Λ₀, ±Λ₀⌋da), Λ₀ = ∂₁∧∂₂ + ∂₃∧∂₄,
-        Jacobi with the + sign, and on random pairs."""
+        walks no slots: on conformal pairs (a·Λ₀, ±Λ₀⌋da), Λ₀ = ∂₁∧∂₂ + ∂₃∧∂₄
+        (∂₁∧∂₂ on two variables), Jacobi with the + sign, and on random pairs.
+        On two variables ⌈Λ,Λ⌉ and E∧Λ are zero at the top degree."""
         ops = []
-        for m in (4, 5):
-            lam0 = MultiVector.basis(m, (0, 1)) + MultiVector.basis(m, (2, 3))
+        for m in (2, 4, 5):
+            lam0 = MultiVector.basis(m, (0, 1))
+            if m > 2:
+                lam0 = lam0 + MultiVector.basis(m, (2, 3))
             for _ in range(15):
                 a = rand_poly(rng, m)
                 for sign in (1, -1):
                     ops.append(JacobiOp(lam0 * a, lam0.contract(a) * sign))
-        for _ in range(20):
-            m = rng.randint(3, 5)
+        for _ in range(30):
+            m = rng.randint(2, 5)
             ops.append(JacobiOp(rand_multivector(rng, m, 2), rand_multivector(rng, m, 1)))
         verdicts = [(is_n_jacobi(op)[0], binary_jacobi_oracle(op)) for op in ops]
         assert all(got == want for got, want in verdicts)
@@ -341,8 +343,7 @@ def box_case(rng, kind):
     if not is_n_poisson(nabla)[0]:
         nabla = rand_decomposable_tensor(rng, m, n, coef_degree=1)
     if kind == "form":
-        omega = OneForm([d + rand_fraction(rng)
-                         for d in OneForm.differential(rand_poly(rng, m)).components])
+        omega = OneForm([d + rand_fraction(rng) for d in rand_poly(rng, m).gradient()])
         return from_poisson_and_form(nabla, omega)
     box = nabla.contract(rand_poly(rng, m))
     for _ in range(rng.randint(1, 2)):
@@ -402,7 +403,7 @@ class TestConstruction:
     def test_gradient_form(self):
         nabla = MultiVector.basis(4, (0, 1, 2))
         h = Poly.var(4, 3)
-        op = from_poisson_and_form(nabla, OneForm.differential(h))
+        op = from_poisson_and_form(nabla, OneForm(h.gradient()))
         assert op.box == nabla.contract(h)
         assert is_n_jacobi(op)[0]
 

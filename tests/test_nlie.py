@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import (ad_oracle, commutator_oracle, comp_condition_oracle,
                       compat_defect_oracle, compat_oracle, derivation_oracle,
-                      det_bracket, hereditary_oracle, jacobi_oracle, mat_sub,
+                      det_bracket, hereditary_oracle, jacobi_oracle,
                       rand_4dim_3lie, rand_invertible_matrix,
                       rand_symmetric_matrix, rand_vectors)
 from nambu import linalg, nlie
 from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
                            synthesize, unimodular_label)
-from nambu.linalg import identity, mat, mat_mul, zeros
+from nambu.linalg import identity, mat, zeros
 from nambu.nlie import (MAX_WORK, NLieStructure, _defect, _first_defect,
                         frobenius_defect, nlie_from_json, nlie_to_json,
                         vector_product_algebra)
@@ -43,7 +43,7 @@ class TestBracket:
 
     def test_basis_tuple_returns_constants(self, rng):
         p = rand_4dim_3lie(rng)
-        assert p.bracket([e(4, 0), e(4, 1), e(4, 2)]) == p.bracket_basis((0, 1, 2))
+        assert p.bracket([e(4, 0), e(4, 1), e(4, 2)]) == p.constants.get((0, 1, 2), [0] * 4)
 
     def test_vector_product_table(self):
         vp = vector_product_algebra(3)
@@ -100,9 +100,9 @@ class TestHereditary:
         # e₄ becomes a trivial direction; the complement carries the
         # orientation-reversed cross product
         assert all(3 not in idx for idx in h.constants)
-        assert h.bracket_basis((0, 1)) == [0, 0, -1, 0]
-        assert h.bracket_basis((0, 2)) == [0, 1, 0, 0]
-        assert h.bracket_basis((1, 2)) == [-1, 0, 0, 0]
+        assert h.bracket([e(4, 0), e(4, 1)]) == [0, 0, -1, 0]
+        assert h.bracket([e(4, 0), e(4, 2)]) == [0, 1, 0, 0]
+        assert h.bracket([e(4, 1), e(4, 2)]) == [-1, 0, 0, 0]
 
     def test_repeated_vectors_give_zero_structure(self, rng):
         p = rand_4dim_3lie(rng)
@@ -117,7 +117,7 @@ class TestHereditary:
         d = p.inner_derivation(us)
         for j in range(4):
             col = [d[i][j] for i in range(4)]
-            assert h.bracket_basis((j,)) == col
+            assert h.bracket([e(4, j)]) == col
 
     def test_composition(self, rng):
         p = rand_4dim_3lie(rng)
@@ -158,26 +158,33 @@ class TestDerivations:
 
 
 class TestCommutation:
+    """The commutator identity [ad_{v…}, ad_{u…}] = Σᵢ ad_{u₁,…,[v…,uᵢ],…} is
+    the Filippov identity at (v…; u…, w) on every w, so on basis tuples it
+    holds exactly when ``check_n_jacobi`` is true; ``commutator_oracle``
+    checks it as matrices."""
+
     def test_cross_product_commutator(self):
         vp = vector_product_algebra(2)
-        assert vp.commutator_check([e(3, 0)], [e(3, 1)])
+        assert vp.check_n_jacobi() == (True, None)
+        assert commutator_oracle(vp, [e(3, 0)], [e(3, 1)])
 
     def test_equal_tuples_commute(self):
         vp = vector_product_algebra(3)
         us = [e(4, 0), e(4, 1)]
-        a = vp.inner_derivation(us)
-        assert mat_sub(mat_mul(a, a), mat_mul(a, a)) == zeros(4, 4)
-        assert vp.commutator_check(us, us)
+        assert vp.check_n_jacobi() == (True, None)
+        assert commutator_oracle(vp, us, us)
 
     def test_random_tuples(self, rng):
         for _ in range(5):
             p = rand_4dim_3lie(rng)
+            assert p.check_n_jacobi() == (True, None)
             us, vs = rand_vectors(rng, 2, 4), rand_vectors(rng, 2, 4)
-            assert p.commutator_check(us, vs)
+            assert commutator_oracle(p, us, vs)
 
     def test_matches_matrix_oracle(self, rng):
-        """Arbitrary constants, most of them not n-Lie, so that the identity
-        fails for many (u, v): the kernel form against the matrix form."""
+        """Arbitrary constants, most of them not n-Lie: ``check_n_jacobi`` is
+        true exactly when the matrix identity holds on every pair of basis
+        (n−1)-tuples."""
         verdicts = []
         for _ in range(60):
             n = rng.randint(2, 4)
@@ -185,17 +192,12 @@ class TestCommutation:
             p = NLieStructure(dim, n, {
                 idx: [rng.choice([0, 0, 1, -1, 2]) for _ in range(dim)]
                 for idx in itertools.combinations(range(dim), n) if rng.random() < 0.4})
-            us, vs = rand_vectors(rng, n - 1, dim), rand_vectors(rng, n - 1, dim)
-            verdicts.append(p.commutator_check(us, vs))
-            assert verdicts[-1] == commutator_oracle(p, us, vs)
+            tuples = [[e(dim, i) for i in idx]
+                      for idx in itertools.combinations(range(dim), n - 1)]
+            verdicts.append(p.check_n_jacobi()[0])
+            assert verdicts[-1] == all(commutator_oracle(p, us, vs)
+                                       for us in tuples for vs in tuples)
         assert 0 < verdicts.count(False) < len(verdicts)
-
-    def test_argument_counts_checked(self):
-        vp = vector_product_algebra(3)
-        for us, vs in (([e(4, 0)], [e(4, 1), e(4, 2)]),
-                       ([e(4, 0), e(4, 1)], [e(4, 2)])):
-            with pytest.raises(ValueError, match="expected 2"):
-                vp.commutator_check(us, vs)
 
     def test_mixed_replacement_sums_cancel(self, rng):
         # Σᵢ ad_{u₁,…,[v…,uᵢ],…} + Σᵢ ad_{v₁,…,[u…,vᵢ],…} = 0 as operators
@@ -264,7 +266,7 @@ class TestDirectProduct:
         vp = vector_product_algebra(3)
         padded = vp.direct_product(NLieStructure.zero(2, 3))
         assert padded.dim == 6
-        assert padded.bracket_basis((0, 1, 2)) == [0, 0, 0, 1, 0, 0]
+        assert padded.bracket([e(6, 0), e(6, 1), e(6, 2)]) == [0, 0, 0, 1, 0, 0]
         ok, _ = padded.check_n_jacobi()
         assert ok
 
@@ -274,15 +276,16 @@ class TestDirectProduct:
         assert prod.dim == 8 and prod.arity == 3
         ok, _ = prod.check_n_jacobi()
         assert ok
-        assert prod.bracket_basis((4, 5, 6)) == [0] * 7 + [1]
-        assert prod.bracket_basis((0, 1, 4)) == [0] * 8
+        assert prod.bracket([e(8, 4), e(8, 5), e(8, 6)]) == [0] * 7 + [1]
+        assert prod.bracket([e(8, 0), e(8, 1), e(8, 4)]) == [0] * 8
 
     def test_hereditary_acts_blockwise(self):
         vp = vector_product_algebra(3)
         prod = vp.direct_product(vp)
         h = prod.hereditary([e(8, 3)])
-        assert h.bracket_basis((0, 1)) == vp.hereditary([e(4, 3)]).bracket_basis((0, 1)) + [Fraction(0)] * 4
-        assert h.bracket_basis((4, 5)) == [0] * 8
+        assert h.bracket([e(8, 0), e(8, 1)]) == \
+            vp.hereditary([e(4, 3)]).bracket([e(4, 0), e(4, 1)]) + [Fraction(0)] * 4
+        assert h.bracket([e(8, 4), e(8, 5)]) == [0] * 8
 
 
 class TestBasisChange:
