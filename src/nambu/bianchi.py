@@ -230,6 +230,11 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
     linear in G, so it is built from the ``nlie.integral`` multiple cached
     on the structure.  An answer of up to n² matrices of n² entries above
     MAX_ENTRIES is refused first.
+
+    M = AᵀG + GA − tr(A)·G vanishes iff M + Mᵀ and M − Mᵀ do, and these are
+    the same expression in H = G + Gᵀ and H = G − Gᵀ.  So the rows are those
+    of u ≤ v on the symmetric half and of u < v on the skew half: the same
+    nullspace from sparser rows, none from the skew half of a symmetric G.
     """
     n = p.dim
     if n == p.arity + 1:  # else generating_form refuses
@@ -241,17 +246,19 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
         return i * n + j
 
     rows = []
-    for u in range(n):
-        for v in range(n):
-            row: dict[int, Fraction] = {}
-            # (AᵀG)_{uv} = Σ_k A_{ku} G_{kv}; (GA)_{uv} = Σ_k G_{uk} A_{kv};
-            # tr(A)·G_{uv} = Σ_k A_{kk} G_{uv}
-            for k in range(n):
-                for j, x in ((unknown(k, u), g[k][v]), (unknown(k, v), g[u][k]),
-                             (unknown(k, k), -g[u][v])):
-                    if x:
-                        row[j] = row.get(j, 0) + x
-            rows.append(row)
+    for sign, off_diagonal in ((1, 0), (-1, 1)):
+        h = [[g[u][v] + sign * g[v][u] for v in range(n)] for u in range(n)]
+        for u in range(n):
+            for v in range(u + off_diagonal, n):
+                row: dict[int, Fraction] = {}
+                # (AᵀH)_{uv} = Σ_k A_{ku} H_{kv}; (HA)_{uv} = Σ_k H_{uk} A_{kv};
+                # tr(A)·H_{uv} = Σ_k A_{kk} H_{uv}
+                for k in range(n):
+                    for j, x in ((unknown(k, u), h[k][v]), (unknown(k, v), h[u][k]),
+                                 (unknown(k, k), -h[u][v])):
+                        if x:
+                            row[j] = row.get(j, 0) + x
+                rows.append(row)
     basis = []
     for vec in linalg.nullspace(rows, n * n):
         a = [[vec[unknown(i, j)] for j in range(n)] for i in range(n)]

@@ -72,14 +72,6 @@ class JacobiOp:
     def __repr__(self) -> str:
         return f"JacobiOp(nabla={self.nabla!r}, box={self.box!r})"
 
-    def is_zero(self) -> bool:
-        return self.nabla.is_zero() and self.box.is_zero()
-
-    @staticmethod
-    def zero(num_vars: int, arity: int) -> "JacobiOp":
-        top = MultiVector.zero(num_vars, min(arity, num_vars))
-        return JacobiOp(top, MultiVector.zero(num_vars, arity - 1), arity=arity)
-
     def apply(self, fs: Sequence[Poly]) -> Poly:
         """Δ(f₁,…,f_n) = ∇(f₁,…,f_n) + Σᵢ (−1)^{i−1} fᵢ □(f₁,…,f̂ᵢ,…,f_n)."""
         if len(fs) != self.arity:

@@ -304,15 +304,8 @@ class NLieStructure:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(dim: int, arity: int) -> "NLieStructure":
-        return NLieStructure(dim, arity)
-
-    @staticmethod
     def basis_vector(dim: int, i: int) -> Vector:
         return [Fraction(1) if j == i else Fraction(0) for j in range(dim)]
-
-    def is_zero(self) -> bool:
-        return not self.constants
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NLieStructure):

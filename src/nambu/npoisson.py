@@ -190,8 +190,10 @@ def poly_basis_exponents(num_vars: int, max_degree: int) -> list[tuple[int, ...]
 def bound_casimir_work(tensor: MultiVector, max_degree: int) -> None:
     """Raise ValueError if the Casimir search of degree ≤ ``max_degree`` would
     do more than MAX_CASIMIR_WORK work: its C(m+d, d) unknowns, one per
-    candidate monomial, times the C(m, n−1) Hamiltonian fields that
-    constrain them."""
+    candidate monomial, times the C(m, n−1) Hamiltonian fields that may
+    constrain them.  That is the worst case: a decomposable tensor is
+    constrained by n of its fields (``casimir_polynomials``), but the bound
+    stays on all of them, so that it refuses before any field is built."""
     m, d = tensor.num_vars, max_degree
     unknowns, fields = math.comb(m + d, d), math.comb(m, tensor.degree - 1)
     refuse_above(unknowns * fields, MAX_CASIMIR_WORK,
@@ -204,10 +206,18 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
 
     A Casimir is annihilated by every Hamiltonian vector field; restricted to
     a finite-dimensional polynomial space this is an exact nullspace problem.
-    The fields of coordinate-function tuples generate all Hamiltonian fields
-    over the function ring, so they suffice as constraints.  The rows are
-    linear in the tensor and ``linalg.rref`` removes their content, so they
-    are built from its ``integral`` multiple.
+    The fields X_J of coordinate-function tuples J generate all Hamiltonian
+    fields over the function ring, so they suffice as constraints.
+
+    A decomposable tensor T of degree n ≥ 2 needs only n of them
+    (``casimir_fields``): where T ≠ 0 every X_J lies in T's n-plane, so n
+    fields X_k independent at one point, hence over the rational functions,
+    span every other one there, q·X_J = Σ_k p_k·X_k with polynomials p_k and
+    q ≠ 0.  Polynomials have no zero divisors, so X_k(C) = 0 for every k
+    gives X_J(C) = 0: the nullspace, and so its canonical basis, is the same.
+
+    The rows are linear in the tensor and ``linalg.rref`` removes their
+    content, so they are built from its ``integral`` multiple.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be ≥ 1")
@@ -216,13 +226,9 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
     m = tensor.num_vars
     basis_exps = poly_basis_exponents(m, max_degree)
     basis = [Poly.monomial(m, e) for e in basis_exps]
-    xs = Poly.variables(m)
     # sparse rows: one per (field, result monomial); columns: the basis
     rows = []
-    for idx in itertools.combinations(range(m), tensor.degree - 1):
-        field = tensor.hamiltonian_field([xs[i] for i in idx])
-        if field.is_zero():
-            continue
+    for field in casimir_fields(tensor):
         block: dict = {}
         for c, g in enumerate(basis):
             for e, coef in field.apply_field(g).terms.items():
@@ -230,3 +236,34 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
         rows.extend(block.values())
     return [Poly(m, {e: coef for coef, e in zip(vec, basis_exps) if coef})
             for vec in linalg.nullspace(rows, len(basis))]
+
+
+def casimir_fields(tensor: MultiVector) -> list[MultiVector]:
+    """The Hamiltonian fields whose rows constrain the Casimirs: the nonzero
+    X_J of the coordinate tuples J, or, when the tensor is decomposable of
+    degree n ≥ 2 and has more than n of them, the first n that are
+    independent at the point (1, …, m).  All of them when fewer than n are
+    independent there (T vanishes at the point), and when the
+    decomposability walk is above ``MAX_WALK``, so that this refuses nothing
+    the all-fields rows do not."""
+    m, n = tensor.num_vars, tensor.degree
+    fields = [field for idx in itertools.combinations(range(m), n - 1)
+              if not (field := tensor.derived(idx)).is_zero()]
+    if len(fields) <= n:
+        return fields
+    point = list(range(1, m + 1))
+    chosen, values = [], []
+    for field in fields:
+        value = {i: x for (i,), p in field.components.items() if (x := p.evaluate(point))}
+        if len(linalg.rref(values + [value])[1]) > len(values):
+            chosen.append(field)
+            values.append(value)
+            if len(chosen) == n:
+                break
+    else:
+        return fields
+    try:
+        decomposable = is_decomposable(tensor)
+    except ValueError:  # its walk is above MAX_WALK
+        return fields
+    return chosen if decomposable else fields

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import strategies as st
 
 from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
-from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank,
+from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, nullspace, rank,
                           signature, transpose, zeros)
 from nambu.multivector import MultiVector, OneForm
 from nambu.njacobi import jacobi_defects
 from nambu.nlie import NLieStructure
-from nambu.npoisson import dual_nvector, fi_defect, slot_monomials
+from nambu.npoisson import dual_nvector, fi_defect, poly_basis_exponents, slot_monomials
 from nambu.poly import Poly
 
 
@@ -453,6 +453,26 @@ def nullspace_oracle(a, cols):
                 v[p] = -red[r][f]
             basis.append(v)
     return basis
+
+
+def casimir_oracle(tensor, max_degree):
+    """The Casimir search on the rows of every nonzero coordinate Hamiltonian
+    field X_J, |J| = n − 1, one row per (field, result monomial), with no
+    field selection and no integer multiple."""
+    m = tensor.num_vars
+    exps = poly_basis_exponents(m, max_degree)
+    basis = [Poly.monomial(m, e) for e in exps]
+    xs = Poly.variables(m)
+    rows = []
+    for idx in itertools.combinations(range(m), tensor.degree - 1):
+        field = tensor.hamiltonian_field([xs[i] for i in idx])
+        block = {}
+        for c, g in enumerate(basis):
+            for e, coef in field.apply_field(g).terms.items():
+                block.setdefault(e, {})[c] = coef
+        rows.extend(block.values())
+    return [Poly(m, {e: coef for coef, e in zip(vec, exps) if coef})
+            for vec in nullspace(rows, len(basis))]
 
 
 def solve(a, b):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from nambu import bianchi, cli, linalg
+from nambu.multivector import MultiVector, multivector_to_json
 from nambu.nlie import NLieStructure, nlie_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +95,37 @@ def test_check_jacobi_reaches_the_traced_kernels(tracer, capsys):
     fired.update({"poly.term_products": t.term_products, "cli.output_bytes": out_bytes})
     assert [name for name in expected if not fired.get(name)] == []
     assert "poly.term_products" in expected and "multivector.lie_derivative_of.calls" in expected
+
+
+def test_check_poisson_reaches_the_traced_kernels(tracer, capsys, tmp_path):
+    """Every counter ``layer_map.json`` expects to fire on the poisson
+    workload fires on two ``check-poisson`` calls under the benchmark's own
+    tracer: a true decomposable trivector with ``--max-degree 2``, whose
+    Casimir rows are what calls ``MultiVector.apply`` and the ``Poly``
+    products on poisson, and a false sum of two complementary blades, whose
+    decomposability wedges and witness walk over quadratic monomials run.
+    A Casimir or defect rewrite that stops one of them fails here, not only
+    in ``bench/selftest.py``."""
+    layer_map = json.loads((ROOT / "bench" / "layer_map.json").read_text())
+    expected = sorted(name for name, workloads in layer_map["fires_on"].items()
+                      if "poisson" in workloads)
+    blades = tmp_path / "blades.json"
+    blades.write_text(json.dumps(multivector_to_json(
+        MultiVector.basis(6, (0, 1, 2)) + MultiVector.basis(6, (3, 4, 5)))))
+    t = tracer.Tracer()
+    out_bytes = 0
+    try:
+        t.install()
+        t.enabled = True
+        for argv, code in [([str(ROOT / "tests" / "data" / "fractional_casimirs.json"),
+                             "--max-degree", "2"], 0),
+                           ([str(blades)], 1)]:
+            assert cli.main(["check-poisson", *argv]) == code
+            out_bytes += len(capsys.readouterr().out)
+    finally:
+        t.uninstall()
+    fired = {f"{name}.calls": count for name, count in t.calls.items()}
+    fired.update({"poly.term_products": t.term_products, "cli.output_bytes": out_bytes})
+    assert [name for name in expected if not fired.get(name)] == []
+    assert {"multivector.apply.calls", "poly.mul.calls", "poly.add.calls",
+            "poly.term_products", "npoisson.casimir_polynomials.calls"} <= set(expected)

@@ -148,7 +148,7 @@ def test_inverse_matches_oracle(a):
     assert inverse(a) == [row[n:] for row in red]
 
 
-def casimir_oracle(tensor, max_degree):
+def dense_casimir_oracle(tensor, max_degree):
     """The Casimir search as a dense system: one row per (coordinate
     Hamiltonian field, result monomial), solved by ``nullspace_oracle``."""
     m = tensor.num_vars
@@ -170,7 +170,7 @@ def casimir_oracle(tensor, max_degree):
 def test_casimirs_match_dense_system(m, degree, coef_degree, max_degree, seed):
     tensor = rand_decomposable_tensor(random.Random(seed), m, min(degree, m), coef_degree)
     got = casimir_polynomials(tensor, max_degree)
-    want = casimir_oracle(tensor, max_degree)
+    want = dense_casimir_oracle(tensor, max_degree)
     assert got == want
     assert [str(p) for p in got] == [str(p) for p in want]
 

@@ -68,7 +68,7 @@ class TestJacobiIdentity:
         assert ok and witness is None
 
     def test_zero_structure_passes(self):
-        ok, _ = NLieStructure.zero(4, 3).check_n_jacobi()
+        ok, _ = NLieStructure(4, 3).check_n_jacobi()
         assert ok
 
     def test_perturbed_constants_fail_with_witness(self):
@@ -107,7 +107,7 @@ class TestHereditary:
     def test_repeated_vectors_give_zero_structure(self, rng):
         p = rand_4dim_3lie(rng)
         u = rand_vectors(rng, 1, 4)[0]
-        assert p.hereditary([u, u]).is_zero()
+        assert not p.hereditary([u, u]).constants
 
     def test_full_freeze_equals_inner_derivation(self, rng):
         p = rand_4dim_3lie(rng)
@@ -264,7 +264,7 @@ class TestCompatibility:
 class TestDirectProduct:
     def test_padding_with_zero(self):
         vp = vector_product_algebra(3)
-        padded = vp.direct_product(NLieStructure.zero(2, 3))
+        padded = vp.direct_product(NLieStructure(2, 3))
         assert padded.dim == 6
         assert padded.bracket([e(6, 0), e(6, 1), e(6, 2)]) == [0, 0, 0, 1, 0, 0]
         ok, _ = padded.check_n_jacobi()
@@ -311,7 +311,7 @@ class TestInputBounds:
         constants), exceeds MAX_WORK refuse before any work; the largest
         estimate in these tests is the third-order compatibility condition
         on R⁶: C(6,1)·C(6,2) = 90 pairs of arity 2 over 378 constants."""
-        big = NLieStructure.zero(30, 15)
+        big = NLieStructure(30, 15)
         for check in (big.check_n_jacobi, lambda: big.compat(big),
                       lambda: big.comp_condition_k([e(30, 0)], [e(30, 1)])):
             with pytest.raises(ValueError, match="above the limit"):
@@ -343,16 +343,16 @@ class TestInputBounds:
         monkeypatch.setattr(nlie, "_defect", lambda *a: pytest.fail("_defect called"))
         with pytest.raises(ValueError, match=rf"C\(30, 15\) = {comb(30, 15)} tuples"
                                              rf".*above the limit {MAX_WORK}"):
-            NLieStructure.zero(30, 15).is_derivation(zeros(30, 30))
+            NLieStructure(30, 15).is_derivation(zeros(30, 30))
 
     def test_hereditary_bracket_limit(self):
         """Freezing one vector of a 15-ary structure on 30 dimensions needs
         C(30,14) brackets: refused before the first; C(8,2) = 28 is fine."""
-        big = NLieStructure.zero(30, 15)
+        big = NLieStructure(30, 15)
         with pytest.raises(ValueError, match=rf"brackets .*C\(30, 14\) = {comb(30, 14)} tuples"
                                              rf".*above the limit"):
             big.hereditary([e(30, 0)])
-        assert NLieStructure.zero(8, 3).hereditary([e(8, 0)]).is_zero()
+        assert not NLieStructure(8, 3).hereditary([e(8, 0)]).constants
 
 
 class TestSerialization:
@@ -435,9 +435,9 @@ FAMILIES = {
     # dim > n + 1: block-diagonal, with and without a valid second factor
     "product-2": lambda rng: hidden(rng, 2).direct_product(hidden(rng, 2)),
     "product-3": lambda rng: hidden(rng, 3).direct_product(random_structure(rng, 3, 3)),
-    "product-pad": lambda rng: perturbed(rng, 3).direct_product(NLieStructure.zero(2, 3)),
+    "product-pad": lambda rng: perturbed(rng, 3).direct_product(NLieStructure(2, 3)),
     # the first failing tuple avoids the zero block, so it is not the first tuple
-    "pad-product": lambda rng: NLieStructure.zero(2, 3).direct_product(perturbed(rng, 3)),
+    "pad-product": lambda rng: NLieStructure(2, 3).direct_product(perturbed(rng, 3)),
     "arity-1": lambda rng: random_structure(rng, 4, 1),
     "arity-2": lambda rng: random_structure(rng, 3, 2),
     "arity-2-lie": lambda rng: hidden(rng, 2),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (fi_search_oracle, rand_4dim_3lie,
+from conftest import (casimir_oracle, fi_search_oracle, rand_4dim_3lie,
                       rand_decomposable_tensor, rand_field_wedge,
                       rand_multivector, rand_poly, rand_vectors)
 from nambu import npoisson
@@ -172,7 +172,7 @@ class TestDualTensor:
         assert dual_nvector(p) == atomic_tensor()
 
     def test_zero_algebra(self):
-        assert dual_nvector(NLieStructure.zero(4, 3)).is_zero()
+        assert dual_nvector(NLieStructure(4, 3)).is_zero()
 
     def test_duals_of_small_algebras_pass(self, rng):
         for _ in range(5):
@@ -275,6 +275,114 @@ class TestCasimirs:
             for _ in range(10):
                 f = rand_poly(rng, 3, max_degree=2)
                 assert so3.hamiltonian_field([f]).apply_field(c).is_zero()
+
+
+def casimir_blade(rng):
+    """f·(v₁∧…∧v_n) with constant vᵢ: f·∂₁∧…∧∂_n behind a linear change of
+    coordinates, f a polynomial."""
+    m = rng.randint(3, 5)
+    return rand_decomposable_tensor(rng, m, rng.randint(2, min(3, m - 1)), rng.randint(0, 2))
+
+
+def casimir_vanishing(rng):
+    """The same times a linear form that vanishes at (1, …, m)."""
+    t = casimir_blade(rng)
+    j = rng.randrange(t.num_vars)
+    return t * (Poly.var(t.num_vars, j) - (j + 1))
+
+
+def casimir_rank_two(rng):
+    """X∧Y of two affine vector fields."""
+    return rand_field_wedge(rng, rng.randint(3, 5), 2)
+
+
+def casimir_split(rng):
+    """f·∂₁∧∂₂ + g·∂₃∧∂₄, f free of x₃, x₄ and g of x₁, x₂: Poisson, of rank 4
+    where fg ≠ 0."""
+    m = rng.randint(4, 5)
+
+    def free_of(a, b):
+        while True:
+            p = Poly(m, {e: c for e, c in rand_poly(rng, m).terms.items()
+                         if not (e[a] or e[b])})
+            if not p.is_zero():
+                return p
+    return MultiVector.basis(m, (0, 1), free_of(2, 3)) + MultiVector.basis(m, (2, 3), free_of(0, 1))
+
+
+def casimir_degenerate(rng):
+    """A vector field, a top-degree tensor or a zero tensor."""
+    m = rng.randint(2, 5)
+    kind = rng.randrange(3)
+    if kind == 2:
+        return MultiVector.zero(m, rng.randint(1, m))
+    return rand_multivector(rng, m, 1 if kind == 0 else m, density=0.8)
+
+
+class TestCasimirFields:
+    """``casimir_polynomials`` builds a decomposable tensor's rows from n of
+    its coordinate Hamiltonian fields: the bases must equal the all-fields
+    ``casimir_oracle``, and each kind of tensor must take its path."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """(n, nonzero coordinate fields, fields kept) of every call."""
+        calls = []
+
+        def spied(tensor, _fields=npoisson.casimir_fields):
+            out = _fields(tensor)
+            xs = Poly.variables(tensor.num_vars)
+            nonzero = sum(not tensor.hamiltonian_field([xs[i] for i in idx]).is_zero()
+                          for idx in itertools.combinations(range(tensor.num_vars),
+                                                            tensor.degree - 1))
+            calls.append((tensor.degree, nonzero, len(out)))
+            return out
+        monkeypatch.setattr(npoisson, "casimir_fields", spied)
+        return calls
+
+    @pytest.mark.parametrize("make, selects", [
+        (casimir_blade, True), (casimir_vanishing, False), (casimir_rank_two, True),
+        (casimir_split, False), (casimir_degenerate, False)])
+    def test_matches_all_fields_oracle(self, paths, make, selects):
+        rng = random.Random(make.__name__)
+        for _ in range(40):
+            tensor = make(rng)
+            d = rng.randint(1, 3)
+            got = casimir_polynomials(tensor, d)
+            want = casimir_oracle(tensor, d)
+            assert got == want and [str(c) for c in got] == [str(c) for c in want]
+        selected = [n < nonzero and kept == n for n, nonzero, kept in paths]
+        assert any(selected) if selects else not any(selected)
+        assert all(kept in (n, nonzero) for n, nonzero, kept in paths)
+        if make in (casimir_vanishing, casimir_split):
+            # more than n fields, all kept: the fallback and the
+            # decomposability test ran
+            assert any(nonzero > n for n, nonzero, _ in paths)
+
+    def test_split_bivector_is_not_decomposable(self):
+        """The non-decomposable case is what ``casimir_split`` draws: a
+        selection that skipped the decomposability test would keep 2 of its
+        4 independent fields."""
+        rng = random.Random("split")
+        assert not any(is_decomposable(casimir_split(rng)) for _ in range(10))
+
+    def test_walk_above_the_limit_keeps_every_field(self, paths):
+        """f·(v₁∧v₂∧v₃) in 8 variables, f with 120 cubic terms: C(8, 2) = 28
+        decomposability wedges of work 161,304 each, above ``MAX_WALK``,
+        while the Casimir work of degree ≤ 1 is 9 × 28 = 252.  All 28 fields
+        are kept, and nothing is refused that the all-fields rows accept."""
+        m = 8
+        f = Poly(m, {e: 1 for e in itertools.islice(
+            (e for e in itertools.product(range(4), repeat=m) if sum(e) == 3), 120)})
+        vs = [MultiVector.vector([Poly.const(m, (i + 1) ** k) for i in range(m)])
+              for k in range(3)]
+        tensor = vs[0].wedge(vs[1]).wedge(vs[2]) * f
+        assert step_cost(tensor) * comb(m, 2) > MAX_WALK
+        with pytest.raises(ValueError, match="decomposability wedges"):
+            is_decomposable(tensor)
+        got = casimir_polynomials(tensor, 1)
+        assert got == casimir_oracle(tensor, 1) and len(got) == 6
+        assert paths == [(3, 28, 28)]
 
 
 class TestWorkBudget:
