@@ -119,7 +119,7 @@ def cmd_check_poisson(args) -> int:
         "rank_at_origin": derived_rank(v, [0] * v.num_vars),
     }
     if ok and args.max_degree:
-        casimirs = npoisson.casimir_polynomials(v, args.max_degree)
+        casimirs = npoisson.casimir_polynomials(v, args.max_degree, verdict.decomposable)
         out["casimirs"] = [str(c) for c in casimirs]
     _emit(out, args.json)
     return 0 if ok else 1

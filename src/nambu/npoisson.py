@@ -191,9 +191,10 @@ def bound_casimir_work(tensor: MultiVector, max_degree: int) -> None:
     """Raise ValueError if the Casimir search of degree ≤ ``max_degree`` would
     do more than MAX_CASIMIR_WORK work: its C(m+d, d) unknowns, one per
     candidate monomial, times the C(m, n−1) Hamiltonian fields that may
-    constrain them.  That is the worst case: a decomposable tensor is
-    constrained by n of its fields (``casimir_polynomials``), but the bound
-    stays on all of them, so that it refuses before any field is built."""
+    constrain them.  That is the worst case: a tensor known to be
+    decomposable is constrained by n of its fields (``casimir_polynomials``),
+    but the bound stays on all of them, so that it refuses before any field
+    is built."""
     m, d = tensor.num_vars, max_degree
     unknowns, fields = math.comb(m + d, d), math.comb(m, tensor.degree - 1)
     refuse_above(unknowns * fields, MAX_CASIMIR_WORK,
@@ -201,7 +202,8 @@ def bound_casimir_work(tensor: MultiVector, max_degree: int) -> None:
                  f"× {fields} Hamiltonian fields, work {unknowns * fields}")
 
 
-def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
+def casimir_polynomials(tensor: MultiVector, max_degree: int,
+                        decomposable: bool = False) -> list[Poly]:
     """Basis of polynomial Casimirs of degree ≤ max_degree.
 
     A Casimir is annihilated by every Hamiltonian vector field; restricted to
@@ -209,7 +211,9 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
     The fields X_J of coordinate-function tuples J generate all Hamiltonian
     fields over the function ring, so they suffice as constraints.
 
-    A decomposable tensor T of degree n ≥ 2 needs only n of them
+    ``decomposable`` says that the tensor is known to be decomposable, as
+    the ``Verdict`` of ``is_n_poisson`` carries it; no walk is run here.
+    A decomposable tensor T of degree n ≥ 2 needs only n of the fields
     (``casimir_fields``): where T ≠ 0 every X_J lies in T's n-plane, so n
     fields X_k independent at one point, hence over the rational functions,
     span every other one there, q·X_J = Σ_k p_k·X_k with polynomials p_k and
@@ -228,7 +232,7 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
     basis = [Poly.monomial(m, e) for e in basis_exps]
     # sparse rows: one per (field, result monomial); columns: the basis
     rows = []
-    for field in casimir_fields(tensor):
+    for field in casimir_fields(tensor, decomposable):
         block: dict = {}
         for c, g in enumerate(basis):
             for e, coef in field.apply_field(g).terms.items():
@@ -238,32 +242,25 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int) -> list[Poly]:
             for vec in linalg.nullspace(rows, len(basis))]
 
 
-def casimir_fields(tensor: MultiVector) -> list[MultiVector]:
+def casimir_fields(tensor: MultiVector, decomposable: bool) -> list[MultiVector]:
     """The Hamiltonian fields whose rows constrain the Casimirs: the nonzero
-    X_J of the coordinate tuples J, or, when the tensor is decomposable of
-    degree n ≥ 2 and has more than n of them, the first n that are
-    independent at the point (1, …, m).  All of them when fewer than n are
-    independent there (T vanishes at the point), and when the
-    decomposability walk is above ``MAX_WALK``, so that this refuses nothing
-    the all-fields rows do not."""
+    X_J of the coordinate tuples J, or, when the tensor is ``decomposable``
+    of degree n and has more than n of them, the first n that are
+    independent at the point (1, …, m).  All of them when the point does not
+    give exactly n independent ones (T vanishes there)."""
     m, n = tensor.num_vars, tensor.degree
+    xs = Poly.variables(m)
     fields = [field for idx in itertools.combinations(range(m), n - 1)
-              if not (field := tensor.derived(idx)).is_zero()]
-    if len(fields) <= n:
+              if not (field := tensor.hamiltonian_field([xs[i] for i in idx])).is_zero()]
+    if not decomposable or len(fields) <= n:
         return fields
+    # column k holds X_k at the point, so the pivot columns are the fields
+    # independent of the ones before them
     point = list(range(1, m + 1))
-    chosen, values = [], []
-    for field in fields:
-        value = {i: x for (i,), p in field.components.items() if (x := p.evaluate(point))}
-        if len(linalg.rref(values + [value])[1]) > len(values):
-            chosen.append(field)
-            values.append(value)
-            if len(chosen) == n:
-                break
-    else:
-        return fields
-    try:
-        decomposable = is_decomposable(tensor)
-    except ValueError:  # its walk is above MAX_WALK
-        return fields
-    return chosen if decomposable else fields
+    rows: dict = {}
+    for k, field in enumerate(fields):
+        for (i,), p in field.components.items():
+            if x := p.evaluate(point):
+                rows.setdefault(i, {})[k] = x
+    pivots = linalg.rref(rows.values())[1]
+    return [fields[k] for k in pivots] if len(pivots) == n else fields

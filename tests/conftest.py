@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
-from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, nullspace, rank,
+from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank,
                           signature, transpose, zeros)
 from nambu.multivector import MultiVector, OneForm
 from nambu.njacobi import jacobi_defects
@@ -456,23 +456,20 @@ def nullspace_oracle(a, cols):
 
 
 def casimir_oracle(tensor, max_degree):
-    """The Casimir search on the rows of every nonzero coordinate Hamiltonian
-    field X_J, |J| = n − 1, one row per (field, result monomial), with no
-    field selection and no integer multiple."""
+    """The Casimir search as a dense system on every coordinate Hamiltonian
+    field X_J, |J| = n − 1: one row per (field, result monomial), solved by
+    ``nullspace_oracle``, with no field selection and no integer multiple."""
     m = tensor.num_vars
-    exps = poly_basis_exponents(m, max_degree)
-    basis = [Poly.monomial(m, e) for e in exps]
+    basis = [Poly.monomial(m, e) for e in poly_basis_exponents(m, max_degree)]
     xs = Poly.variables(m)
     rows = []
     for idx in itertools.combinations(range(m), tensor.degree - 1):
-        field = tensor.hamiltonian_field([xs[i] for i in idx])
-        block = {}
-        for c, g in enumerate(basis):
-            for e, coef in field.apply_field(g).terms.items():
-                block.setdefault(e, {})[c] = coef
-        rows.extend(block.values())
-    return [Poly(m, {e: coef for coef, e in zip(vec, exps) if coef})
-            for vec in nullspace(rows, len(basis))]
+        images = [tensor.hamiltonian_field([xs[i] for i in idx]).apply_field(g)
+                  for g in basis]
+        for e in sorted({e for p in images for e in p.terms}):
+            rows.append([Fraction(p.terms.get(e, 0)) for p in images])
+    return [sum((c * g for c, g in zip(vec, basis) if c), Poly.zero(m))
+            for vec in nullspace_oracle(rows, len(basis))]
 
 
 def solve(a, b):

@@ -2,6 +2,7 @@
 function scaling, wedge-product compatibility, and polynomial Casimirs."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 from conftest import (casimir_oracle, fi_search_oracle, rand_4dim_3lie,
                       rand_decomposable_tensor, rand_field_wedge,
                       rand_multivector, rand_poly, rand_vectors)
-from nambu import npoisson
+from nambu import cli, npoisson
 from nambu.bianchi import algebra_from_form
 from nambu.linalg import mat
-from nambu.multivector import MultiVector, is_decomposable, step_cost
+from nambu.multivector import MultiVector, is_decomposable, multivector_to_json, step_cost
 from nambu.njacobi import JacobiOp, is_n_jacobi, jacobi_defects
 from nambu.nlie import NLieStructure, vector_product_algebra
 from nambu.npoisson import (casimir_polynomials, dual_nvector, fi_defect,
@@ -319,6 +320,12 @@ def casimir_degenerate(rng):
     return rand_multivector(rng, m, 1 if kind == 0 else m, density=0.8)
 
 
+def known_decomposable(tensor):
+    """What ``check-poisson`` hands ``casimir_polynomials``: whether the
+    tensor is decomposable, as its ``is_n_poisson`` verdict carries it."""
+    return tensor.degree >= 2 and is_decomposable(tensor)
+
+
 class TestCasimirFields:
     """``casimir_polynomials`` builds a decomposable tensor's rows from n of
     its coordinate Hamiltonian fields: the bases must equal the all-fields
@@ -329,8 +336,8 @@ class TestCasimirFields:
         """(n, nonzero coordinate fields, fields kept) of every call."""
         calls = []
 
-        def spied(tensor, _fields=npoisson.casimir_fields):
-            out = _fields(tensor)
+        def spied(tensor, decomposable, _fields=npoisson.casimir_fields):
+            out = _fields(tensor, decomposable)
             xs = Poly.variables(tensor.num_vars)
             nonzero = sum(not tensor.hamiltonian_field([xs[i] for i in idx]).is_zero()
                           for idx in itertools.combinations(range(tensor.num_vars),
@@ -348,29 +355,32 @@ class TestCasimirFields:
         for _ in range(40):
             tensor = make(rng)
             d = rng.randint(1, 3)
-            got = casimir_polynomials(tensor, d)
+            got = casimir_polynomials(tensor, d, known_decomposable(tensor))
             want = casimir_oracle(tensor, d)
             assert got == want and [str(c) for c in got] == [str(c) for c in want]
         selected = [n < nonzero and kept == n for n, nonzero, kept in paths]
         assert any(selected) if selects else not any(selected)
         assert all(kept in (n, nonzero) for n, nonzero, kept in paths)
         if make in (casimir_vanishing, casimir_split):
-            # more than n fields, all kept: the fallback and the
-            # decomposability test ran
+            # more than n fields, all kept: the fallback, or the tensor's
+            # decomposability, ruled the selection out
             assert any(nonzero > n for n, nonzero, _ in paths)
 
     def test_split_bivector_is_not_decomposable(self):
         """The non-decomposable case is what ``casimir_split`` draws: a
-        selection that skipped the decomposability test would keep 2 of its
-        4 independent fields."""
+        selection that did not read ``decomposable`` would keep 2 of its 4
+        independent fields."""
         rng = random.Random("split")
         assert not any(is_decomposable(casimir_split(rng)) for _ in range(10))
 
     def test_walk_above_the_limit_keeps_every_field(self, paths):
         """f·(v₁∧v₂∧v₃) in 8 variables, f with 120 cubic terms: C(8, 2) = 28
         decomposability wedges of work 161,304 each, above ``MAX_WALK``,
-        while the Casimir work of degree ≤ 1 is 9 × 28 = 252.  All 28 fields
-        are kept, and nothing is refused that the all-fields rows accept."""
+        while the Casimir work of degree ≤ 1 is 9 × 28 = 252.  The Casimir
+        search walks no wedge, so it refuses nothing the all-fields rows
+        accept: unknown to be decomposable it keeps all 28 fields, known to
+        be it keeps 3, and both give the oracle's basis.  ``check-poisson``
+        refuses this tensor in ``is_n_poisson``, before any Casimir work."""
         m = 8
         f = Poly(m, {e: 1 for e in itertools.islice(
             (e for e in itertools.product(range(4), repeat=m) if sum(e) == 3), 120)})
@@ -378,11 +388,34 @@ class TestCasimirFields:
               for k in range(3)]
         tensor = vs[0].wedge(vs[1]).wedge(vs[2]) * f
         assert step_cost(tensor) * comb(m, 2) > MAX_WALK
-        with pytest.raises(ValueError, match="decomposability wedges"):
-            is_decomposable(tensor)
-        got = casimir_polynomials(tensor, 1)
-        assert got == casimir_oracle(tensor, 1) and len(got) == 6
-        assert paths == [(3, 28, 28)]
+        for decide in (is_decomposable, is_n_poisson):
+            with pytest.raises(ValueError, match="decomposability wedges"):
+                decide(tensor)
+        want = casimir_oracle(tensor, 1)
+        assert len(want) == 6
+        assert casimir_polynomials(tensor, 1) == want
+        assert casimir_polynomials(tensor, 1, decomposable=True) == want
+        assert paths == [(3, 28, 28), (3, 28, 3)]
+
+    def test_check_poisson_selects_on_its_verdict(self, paths, monkeypatch, tmp_path, capsys):
+        """``check-poisson --max-degree`` hands the decomposability of its
+        verdict to the Casimir search, which walks no wedge of its own: one
+        ``is_decomposable`` call, and 3 of the 10 fields of a 5-variable
+        trivector."""
+        walks = []
+        monkeypatch.setattr(npoisson, "is_decomposable",
+                            lambda v, _walk=is_decomposable: walks.append(v) or _walk(v))
+        m = 5
+        vs = [MultiVector.vector([Poly.const(m, (i + 1) ** k) for i in range(m)])
+              for k in range(3)]
+        tensor = vs[0].wedge(vs[1]).wedge(vs[2]) * (Poly.var(m, 0) + 2)
+        path = tmp_path / "tensor.json"
+        path.write_text(json.dumps(multivector_to_json(tensor)))
+        assert cli.main(["--json", "check-poisson", str(path), "--max-degree", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["decomposable"] is True
+        assert out["casimirs"] == [str(c) for c in casimir_oracle(tensor, 2)]
+        assert len(walks) == 1 and paths == [(3, 10, 3)]
 
 
 class TestWorkBudget:
