@@ -25,7 +25,7 @@ banner("The dynamics field of the ternary description")
 print(f"tensor: d1^d2^d3, Hamiltonians: {[str(h) for h in system.hamiltonians]}")
 print(f"field: {spin.field()}")
 for h in system.hamiltonians:
-    print(f"  field applied to {h}: {spin.field().apply_field(h)}")
+    print(f"  field applied to {h}: {spin.field().apply([h])}")
 
 banner("RK4 with drift monitoring (B = (0,0,1), mu = 1)")
 x0 = [1.0, 0.0, 0.5]

@@ -5,7 +5,7 @@ from .poly import Poly
 from .multivector import MultiVector, OneForm, derived_rank, is_decomposable
 from .nlie import NLieStructure, vector_product_algebra
 from .npoisson import (casimir_polynomials, dual_nvector, fi_defect,
-                       is_n_poisson, scale, wedge_compat_check)
+                       is_n_poisson, wedge_compat_check)
 from .njacobi import (JacobiOp, canonical_bracket, from_poisson_and_form,
                       is_n_jacobi, jacobi_defects, s_op)
 from .bianchi import (BianchiLabel, classify, derivation_algebra,
@@ -22,7 +22,7 @@ __all__ = [
     "Trajectory",
     "derived_rank", "is_decomposable",
     "vector_product_algebra", "casimir_polynomials", "dual_nvector",
-    "fi_defect", "is_n_poisson", "scale", "wedge_compat_check",
+    "fi_defect", "is_n_poisson", "wedge_compat_check",
     "canonical_bracket", "from_poisson_and_form", "is_n_jacobi",
     "jacobi_defects", "s_op",
     "classify", "derivation_algebra", "generating_form", "is_unimodular",

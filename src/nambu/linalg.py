@@ -2,7 +2,8 @@
 
 Dense matrices are lists of lists of ``Fraction``.  Provides the handful of
 exact routines the rest of the package needs: rank, nullspace, inverse,
-determinant, and congruence diagonalization of symmetric bilinear forms.
+determinant, and the signature of a symmetric bilinear form, counted on
+Schur complements.
 
 Rank, nullspace and inverse share one elimination, ``rref``, on sparse rows
 (``{column: entry}`` dicts; ``sparse`` converts a dense matrix).  It is
@@ -42,13 +43,6 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
 
 def zeros(n: int, m: int) -> Matrix:
     return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -200,53 +194,27 @@ def wedge_minors(minors: dict, vecs: Iterable[Iterable[tuple[int, object]]]) -> 
     return minors
 
 
-def congruent_diagonalize(a: Matrix) -> tuple[Matrix, Matrix]:
-    """Diagonalize a symmetric matrix by congruence over the rationals.
-
-    Returns ``(d, c)`` with ``d = cᵀ a c`` diagonal.
-    """
-    n = len(a)
-    d = [row[:] for row in a]
-    c = identity(n)
-
-    def col_op(j, k, factor):
-        # column_j += factor * column_k, mirrored on rows to keep symmetry
-        for i in range(n):
-            d[i][j] += factor * d[i][k]
-        for i in range(n):
-            d[j][i] += factor * d[k][i]
-        for i in range(n):
-            c[i][j] += factor * c[i][k]
-
-    def col_swap(j, k):
-        for i in range(n):
-            d[i][j], d[i][k] = d[i][k], d[i][j]
-        d[j], d[k] = d[k], d[j]
-        for i in range(n):
-            c[i][j], c[i][k] = c[i][k], c[i][j]
-
-    for p in range(n):
-        if d[p][p] == 0:
-            # bring a nonzero entry to the pivot: prefer a later diagonal
-            k = next((i for i in range(p + 1, n) if d[i][i] != 0), None)
-            if k is not None:
-                col_swap(p, k)
-            else:
-                k = next((j for j in range(p + 1, n) if d[p][j] != 0), None)
-                if k is None:
-                    continue
-                col_op(p, k, Fraction(1))  # pivot becomes 2*d[p][k] != 0
-        inv = Fraction(1) / d[p][p]
-        for j in range(p + 1, n):
-            if d[p][j] != 0:
-                col_op(j, p, -d[p][j] * inv)
-    return d, c
-
-
 def signature(a: Matrix) -> tuple[int, int]:
-    """(number of positive, number of negative) diagonal entries after
-    congruence diagonalization — Sylvester's law makes this well defined."""
-    d, _ = congruent_diagonalize(a)
-    pos = sum(1 for i in range(len(a)) if d[i][i] > 0)
-    neg = sum(1 for i in range(len(a)) if d[i][i] < 0)
+    """(number of positive, number of negative) squares of the symmetric form
+    ``a``, well defined by Sylvester's law: one Schur-complement count.  A
+    nonzero diagonal pivot p = S_ii counts by its sign, and the count goes on
+    with S − s·sᵀ/p on the other coordinates, s = S's row i.  With no nonzero
+    diagonal, adding e_j to e_i makes 2·S_ij the pivot."""
+    s = mat(a)
+    pos = neg = 0
+    while s:
+        i = next((i for i, row in enumerate(s) if row[i]), None)
+        if i is None:
+            i, j = next(((i, j) for i, row in enumerate(s) for j, x in enumerate(row) if x),
+                        (None, None))
+            if i is None:
+                break
+            s[i] = [x + y for x, y in zip(s[i], s[j])]
+            for row in s:
+                row[i] += row[j]
+        v = s[i]
+        p = v[i]
+        pos, neg = (pos + 1, neg) if p > 0 else (pos, neg + 1)
+        s = [[x - v[k] * v[l] / p for l, x in enumerate(row) if l != i]
+             for k, row in enumerate(s) if k != i]
     return pos, neg

@@ -307,12 +307,6 @@ class MultiVector:
                 total = total + poly * d
         return total
 
-    def apply_field(self, g: Poly) -> Poly:
-        """A degree-1 field acting on a function as a derivation."""
-        if self.degree != 1:
-            raise ValueError("apply_field requires degree 1")
-        return self.apply([g])
-
     # -- Lie derivative and Schouten bracket --------------------------------------
 
     def lie_derivative_of(self, v: "MultiVector") -> "MultiVector":

@@ -37,8 +37,8 @@ def fi_defect(tensor: MultiVector, fs: Sequence[Poly]) -> MultiVector:
 
 class Verdict(tuple):
     """The ``(ok, witness)`` pair of ``is_n_poisson`` and ``is_n_jacobi``.
-    ``decomposable`` is whether the top tensor is decomposable, found for
-    every top of degree ≥ 2 (None below)."""
+    ``decomposable`` is whether the top tensor is decomposable, found before
+    the walk for every top of degree ≥ 2 (None below)."""
 
     def __new__(cls, ok: bool, witness: tuple | None, decomposable: bool | None):
         pair = super().__new__(cls, (ok, witness))
@@ -89,19 +89,17 @@ def structure_verdict(top: MultiVector, walk: Iterable[tuple[int, ...]], slots: 
     n ≥ 3 a non-decomposable ``top`` is false (the structure theorem); its
     witness walk, sized here at ``cost`` a step, adds the quadratic monomials
     to ``slots``, as each slot of the defects has order ≤ 2.  The verdict
-    carries the decomposability of ``top``: for n ≥ 3 found before the walk,
-    for bivectors after it, as their C(m, 1) wedges cost no more than the
-    walk that was sized first."""
-    decomposable = is_decomposable(top) if top.degree > 2 else None
-    if decomposable is False:
+    carries the decomposability of ``top``, found before the walk for every
+    degree ≥ 2; for bivectors its C(m, 1) wedges cost no more than the walk
+    that was sized first."""
+    decomposable = is_decomposable(top) if top.degree >= 2 else None
+    if decomposable is False and top.degree > 2:
         m = top.num_vars
         walk = sized_combinations(len(slots) + math.comb(m + 1, 2), top.degree - 1, cost,
                                   MAX_WALK, "slot monomial tuples")
         return Verdict(False, first_failure(walk, slots + slot_monomials(m)[m:], defect),
                        False)
     witness = first_failure(walk, slots, defect)
-    if top.degree == 2:
-        decomposable = is_decomposable(top)
     return Verdict(witness is None, witness, decomposable)
 
 
@@ -130,18 +128,6 @@ def dual_nvector(p: NLieStructure) -> MultiVector:
         if not poly.is_zero():
             comps[idx] = poly
     return MultiVector(m, p.arity, comps)
-
-
-def scale(f: Poly, tensor: MultiVector) -> MultiVector:
-    """fΛ for a decomposable n-Poisson Λ — again n-Poisson.
-
-    Refuses tensors that are not verified decomposable Poisson structures,
-    since the conclusion needs the rank-n hypothesis.
-    """
-    verdict = is_n_poisson(tensor)
-    if not (verdict[0] and verdict.decomposable):
-        raise ValueError("scaling requires a decomposable n-Poisson tensor")
-    return tensor * f
 
 
 def wedge_compat_check(delta: MultiVector, nabla: MultiVector) -> tuple[bool, bool, bool]:
@@ -235,7 +221,7 @@ def casimir_polynomials(tensor: MultiVector, max_degree: int,
     for field in casimir_fields(tensor, decomposable):
         block: dict = {}
         for c, g in enumerate(basis):
-            for e, coef in field.apply_field(g).terms.items():
+            for e, coef in field.apply([g]).terms.items():
                 block.setdefault(e, {})[c] = coef
         rows.extend(block.values())
     return [Poly(m, {e: coef for coef, e in zip(vec, basis_exps) if coef})

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from nambu.bianchi import BianchiLabel, psi_label, unimodular_label
-from nambu.linalg import (det, identity, mat, mat_mul, mat_vec, rank,
-                          signature, transpose, zeros)
+from nambu.linalg import det, mat, mat_mul, mat_vec, rank, transpose, zeros
 from nambu.multivector import MultiVector, OneForm
 from nambu.njacobi import jacobi_defects
 from nambu.nlie import NLieStructure
@@ -414,6 +413,64 @@ def wedge_d_self_is_zero(alpha):
 
 # -- linear systems ----------------------------------------------------------
 
+def identity(n):
+    """The n×n identity matrix over ``Fraction``."""
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = Fraction(1)
+    return out
+
+
+def congruent_diagonalize(a):
+    """Diagonalize a symmetric matrix by congruence over the rationals, with
+    row and column operations mirrored on each other.
+
+    Returns ``(d, c)`` with ``d = cᵀ a c`` diagonal.
+    """
+    n = len(a)
+    d = [row[:] for row in a]
+    c = identity(n)
+
+    def col_op(j, k, factor):
+        # column_j += factor * column_k, mirrored on rows to keep symmetry
+        for i in range(n):
+            d[i][j] += factor * d[i][k]
+        for i in range(n):
+            d[j][i] += factor * d[k][i]
+        for i in range(n):
+            c[i][j] += factor * c[i][k]
+
+    def col_swap(j, k):
+        for i in range(n):
+            d[i][j], d[i][k] = d[i][k], d[i][j]
+        d[j], d[k] = d[k], d[j]
+        for i in range(n):
+            c[i][j], c[i][k] = c[i][k], c[i][j]
+
+    for p in range(n):
+        if d[p][p] == 0:
+            # bring a nonzero entry to the pivot: prefer a later diagonal
+            k = next((i for i in range(p + 1, n) if d[i][i] != 0), None)
+            if k is not None:
+                col_swap(p, k)
+            else:
+                k = next((j for j in range(p + 1, n) if d[p][j] != 0), None)
+                if k is None:
+                    continue
+                col_op(p, k, Fraction(1))  # pivot becomes 2*d[p][k] != 0
+        inv = Fraction(1) / d[p][p]
+        for j in range(p + 1, n):
+            if d[p][j] != 0:
+                col_op(j, p, -d[p][j] * inv)
+    return d, c
+
+
+def signature_oracle(a):
+    """(positive, negative) diagonal entries of ``congruent_diagonalize``."""
+    diagonal = [row[i] for i, row in enumerate(congruent_diagonalize(a)[0])]
+    return sum(x > 0 for x in diagonal), sum(x < 0 for x in diagonal)
+
+
 def rref_oracle(a):
     """Dense Gauss–Jordan over ``Fraction``: the reduced row-echelon form of
     the matrix ``a`` (zero rows kept, at the bottom) and its pivot columns."""
@@ -464,7 +521,7 @@ def casimir_oracle(tensor, max_degree):
     xs = Poly.variables(m)
     rows = []
     for idx in itertools.combinations(range(m), tensor.degree - 1):
-        images = [tensor.hamiltonian_field([xs[i] for i in idx]).apply_field(g)
+        images = [tensor.hamiltonian_field([xs[i] for i in idx]).apply([g])
                   for g in basis]
         for e in sorted({e for p in images for e in p.terms}):
             rows.append([Fraction(p.terms.get(e, 0)) for p in images])
@@ -672,7 +729,7 @@ def classify_oracle(p):
     sym = [[(x + y) / 2 for x, y in zip(r, s)] for r, s in zip(a, at)]
     skew = [[(x - y) / 2 for x, y in zip(r, s)] for r, s in zip(a, at)]
     if all(x == 0 for row in skew for x in row):
-        pos, neg = signature(sym)
+        pos, neg = signature_oracle(sym)
         return unimodular_label(rank(sym), max(pos, neg))
     kernel = nullspace_oracle(skew, p.dim)
     if len(kernel) != p.dim - 2 or any(any(mat_vec(sym, v)) for v in kernel):

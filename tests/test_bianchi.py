@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classify_oracle, generating_form_oracle, in_span,
-                      jacobi_oracle, labels, mat_sub, rand_invertible_matrix,
-                      rand_symmetric_matrix, rand_unimodular_matrix)
+from conftest import (classify_oracle, congruent_diagonalize, generating_form_oracle,
+                      in_span, jacobi_oracle, labels, mat_sub,
+                      rand_invertible_matrix, rand_symmetric_matrix, rand_unimodular_matrix)
 from nambu.bianchi import (algebra_from_form, classify, derivation_algebra,
                            generating_form, is_unimodular,
                            parse_psi_label, psi_label, synthesize,
                            unimodular_label, witt_embedding_check)
-from nambu.linalg import (congruent_diagonalize, identity, inverse, mat,
-                          mat_mul, transpose, zeros)
+from nambu.linalg import inverse, mat_mul, transpose, zeros
 from nambu.nlie import NLieStructure, frobenius_defect, vector_product_algebra
 from nambu.poly import Poly
 

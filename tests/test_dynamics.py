@@ -59,7 +59,7 @@ class TestNambuSystem:
         sys_ = spin_system().nambu()
         field = sys_.dynamics_field()
         for h in sys_.hamiltonians:
-            assert field.apply_field(h).is_zero()
+            assert field.apply([h]).is_zero()
 
     def test_constant_hamiltonian_kills_field(self):
         tensor = MultiVector.basis(3, (0, 1, 2))
@@ -111,7 +111,7 @@ class TestSpinSystem:
         for _ in range(20):
             f = rand_poly(rng, 3, max_degree=2)
             preserved = field.lie_derivative_of(volume * f).is_zero()
-            killed = field.apply_field(f).is_zero()
+            killed = field.apply([f]).is_zero()
             assert preserved == killed
             seen[preserved] += 1
         assert seen[False]  # non-integrals genuinely occur

@@ -4,16 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (casimir_oracle, in_span, labels, nullspace_oracle,
-                      rand_decomposable_tensor, rand_invertible_matrix,
-                      rand_symmetric_matrix, rref_oracle, solve)
+from conftest import (casimir_oracle, congruent_diagonalize, identity, in_span, labels,
+                      nullspace_oracle, rand_decomposable_tensor, rand_invertible_matrix,
+                      rand_symmetric_matrix, rref_oracle, signature_oracle, solve)
 from nambu.bianchi import derivation_algebra, generating_form, synthesize
-from nambu.linalg import (congruent_diagonalize, det, identity, inverse, mat,
-                          mat_mul, mat_vec, nullspace, rank, rref, signature,
-                          sparse, transpose)
+from nambu.linalg import (det, inverse, mat, mat_mul, mat_vec, nullspace, rank, rref,
+                          signature, sparse, transpose)
 from nambu.npoisson import casimir_polynomials
 
 
@@ -107,6 +106,29 @@ def matrices(draw, square=False, tall=False):
             if j < cols:
                 row[j] = 0
     return a
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices of size 0–7, sparse to full, half of them
+    with an all-zero diagonal, so that a pivot must come from S_ij."""
+    n = draw(st.integers(0, 7))
+    density = draw(st.sampled_from([10, 30, 60, 100]))
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            if draw(st.integers(0, 99)) < density:
+                a[i][j] = a[j][i] = draw(ENTRIES)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=symmetric_matrices())
+@example(a=[])
+@example(a=[[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+def test_signature_matches_oracle(a):
+    assert signature(a) == signature_oracle(a)
 
 
 def check_rref_rank_nullspace(a):

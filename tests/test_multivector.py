@@ -249,10 +249,10 @@ class TestLieDerivative:
             v = rand_multivector(rng, 3, 2)
             fs = [rand_poly(rng, 3) for _ in range(2)]
             lhs = x.lie_derivative_of(v).apply(fs)
-            rhs = x.apply_field(v.apply(fs))
+            rhs = x.apply([v.apply(fs)])
             for i in range(2):
                 args = list(fs)
-                args[i] = x.apply_field(fs[i])
+                args[i] = x.apply([fs[i]])
                 rhs = rhs - v.apply(args)
             assert lhs == rhs
 

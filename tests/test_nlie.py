@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from conftest import (ad_oracle, commutator_oracle, comp_condition_oracle,
                       compat_defect_oracle, compat_oracle, derivation_oracle,
                       det_bracket, hereditary_oracle, jacobi_oracle,
-                      rand_4dim_3lie, rand_invertible_matrix,
+                      identity, rand_4dim_3lie, rand_invertible_matrix,
                       rand_symmetric_matrix, rand_vectors)
 from nambu import linalg, nlie
 from nambu.bianchi import (algebra_from_form, derivation_algebra, psi_label,
                            synthesize, unimodular_label)
-from nambu.linalg import identity, mat, zeros
+from nambu.linalg import mat, zeros
 from nambu.nlie import (MAX_WORK, NLieStructure, _defect, _first_defect,
                         frobenius_defect, nlie_from_json, nlie_to_json,
                         vector_product_algebra)

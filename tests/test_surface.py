@@ -3,8 +3,8 @@
 than the tests, or ``ABSTRACT`` names the statement of the paper's abstract
 it computes.  Anything else is to be deleted, not moved into the tests.
 
-A definition is reached when its name occurs as an identifier (a ``Name``,
-an ``Attribute`` or an imported name) in one of
+A definition is reached when its name occurs as an identifier (a ``Name``
+load, an ``Attribute`` or an imported name) in one of
 - a module of ``src/nambu`` other than ``__init__.py``, the defining module
   included; re-exports do not count;
 - a demo under ``demos/``;
@@ -12,11 +12,14 @@ an ``Attribute`` or an imported name) in one of
   ``bench/tracer.py``.
 The bench files are parsed, never imported or changed.
 
-The scan goes by name, not by binding: definitions that share a name (the
-``apply`` methods of two classes, say) are reached together, and a name that
-only an unreached definition uses still counts as reached.  Special methods
-(``__eq__`` and the like) are reached through the language and are not
-listed.
+A ``Name`` load reaches nothing when an enclosing function, lambda or
+comprehension binds that name itself (a parameter, an assignment, a loop,
+``with`` or comprehension target): a local variable ``x`` keeps no function
+``x`` alive.  Beyond that the scan goes by name, not by binding: definitions
+that share a name (the ``apply`` methods of two classes, say) are reached
+together, and a name that only an unreached definition uses still counts as
+reached.  Special methods (``__eq__`` and the like) are reached through the
+language and are not listed.
 """
 
 import ast
@@ -57,19 +60,78 @@ def definitions(sources):
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_names(scope):
+    """The names a function, lambda or comprehension binds itself: its
+    parameters or comprehension targets; for a function also every name it
+    stores (assignment, loop, ``with`` and walrus targets), its ``except``
+    names and nested definitions.  The bindings of nested functions and
+    comprehensions are theirs."""
+    if isinstance(scope, COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    names = {x.arg for x in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg] if x}
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.comprehension):
+            stack += [node.iter, *node.ifs]
+        elif not isinstance(node, ast.Lambda):
+            stack += ast.iter_child_nodes(node)
+    return names
+
+
+def outer_parts(scope):
+    """The parts of a scope evaluated where it is defined: decorators,
+    defaults and annotations, or a comprehension's first iterable."""
+    if isinstance(scope, COMPREHENSIONS):
+        return [scope.generators[0].iter]
+    a = scope.args
+    parts = [*a.defaults, *a.kw_defaults]
+    if not isinstance(scope, ast.Lambda):
+        parts += [*scope.decorator_list, scope.returns]
+        parts += [x.annotation for x in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                                         a.kwarg] if x]
+    return [part for part in parts if part]
+
+
 def identifiers(text):
-    """The names a source text uses: ``Name`` ids, ``Attribute`` attributes
-    and the last part of every imported name and alias."""
-    out = set()
-    for node in ast.walk(ast.parse(text)):
+    """The names a source text uses: ``Attribute`` attributes, the last part
+    of every imported name and alias, and the ids of ``Name`` loads that no
+    enclosing function, lambda or comprehension binds itself."""
+    out, done = set(), set()
+
+    def visit(node, bound):
+        if id(node) in done:
+            return
+        done.add(id(node))
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if isinstance(node.ctx, ast.Load) and node.id not in bound:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
             if node.asname:
                 out.add(node.asname)
+        elif isinstance(node, (*FUNCTIONS, *COMPREHENSIONS)):
+            for part in outer_parts(node):
+                visit(part, bound)
+            bound = bound | local_names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(ast.parse(text), frozenset())
     return out
 
 
@@ -131,15 +193,38 @@ def test_exports_are_defined():
     assert len(set(nambu.__all__)) == len(nambu.__all__)
 
 
+# a function, a class and its method that nothing calls; functions named
+# like the locals of the planted function, one for each kind of binding; and
+# two that it reaches, from its default and from its body
+PLANTED = """
+
+def _planted_function(_planted_param=_planted_default):
+    _planted_assigned = [_planted_comp for _planted_comp in _planted_param]
+    for _planted_loop in _planted_assigned:
+        with _planted_loop as _planted_with:
+            _planted_reached(_planted_with)
+    return lambda _planted_lambda: (_planted_param, _planted_assigned, _planted_lambda)
+
+
+class _Planted:
+    def planted_method(self):
+        pass
+"""
+SHADOWED = ["_planted_assigned", "_planted_comp", "_planted_lambda", "_planted_loop",
+            "_planted_param", "_planted_with"]
+
+
 def test_a_planted_definition_is_flagged(outside):
-    """The scan itself: a function, a class and its method that nothing
-    calls, added to every module, are what it reports in addition."""
+    """The scan itself: what ``PLANTED`` adds to every module is reported,
+    the functions that share a name with its locals included, and the two
+    functions it reaches are not."""
     sources = src_sources()
     before = unreached(sources, outside)
     planted = []
     for module in sources:
-        sources[module] += ("\n\ndef _planted_function():\n    pass\n"
-                            "\n\nclass _Planted:\n    def planted_method(self):\n        pass\n")
-        planted += [f"{module}._Planted", f"{module}._Planted.planted_method",
-                    f"{module}._planted_function"]
+        sources[module] += PLANTED + "".join(
+            f"\n\ndef {name}():\n    pass\n"
+            for name in [*SHADOWED, "_planted_default", "_planted_reached"])
+        planted += [f"{module}.{name}" for name in
+                    ["_Planted", "_Planted.planted_method", "_planted_function", *SHADOWED]]
     assert unreached(sources, outside) == sorted(before + planted)
