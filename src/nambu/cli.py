@@ -214,7 +214,7 @@ def _nambu_system(data: dict) -> dynamics.NambuSystem:
 def cmd_integrate(args) -> int:
     if args.builtin == "kepler":
         sys_ = dynamics.KeplerSystem(args.mass, args.k_const)
-        field, monitors, dim = sys_.field(), list(sys_.hamiltonians), 6
+        monitors, dim = list(sys_.hamiltonians), 6
     else:
         if args.builtin == "spin":
             b = tuple(_rationals(args.b_field, "--B", 3))
@@ -229,10 +229,11 @@ def cmd_integrate(args) -> int:
     if args.x0 is None:
         raise ValueError("--x0 is required")
     x0 = _rationals(args.x0, "--x0", dim)
-    blocks = dynamics.rk4_blocks(field, x0, args.step, args.steps, monitors)
     try:  # raw float errors need the name of the stage
         if args.builtin == "kepler":
+            field = sys_.field()
             sys_.nu(x0)  # ΣJ is conserved, so only the start can be singular
+        blocks = dynamics.rk4_blocks(field, x0, args.step, args.steps, monitors)
         first = next(blocks)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot integrate: {exc}") from exc
@@ -241,9 +242,8 @@ def cmd_integrate(args) -> int:
     row = ",".join(["%.12g"] * len(header)) + "\n"
     write = sys.stdout.write
     write(",".join(header) + "\n")
-    for times, states, rows in itertools.chain([first], blocks):
-        write("".join([row % (t, *state, *drifts) for t, state, drifts
-                       in zip(times, states, rows)]))
+    for block in itertools.chain([first], blocks):
+        write("".join(map(row.__mod__, block)))
     return 0
 
 

@@ -15,9 +15,11 @@ and the monitors are written into it as the statements of
 ``poly.float_statements``, so a step makes no call; a callable field is
 called once per stage.  The coefficients are bound by name, so runs of one
 term structure share one compiled loop.  Every float is the one the
-term-by-term, list-by-list loop gives.  ``rk4_blocks`` yields the run in
-blocks of ``BLOCK`` rows, so the ``integrate`` verb streams its CSV in
-bounded memory; ``rk4_integrate`` collects the blocks into a ``Trajectory``.
+term-by-term, list-by-list loop gives.  A step appends one flat row
+``(t, x…, drift…)`` and does nothing else.  ``rk4_blocks`` yields the run
+in blocks of ``BLOCK`` such rows, so the ``integrate`` verb formats each
+row straight into its CSV in bounded memory; ``rk4_integrate`` splits the
+rows into a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -88,14 +90,15 @@ BLOCK = 1024
 # classical stage combination written out per component, each stage from its
 # inputs y0…y{n-1} (x0…x{n-1} for the first) into k1_i…k4_i, and the
 # monitors from x0…x{n-1} into m0…m{k-1}.  It takes ``count`` steps from
-# ``state`` at time ``t``, appends each time, state and drift row, and
-# returns ``(t, state)``, or ``(t, None)`` at the time of a step that is not
-# finite.
+# ``state`` at time ``t``, appends one row ``(t, x0…, abs(m0 - v0)…)`` per
+# step to ``rows``, and returns ``(t, [x0…])``, or ``(t, None)`` at the time
+# of a step that is not finite.
 _STEPPER = """\
-def run(f, initial, state, t, h, count, times, states, rows):
+def run(f, initial, state, t, h, count, rows):
     half, sixth = 0.5 * h, h / 6.0
     [{x}] = state
     [{v}] = initial
+    append = rows.append
     for _ in range(count):
         t += h
         try:
@@ -103,22 +106,20 @@ def run(f, initial, state, t, h, count, times, states, rows):
             {update}
             if not ({finite}):
                 return t, None
-            state = [{x}]
             {monitors}
         except (OverflowError, ZeroDivisionError):
             return t, None
-        times.append(t)
-        states.append(state)
-        rows.append([{drift}])
-    return t, state
+        append(({row}))
+    return t, [{x}]
 """
 
 
 def _stepper(field: Callable | MultiVector, n: int, monitors: Sequence[Poly]) -> Callable:
     """``_STEPPER`` for n state scalars, with the stages of ``field`` and the
     monitors written out: a polynomial field and the monitors by
-    ``poly.float_statements``, a callable field as one call
-    ``[k…] = f([y…])`` per stage."""
+    ``poly.float_statements``, one call per stage and one for the monitors,
+    so each distinct power is computed once in each; a callable field as
+    one call ``[k…] = f([y…])`` per stage."""
     def names(template: str, size: int = n) -> list[str]:
         return [template.format(i=i) for i in range(size)]
 
@@ -146,7 +147,7 @@ def _stepper(field: Callable | MultiVector, n: int, monitors: Sequence[Poly]) ->
         stages=line.join(stages), update=line.join(update),
         finite=" and ".join(names("isfinite(x{i})")) or "True",
         monitors=line.join(monitor_lines),
-        drift=", ".join(names("abs(m{i} - v{i})", len(monitors))))),
+        row=", ".join(["t", *xs, *names("abs(m{i} - v{i})", len(monitors))]))),
         namespace)
     return namespace["run"]
 
@@ -161,11 +162,11 @@ def _compiled(source: str):
 def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
                x0: Sequence[float], h: float, steps: int,
                monitors: Sequence[Poly] = ()):
-    """The run of ``rk4_integrate`` as a generator of ``(times, states,
-    rows)`` blocks of at most ``BLOCK`` rows each, so that a caller that
-    writes them out holds one block at a time.
+    """The run of ``rk4_integrate`` as a generator of lists of at most
+    ``BLOCK`` rows ``(t, x…, drift…)`` each, so that a caller that writes
+    them out holds one block at a time.
 
-    The first block starts with ``x0`` at t = 0 and a zero drift row; the
+    The first block starts with the row ``(0.0, *x0, 0.0…)``; the
     parameters are checked, the monitors evaluated at ``x0`` and the stepper
     compiled when that block is requested.  A step that is not finite ends
     the run: the rows before it are yielded, then ``FlowAborted`` is raised.
@@ -175,18 +176,18 @@ def rk4_blocks(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     state = [float(x) for x in x0]
     initial = [mon.evaluate_float(state) for mon in monitors]
     run = _stepper(f, len(state), monitors)
-    times, states, rows = [0.0], [state], [[0.0] * len(monitors)]
+    rows = [(0.0, *state, *[0.0] * len(monitors))]
     t = 0.0
     while True:
-        count = min(steps, BLOCK - len(times))
-        t, state = run(f, initial, state, t, h, count, times, states, rows)
+        count = min(steps, BLOCK - len(rows))
+        t, state = run(f, initial, state, t, h, count, rows)
         steps -= count
-        yield times, states, rows
+        yield rows
         if state is None:
             raise FlowAborted(f"non-finite state at t={t}")
         if not steps:
             return
-        times, states, rows = [], [], []
+        rows = []
 
 
 def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
@@ -201,17 +202,18 @@ def rk4_integrate(f: Callable[[Sequence[float]], Sequence[float]] | MultiVector,
     field while being computed, ends the run with ``ok=False``; the states
     before it are kept.
     """
-    times, states, rows = [], [], []
+    rows = []
     error = None
     try:
         for block in rk4_blocks(f, x0, h, steps, monitors):
-            times += block[0]
-            states += block[1]
-            rows += block[2]
+            rows += block
     except FlowAborted as exc:
         error = str(exc)
-    drift = [max(col) for col in zip(*rows)]
-    return Trajectory(times, states, drift, rows, ok=error is None, error=error)
+    n = len(x0) + 1
+    drift_rows = [list(row[n:]) for row in rows]
+    drift = [max(col) for col in zip(*drift_rows)]
+    return Trajectory([row[0] for row in rows], [list(row[1:n]) for row in rows],
+                      drift, drift_rows, ok=error is None, error=error)
 
 
 # -- the spinning particle ------------------------------------------------------------
@@ -299,14 +301,23 @@ class KeplerSystem:
 
     def field(self) -> Callable[[Sequence[float]], list[float]]:
         """ν times the constant field, with the state-independent parts
-        computed once: ν's numerator, and the constant field's values, taken
-        at the origin (its Hamiltonians are linear, so it does not vary)."""
-        base = compile_floats(self.constant_field().vector_coeffs())([0.0] * 6)
-        numerator = 2.0 * self.mass * self.k_const**2
+        computed once: ν's numerator, refused unless it is a finite float,
+        and the constant field's values, taken at the origin (its
+        Hamiltonians are linear, so it does not vary) and bound to one name
+        each."""
+        b0, b1, b2, b3, b4, b5 = compile_floats(
+            self.constant_field().vector_coeffs())([0.0] * 6)
+        try:
+            numerator = 2.0 * self.mass * self.k_const**2
+        except OverflowError:
+            numerator = math.inf
+        if not math.isfinite(numerator):
+            raise ValueError(f"ν's numerator 2mk² is not finite for "
+                             f"m = {self.mass!r}, k = {self.k_const!r}")
         def f(state):
             total = state[0] + state[1] + state[2]
             if total == 0:
                 raise ZeroDivisionError("singular locus ΣJ = 0")
             nu = numerator / total**3
-            return [nu * c for c in base]
+            return [nu * b0, nu * b1, nu * b2, nu * b3, nu * b4, nu * b5]
         return f

@@ -520,14 +520,19 @@ def float_statements(polys: Sequence[Poly], args: Sequence[str], outs: Sequence[
     named ``args`` into the names ``outs``: ``out = 0.0``, then one
     ``out += cK * arg**E * …`` per term, terms in ``terms`` order and factors
     by ascending index, with ``* arg`` for an exponent of 1 (``x**1 == x``
-    bit for bit, without a ``pow`` call).  Statements, not one sum: a sum of
-    thousands of terms as one expression overflows the compiler's recursion
-    limit.  The coefficients are appended to ``coefs`` and named ``cK`` by
-    their index there, so no coefficient is source text, and exponents pass
-    ``operator.index`` before anything else sees them, so no input reaches
-    the source except as an integer.
+    bit for bit, without a ``pow`` call).  Each distinct power is computed
+    once per call, where it is first used in that order, as
+    ``(arg_E := arg**E)`` (``arg_mE`` for −E), and later terms read the
+    name: the same ``pow`` call gives the same float, and every error is
+    raised where the term-by-term loop first raises it.  Statements, not one
+    sum: a sum of thousands of terms as one expression overflows the
+    compiler's recursion limit.  The coefficients are appended to ``coefs``
+    and named ``cK`` by their index there, so no coefficient is source text,
+    and exponents pass ``operator.index`` before anything else sees them, so
+    no input reaches the source except as an integer.
     """
     lines = []
+    powers = set()
     for out, p in zip(outs, polys, strict=True):
         if p.num_vars != len(args):
             raise ValueError(f"variable count mismatch: {len(args)} vs {p.num_vars}")
@@ -536,8 +541,15 @@ def float_statements(polys: Sequence[Poly], args: Sequence[str], outs: Sequence[
             factors = ""
             for arg, e in zip(args, exps):
                 e = operator.index(e)
-                if e:
-                    factors += f" * {arg}" if e == 1 else f" * {arg}**{e}"
+                if e == 1:
+                    factors += f" * {arg}"
+                elif e:
+                    name = f"{arg}_{e}" if e > 0 else f"{arg}_m{-e}"
+                    if name in powers:
+                        factors += f" * {name}"
+                    else:
+                        powers.add(name)
+                        factors += f" * ({name} := {arg}**{e})"
             lines.append(f"{out} += c{len(coefs)}{factors}")
             try:
                 coefs.append(float(coef))
@@ -549,9 +561,10 @@ def float_statements(polys: Sequence[Poly], args: Sequence[str], outs: Sequence[
 def compile_floats(polys: Sequence[Poly]) -> Callable[[Sequence[float]], list[float]]:
     """One function ``f(state) -> list[float]`` that evaluates ``polys`` in
     floats at a state of exactly ``num_vars`` values: the statements of
-    ``float_statements`` on the names ``x0…`` into ``t0…``.  Every float is
-    the one of the term-by-term loop that multiplies each coefficient by
-    ``x ** e`` over the nonzero exponents.
+    ``float_statements`` on the names ``x0…`` into ``t0…``, each distinct
+    power computed once per call.  Every float is the one of the
+    term-by-term loop that multiplies each coefficient by ``x ** e`` over
+    the nonzero exponents.
     """
     args = [f"x{i}" for i in range(polys[0].num_vars)] if polys else []
     outs = [f"t{j}" for j in range(len(polys))]

@@ -1091,6 +1091,19 @@ class TestIntegrate:
         assert code == 2 and "singular" in err
         assert out == ""
 
+    @pytest.mark.parametrize("constants", [
+        ["--k=1e200"],                   # k**2 raises OverflowError
+        ["--mass=1e300", "--k=1e10"],    # 2mk² rounds to inf
+        ["--mass=nan"], ["--k=inf"], ["--mass=-inf"],
+        ["--mass=inf", "--k=0"],         # inf · 0 is nan
+    ])
+    def test_kepler_non_finite_constants(self, capsys, constants):
+        code, out, err = run(capsys, "integrate", "--builtin", "kepler", *constants,
+                             "--x0", "1,2,3,0,0,0", "--steps", "3")
+        assert code == 2 and err.startswith("error: cannot integrate:")
+        assert "not finite" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ["--builtin", "spin", "--B", "1,2"],
         ["--builtin", "spin", "--mu", "1/0"],

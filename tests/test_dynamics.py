@@ -5,6 +5,7 @@ central-force system."""
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -302,11 +303,18 @@ class TestCompiledFlow:
         assert float_outcome(field_function(field), point) == want
 
     def test_kepler_field_matches_plan_loop(self):
-        k = KeplerSystem(2.0, 0.5)
-        state = [1.0, 2.0, 0.5, 0.1, 0.2, 0.3]
-        nu = k.nu(state)
-        want = [nu * float_plan_oracle(c, state) for c in k.constant_field().vector_coeffs()]
-        assert repr(k.field()(state)) == repr(want)
+        for mass, k_const, state in [
+            (2.0, 0.5, [1.0, 2.0, 0.5, 0.1, 0.2, 0.3]),
+            (2.0, 0.5, [-1.0, -2.0, 0.5, 0.0, -0.0, 3.0]),  # ΣJ < 0: ν < 0, -0.0 rates
+            (1.5, -3.0, [-0.0, 0.0, -4.0, -1e300, 1e-300, 0.0]),
+            (-1.0, 1.0, [1e-100, 0.0, 0.0, 0.0, 0.0, 0.0]),  # ν < 0 and huge
+            (0.0, 1.0, [3.0, -1.0, 0.25, 0.5, 0.5, 0.5]),  # ν = 0
+        ]:
+            k = KeplerSystem(mass, k_const)
+            nu = k.nu(state)
+            want = [nu * float_plan_oracle(c, state)
+                    for c in k.constant_field().vector_coeffs()]
+            assert repr(k.field()(state)) == repr(want), (mass, k_const, state)
 
     @pytest.mark.parametrize("make, x0", [
         (lambda: SpinSystem((Fraction(1, 3), Fraction(-2), Fraction(1, 2)),
@@ -330,6 +338,15 @@ class TestCompiledFlow:
              [1e120, -0.0, 1.0], 0.1, 5, 3)  # overflow of x0**2
     @example([[((1, 0, 0), 1)], [((0, -1, 0), 2)], [((0, 0, 1), -1)]], [[((0, 0, 1), 1)]],
              [1.0, 0.0, 1e-170], 0.1, 5, 3)  # pole at y = 0
+    @example([[((-1, 0, 0), 1)], [((0, 3, 0), 1)], [((0, 0, 1), -1)]], [[((0, 0, 1), 1)]],
+             [0.0, 1e120, 1.0], 0.1, 5, 3)  # a pole, then an overflowing power
+    @example([[((1, -1, 0), 10 ** 400)], [((0, -1, 0), 1)], []], [],
+             [2.0, 0.0, 1.0], 0.1, 5, 3)  # a huge coefficient before a pole
+    @example([[((2, 0, 0), 1), ((2, 1, 0), Fraction(-1, 3))],
+              [((2, 0, -1), 2), ((0, 0, -1), Fraction(1, 2))],
+              [((0, 2, 0), 1), ((2, 0, 0), -1)]],
+             [[((2, 0, 0), 1), ((0, 0, -1), -1)], [((0, 2, -1), 3)]],
+             [0.5, -1.75, 3.0], 0.01, 12, 5)  # powers shared across terms and components
     def test_fused_stepper_matches_oracle(self, comps, monitor_terms, x0, h, steps, block):
         """The fused stepper of a polynomial field with its inlined monitors
         against ``rk4_oracle`` on the term-by-term plan loop, by ``repr``:
@@ -382,6 +399,30 @@ class TestCompiledFlow:
         for text in ("22/7", repr(22 / 7), "12345", "5/9", repr(5 / 9), "1729"):
             assert text not in sources[0]
 
+    def test_each_power_once_per_stage(self, monkeypatch):
+        """A power that terms and components share is computed once in each
+        stage and once in the monitors, as ``(arg_E := arg**E)``, and read
+        by its name after that; the run keeps the term-by-term floats."""
+        sources = []
+        compiled = dynamics._compiled
+        monkeypatch.setattr(dynamics, "_compiled",
+                            lambda source: sources.append(source) or compiled(source))
+        x, y, z = Poly.variables(3)
+        z_inv = Poly.monomial(3, (0, 0, -1), 1)
+        field = MultiVector.vector([x**2 * y + x**2, x**2 * z_inv + y**3,
+                                    z_inv * y**3 - Fraction(2, 3) * x**2])
+        monitors = [x**2 + z_inv, y**3 * z]
+        x0 = [0.5, -1.0, 0.25]
+        traj = rk4_integrate(field, x0, 0.01, 5, monitors)
+        powers = re.findall(r"\w+\*\*-?\d+", sources[0])
+        assert Counter(powers) == {"x0**2": 2, "x1**3": 2, "x2**-1": 2,
+                                   "y0**2": 3, "y1**3": 3, "y2**-1": 3}
+        assert len(re.findall(r"\((\w+) := \w+\*\*-?\d+\)", sources[0])) == len(powers)
+        for name in ("x0_2", "y1_3", "y2_m1"):
+            assert re.search(rf"\* {name}\b", sources[0])
+        assert repr(traj.states) == repr(rk4_oracle(
+            lambda s: [float_plan_oracle(c, s) for c in field.vector_coeffs()], x0, 0.01, 5))
+
     def test_runs_of_one_term_structure_share_one_compile(self, monkeypatch):
         """Two fields and monitors with the same terms and different
         coefficients compile one stepper, and each run keeps the rows of
@@ -414,15 +455,20 @@ class TestCompiledFlow:
         assert len(calls) == 40 and len(traj.states) == 11
 
     def test_blocks_stream_the_trajectory(self, monkeypatch):
+        """Blocks of at most ``BLOCK`` flat rows ``(t, x…, drift…)`` that
+        are, in order, the times, states and drift rows of the run."""
         monkeypatch.setattr(dynamics, "BLOCK", 7)
         sys_ = SpinSystem((Fraction(1), Fraction(1, 2), Fraction(-1)), Fraction(1))
         monitors = list(sys_.nambu().hamiltonians)
         whole = rk4_integrate(sys_.field(), [1.0, 0.5, -2.0], 0.01, 50, monitors)
         blocks = list(rk4_blocks(sys_.field(), [1.0, 0.5, -2.0], 0.01, 50,
                                  monitors))
-        assert [len(b[0]) for b in blocks] == [7] * 7 + [2]
-        for got, want in zip(zip(*blocks), (whole.times, whole.states, whole.drift_rows)):
-            assert repr([row for block in got for row in block]) == repr(want)
+        assert [len(b) for b in blocks] == [7] * 7 + [2]
+        rows = [row for block in blocks for row in block]
+        assert all(type(row) is tuple and len(row) == 1 + 3 + 2 for row in rows)
+        assert rows[0] == (0.0, 1.0, 0.5, -2.0, 0.0, 0.0)
+        assert repr(rows) == repr([(t, *x, *d) for t, x, d
+                                   in zip(whole.times, whole.states, whole.drift_rows)])
 
     def test_blocks_end_with_the_rows_before_an_abort(self, monkeypatch):
         monkeypatch.setattr(dynamics, "BLOCK", 5)
@@ -431,9 +477,13 @@ class TestCompiledFlow:
                             [Poly.var(1, 0)])
         seen = []
         with pytest.raises(FlowAborted, match="non-finite state at t="):
-            for times, states, rows in blocks:
-                seen += states
+            for block in blocks:
+                seen += block
         traj = rk4_integrate(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4,
                              [Poly.var(1, 0)])
-        assert seen == traj.states == rk4_oracle(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4)
+        states = rk4_oracle(lambda x: [x[0] * x[0]], [1.0], 0.05, 10 ** 4)
+        assert [[x] for _, x, _ in seen] == traj.states == states
+        assert [(t, *x, *d) for t, x, d in zip(traj.times, traj.states, traj.drift_rows)] \
+            == seen
+        assert [d for _, x, d in seen] == [abs(x - 1.0) for _, x, _ in seen]
         assert not traj.ok

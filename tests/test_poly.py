@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 
@@ -452,6 +453,11 @@ def test_compiled_float_matches_plan_loop(terms, point):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(laurent_terms, max_size=4), st.lists(float_coords, min_size=3, max_size=3))
+@example([[((-1, 0, 0), 1)], [((0, 3, 0), 1)]], [0.0, 1e200, 1.0])  # pole, then overflow
+@example([[((1, -1, 0), 10 ** 400)], [((0, -1, 0), 1)]], [2.0, 0.0, 1.0])  # huge coef first
+@example([[((2, 0, 0), 1), ((2, 1, 0), Fraction(-1, 3))],
+          [((2, 0, -1), 2), ((0, 0, -1), Fraction(1, 2))],
+          [((0, 2, 0), 1), ((2, 0, 0), -1)]], [0.5, -1.75, 3.0])  # shared powers
 def test_compiled_components_match_plan_loop(terms_list, point):
     polys = [Poly(3, dict(terms)) for terms in terms_list]
     want = []
@@ -500,6 +506,19 @@ class TestCompiledFloats:
         with pytest.raises((ValueError, TypeError)):
             next(dynamics.rk4_blocks(lambda x: x, [1.0], 0.1, 1, [p]))
         assert ran == []
+
+    def test_each_power_computed_once(self, monkeypatch):
+        """Each distinct power is one ``pow`` per call, at its first use."""
+        sources = []
+        monkeypatch.setattr(poly_module, "exec", lambda source, namespace:
+                            sources.append(source) or exec(source, namespace), raising=False)
+        polys = [Poly(3, {(2, 1, 0): 1, (2, 0, -1): Fraction(1, 3)}),
+                 Poly(3, {(0, 0, -1): -2, (2, 0, 0): 5, (0, 3, 0): 1})]
+        point = [0.5, -1.75, 3.0]
+        assert repr(compile_floats(polys)(point)) == repr(
+            [float_plan_oracle(p, point) for p in polys])
+        assert sorted(re.findall(r"\w+\*\*-?\d+", sources[0])) == ["x0**2", "x1**3", "x2**-1"]
+        assert "(x0_2 := x0**2)" in sources[0].splitlines()[3]
 
     def test_coefficients_are_not_source_text(self):
         p = Poly(2, {(1, 0): Fraction(1, 3), (0, 2): -7})
