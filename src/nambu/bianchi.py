@@ -235,6 +235,8 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
     the same expression in H = G + Gᵀ and H = G − Gᵀ.  So the rows are those
     of u ≤ v on the symmetric half and of u < v on the skew half: the same
     nullspace from sparser rows, none from the skew half of a symmetric G.
+    Each nullspace vector lists A row by row (A_ki is unknown k·n + i), so
+    row i of the derivation Aᵀ is the slice ``vec[i::n]``.
     """
     n = p.dim
     if n == p.arity + 1:  # else generating_form refuses
@@ -259,11 +261,7 @@ def derivation_algebra(p: NLieStructure) -> list[linalg.Matrix]:
                         if x:
                             row[j] = row.get(j, 0) + x
                 rows.append(row)
-    basis = []
-    for vec in linalg.nullspace(rows, n * n):
-        a = [[vec[unknown(i, j)] for j in range(n)] for i in range(n)]
-        basis.append(linalg.transpose(a))
-    return basis
+    return [[vec[i::n] for i in range(n)] for vec in linalg.nullspace(rows, n * n)]
 
 
 # -- the rank-3 quadric embedding demo --------------------------------------------------------

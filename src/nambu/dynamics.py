@@ -293,20 +293,8 @@ class KeplerSystem:
         volume = MultiVector.basis(6, tuple(range(6)))
         return volume.hamiltonian_field(list(self.hamiltonians))
 
-    def nu(self, state: Sequence[float]) -> float:
-        total = state[0] + state[1] + state[2]
-        if total == 0:
-            raise ZeroDivisionError("singular locus ΣJ = 0")
-        return 2.0 * self.mass * self.k_const**2 / total**3
-
-    def field(self) -> Callable[[Sequence[float]], list[float]]:
-        """ν times the constant field, with the state-independent parts
-        computed once: ν's numerator, refused unless it is a finite float,
-        and the constant field's values, taken at the origin (its
-        Hamiltonians are linear, so it does not vary) and bound to one name
-        each."""
-        b0, b1, b2, b3, b4, b5 = compile_floats(
-            self.constant_field().vector_coeffs())([0.0] * 6)
+    def _numerator(self) -> float:
+        """ν's numerator 2mk², refused unless it is a finite float."""
         try:
             numerator = 2.0 * self.mass * self.k_const**2
         except OverflowError:
@@ -314,6 +302,23 @@ class KeplerSystem:
         if not math.isfinite(numerator):
             raise ValueError(f"ν's numerator 2mk² is not finite for "
                              f"m = {self.mass!r}, k = {self.k_const!r}")
+        return numerator
+
+    def nu(self, state: Sequence[float]) -> float:
+        numerator = self._numerator()
+        total = state[0] + state[1] + state[2]
+        if total == 0:
+            raise ZeroDivisionError("singular locus ΣJ = 0")
+        return numerator / total**3
+
+    def field(self) -> Callable[[Sequence[float]], list[float]]:
+        """ν times the constant field, with the state-independent parts
+        computed once: ν's numerator and the constant field's values, taken
+        at the origin (its Hamiltonians are linear, so it does not vary) and
+        bound to one name each."""
+        b0, b1, b2, b3, b4, b5 = compile_floats(
+            self.constant_field().vector_coeffs())([0.0] * 6)
+        numerator = self._numerator()
         def f(state):
             total = state[0] + state[1] + state[2]
             if total == 0:

@@ -14,9 +14,11 @@ the pivot rows whose columns it holds, and its leading column, if anything
 is left, becomes a pivot that is cleared from the pivot rows holding it.
 So the Casimir and derivation systems, mostly zeros and with many repeated
 rows, cost in proportion to their nonzero entries, and a repeated row is
-one reduction to zero.  Each pivot row is turned into ``Fraction``s once,
-at the end; the reduced form is canonical, so the result does not depend on
-how it was reached.
+one reduction to zero.  The pivot rows stay integers: each is the reduced
+row times the least positive integer that clears its denominators, which is
+canonical, so the result does not depend on how it was reached.  Rank reads
+only the pivots; nullspace and inverse make each rational they return once,
+by one division.
 
 One routine is generic over the coefficient ring: ``wedge_minors`` builds
 wedge products as signed minors, for ``Fraction`` vectors (n-Lie brackets)
@@ -64,13 +66,16 @@ def sparse(a: Matrix) -> list[Row]:
 
 
 def _primitive(row: Mapping[int, Rational]) -> dict[int, int]:
-    """``row`` scaled to coprime integers: times the lcm of its denominators,
-    divided by the gcd of the results; zero entries dropped."""
+    """``row`` scaled to coprime integers: times the lcm of its denominators
+    unless every entry is an ``int``, divided by the gcd of the results; zero
+    entries dropped.  An integral ``Fraction`` takes the lcm pass too, as
+    ``math.gcd`` accepts only ``int``s."""
     row = {j: x for j, x in row.items() if x}
-    den = math.lcm(*(x.denominator for x in row.values()))
-    ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    g = math.gcd(*ints.values())
-    return {j: x // g for j, x in ints.items()} if g > 1 else ints
+    if any(type(x) is not int for x in row.values()):
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
 def _eliminate(r: dict[int, int], p: dict[int, int], c: int
@@ -90,9 +95,11 @@ def _eliminate(r: dict[int, int], p: dict[int, int], c: int
     return ({j: x // g for j, x in out.items()} if g > 1 else out), a, g
 
 
-def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
-    """Reduced row-echelon form of sparse rows: its nonzero rows, the r-th
-    with leading 1 in column ``pivots[r]``, and the list of pivot columns.
+def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row-echelon form of sparse rows, in coprime integers: its
+    nonzero rows, the r-th leading in column ``pivots[r]`` with a positive
+    entry, and the list of pivot columns.  Row r divided by ``r[pivots[r]]``
+    is the r-th row of the reduced form over the rationals.
 
     Fraction-free and row by row: each incoming row, kept as coprime
     integers, is reduced once against the pivot rows whose columns it holds
@@ -100,7 +107,8 @@ def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
     has no pivot column, and its leading column c becomes a pivot, cleared
     from the earlier pivot rows that hold it.  Each pivot row thus leads at
     its pivot and is zero in every other pivot column, so the result is the
-    canonical reduced form, whatever the order of the rows.
+    canonical reduced form, whatever the order of the rows, and so is its
+    coprime integer multiple with a positive leading entry.
     """
     done: dict[int, dict[int, int]] = {}  # pivot column -> its pivot row
     for r in map(_primitive, rows):
@@ -113,7 +121,7 @@ def rref(rows: Iterable[Mapping[int, Rational]]) -> tuple[list[Row], list[int]]:
                     done[k] = _eliminate(p, r, c)[0]
             done[c] = r
     pivots = sorted(done)
-    return [{j: Fraction(x, r[c]) for j, x in r.items()}
+    return [r if r[c] > 0 else {j: -x for j, x in r.items()}
             for c, r in zip(pivots, map(done.get, pivots))], pivots
 
 
@@ -123,29 +131,35 @@ def rank(a: Matrix) -> int:
 
 def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[Vector]:
     """Basis of the right nullspace of sparse ``rows`` with ``cols`` columns
-    (exact)."""
+    (exact): for each free column f, the vector with 1 at f and −r_f/r_p at
+    the pivot p of each integer ``rref`` row r that holds f, one division
+    per entry; its zeros and ones are shared ``Fraction``s."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
     for f in range(cols):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [zero] * cols
+        v[f] = one
         for row, p in zip(red, pivots):
             x = row.get(f)
             if x:
-                v[p] = -x
+                v[p] = Fraction(-x, row[p])
         basis.append(v)
     return basis
 
 
 def inverse(a: Matrix) -> Matrix:
+    """The inverse of a square matrix, read off the integer ``rref`` of
+    [a | 1]: entry (i, j) is row i's column n + j over its leading entry."""
     n = len(a)
     red, pivots = rref({**row, n + i: 1} for i, row in enumerate(sparse(a)))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[row.get(n + j, Fraction(0)) for j in range(n)] for row in red]
+    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)]
+            for i, row in enumerate(red)]
 
 
 def det(a: Matrix) -> Fraction:

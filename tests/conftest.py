@@ -84,32 +84,67 @@ def raw_jacobi_oracle(op, max_slot_degree=2):
     Both sides are homogeneous of degree 2 in Δ, so the identity is expanded
     on the integer multiple c·Δ, c the lcm of the coefficient denominators,
     scaled here term by term: the same tuples and verdict, on ``int``
-    arithmetic.
+    arithmetic.  Each outer Δ has one large argument, an inner Δ; as Δ is
+    first order in each slot, it is expanded in that slot
+    (``slot_coefficients``, ``expand_slot``).  So Δ is applied only to
+    tuples of 1, coordinates and slot monomials, each tuple once; slots are
+    keyed by their index in that list.
     """
     op = _integer_multiple(op)
-    n = op.arity
-    monos = slot_monomials(op.num_vars, max_slot_degree)
-    apply_cache = {}
+    n, m = op.arity, op.num_vars
+    slots = [Poly.const(m, 1)] + Poly.variables(m) + slot_monomials(m, max_slot_degree)
+    applied, coefficients, partials = {}, {}, {}
 
-    def ap(args):
-        value = apply_cache.get(args)
+    def ap(key):
+        value = applied.get(key)
         if value is None:
-            value = op.apply(list(args))
-            apply_cache[args] = value
+            value = applied[key] = op.apply([slots[j] for j in key])
         return value
 
+    def outer(key, i, inner):
+        """Δ(key) with Δ(inner) in slot i."""
+        context = key[:i] + key[i + 1:]
+        coeffs = coefficients.get((context, i))
+        if coeffs is None:
+            coeffs = coefficients[context, i] = slot_coefficients(
+                lambda j: ap(context[:i] + (j,) + context[i:]), slots[1:m + 1])
+        p = ap(inner)
+        grads = partials.get(inner)
+        if grads is None:
+            grads = partials[inner] = [p.partial(k) for k in range(m)]
+        return expand_slot(coeffs, p, grads)
+
+    monos = range(1 + m, len(slots))
     for us in itertools.combinations(monos, n - 1):
         for vs in itertools.combinations(monos, n):
-            inner = ap(tuple(vs))
-            lhs = op.apply(list(us) + [inner])
-            rhs = Poly.zero(op.num_vars)
+            lhs = outer(us + (None,), n - 1, vs)
+            rhs = Poly.zero(m)
             for i in range(n):
-                args = list(vs)
-                args[i] = ap(tuple(us) + (vs[i],))
-                rhs = rhs + op.apply(args)
+                rhs = rhs + outer(vs, i, us + (vs[i],))
             if lhs != rhs:
-                return False, (us, vs)
+                return False, (tuple(slots[j] for j in us), tuple(slots[j] for j in vs))
     return True, None
+
+
+def slot_coefficients(apply_at, xs):
+    """The coefficients (c, [a_k]) of Δ in one slot, the others fixed, where
+    ``apply_at(0)`` is Δ with 1 in that slot and ``apply_at(k)`` is Δ with
+    the coordinate x_k = ``xs[k − 1]`` there.  Δ is first order in each
+    slot, so Δ(…, P, …) = P·c + Σ_k ∂_kP·a_k (``expand_slot``), with
+    c = Δ(…, 1, …) and a_k = Δ(…, x_k, …) − x_k·c."""
+    c = apply_at(0)
+    return c, [apply_at(k) - x * c for k, x in enumerate(xs, 1)]
+
+
+def expand_slot(coefficients, p, partials):
+    """Δ(…, p, …) from the ``slot_coefficients`` of Δ in that slot and the
+    partials ∂_k p."""
+    c, a = coefficients
+    total = p * c
+    for d, a_k in zip(partials, a):
+        if not (d.is_zero() or a_k.is_zero()):
+            total = total + d * a_k
+    return total
 
 
 def _integer_multiple(op):

@@ -268,6 +268,20 @@ class TestKepler:
         with pytest.raises(ZeroDivisionError):
             KeplerSystem(1.0, 1.0).nu([1, -1, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("mass, k_const", [
+        (1.0, 1e200),        # k**2 raises OverflowError
+        (math.nan, 1.0),
+        (1.0, math.inf),
+    ])
+    def test_non_finite_numerator_refused(self, mass, k_const):
+        # ν and the field refuse 2mk² with the same text
+        k = KeplerSystem(mass, k_const)
+        with pytest.raises(ValueError, match="not finite") as from_nu:
+            k.nu([1, 1, 1, 0, 0, 0])
+        with pytest.raises(ValueError) as from_field:
+            k.field()
+        assert str(from_nu.value) == str(from_field.value)
+
     def test_actions_are_static(self):
         k = KeplerSystem(1.0, 1.0)
         f = k.field()

@@ -1,5 +1,6 @@
 """Exact rational linear algebra underpinning the verifiers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -72,14 +73,17 @@ def test_signature_invariance(rng):
 ENTRIES = st.one_of(st.integers(-3, 3),
                     st.fractions(-3, 3, max_denominator=6),
                     st.fractions(-10**6, 10**6, max_denominator=10**12))
+# small and large integers only
+INTS = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
 
 
 @st.composite
-def matrices(draw, square=False, tall=False):
+def matrices(draw, square=False, tall=False, entries=ENTRIES):
     """Dense rational matrices, sparse to full, possibly empty, with zero rows
     and columns and with rows that combine earlier ones (rank deficiency).
     ``tall`` ones are sparse, with more rows than columns, and repeat rows
-    as they are or as scalar multiples, as the Casimir systems do."""
+    as they are or as scalar multiples, as the Casimir systems do.  Entries
+    and multipliers are drawn from ``entries``."""
     if tall:
         cols = draw(st.integers(1, 6))
         rows = draw(st.integers(cols + 1, 2 * cols + 2))
@@ -88,15 +92,15 @@ def matrices(draw, square=False, tall=False):
         rows = draw(st.integers(0, 7))
         cols = rows if square else draw(st.integers(0, 7))
         density = draw(st.sampled_from([10, 30, 60, 100]))
-    a = [[draw(ENTRIES) if draw(st.integers(0, 99)) < density else 0
+    a = [[draw(entries) if draw(st.integers(0, 99)) < density else 0
           for _ in range(cols)] for _ in range(rows)]
     for i in range(1, rows):
         if draw(st.integers(0, 3)) == 0:  # row i := x·row j + y·row k, j, k < i
             j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
-            x, y = draw(ENTRIES), draw(ENTRIES)
+            x, y = draw(entries), draw(entries)
             a[i] = [x * u + y * v for u, v in zip(a[j], a[k])]
         elif tall and draw(st.booleans()):  # row i := row j or a multiple of it
-            j, x = draw(st.integers(0, i - 1)), draw(st.one_of(st.just(1), ENTRIES))
+            j, x = draw(st.integers(0, i - 1)), draw(st.one_of(st.just(1), entries))
             a[i] = [x * u for u in a[j]]
     for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
         if i < rows:
@@ -132,16 +136,36 @@ def test_signature_matches_oracle(a):
 
 
 def check_rref_rank_nullspace(a):
-    """``rref``, ``rank`` and ``nullspace`` of ``a`` agree with the dense oracle."""
+    """``rref``, ``rank`` and ``nullspace`` of ``a`` agree with the dense oracle.
+
+    ``rref`` rows are coprime ``int``s leading with a positive entry at their
+    pivot; divided by that entry, they are the oracle's rows exactly."""
     cols = len(a[0]) if a else 0
     red, pivots = rref(sparse(a))
     want, want_pivots = rref_oracle(a)
     assert pivots == want_pivots
-    assert [[row.get(j, 0) for j in range(cols)] for row in red] == want[:len(pivots)]
+    for row, c in zip(red, pivots):
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert min(row) == c and row[c] > 0
+    assert [[Fraction(row.get(j, 0), row[c]) for j in range(cols)]
+            for row, c in zip(red, pivots)] == want[:len(pivots)]
     assert not any(any(row) for row in want[len(pivots):])
-    assert all(type(x) is Fraction and x for row in red for x in row.values())
     assert rank(a) == len(want_pivots)
     assert nullspace(sparse(a), cols) == nullspace_oracle(a, cols)
+
+
+def check_inverse(a):
+    """``inverse`` of the square ``a`` is the right half of the oracle's
+    reduced [a | 1], or a refusal when ``a`` is singular."""
+    n = len(a)
+    red, pivots = rref_oracle([row + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(a)
+        return
+    assert inverse(a) == [row[n:] for row in red]
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,14 +183,34 @@ def test_rref_rank_nullspace_match_oracle_on_tall_systems(a):
 @settings(max_examples=200, deadline=None)
 @given(a=matrices(square=True))
 def test_inverse_matches_oracle(a):
-    n = len(a)
-    red, pivots = rref_oracle([row + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        with pytest.raises(ValueError, match="singular"):
-            inverse(a)
-        return
-    assert inverse(a) == [row[n:] for row in red]
+    check_inverse(a)
+
+
+def with_integral_fractions(a, mask):
+    """``a`` with the entries that the bits of ``mask`` pick made integral
+    ``Fraction``s, such as ``Fraction(4, 2)``: alone or beside ``int``s in a
+    row."""
+    return [[Fraction(2 * x, 2) if mask >> (7 * i + j) & 1 else x for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=matrices(entries=INTS), mask=st.integers(0, 2**49 - 1))
+@example(a=[[4, 2, 0], [2, 6, 0]], mask=1 | 1 << 7 | 1 << 8)
+def test_int_rows_match_oracle(a, mask):
+    """All-``int`` rows skip the lcm pass of the integer scaling; with
+    integral ``Fraction`` entries they give the same ``int`` rows."""
+    check_rref_rank_nullspace(a)
+    b = with_integral_fractions(a, mask)
+    check_rref_rank_nullspace(b)
+    assert rref(sparse(b)) == rref(sparse(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=matrices(square=True, entries=INTS), mask=st.integers(0, 2**49 - 1))
+def test_inverse_of_int_matrix_matches_oracle(a, mask):
+    check_inverse(a)
+    check_inverse(with_integral_fractions(a, mask))
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (binary_jacobi_oracle, complete_jacobi_walk, fi_search_oracle,
-                      fraction_jacobi_walk, jacobi_defects_oracle, rand_decomposable_tensor,
-                      rand_field_wedge, rand_fraction, rand_jacobi_pair, rand_multivector,
-                      rand_poly, raw_jacobi_oracle)
+from conftest import (binary_jacobi_oracle, complete_jacobi_walk, expand_slot,
+                      fi_search_oracle, fraction_jacobi_walk, jacobi_defects_oracle,
+                      rand_decomposable_tensor, rand_field_wedge, rand_fraction,
+                      rand_jacobi_pair, rand_multivector, rand_poly, raw_jacobi_oracle,
+                      slot_coefficients)
 from nambu import njacobi
 from nambu.multivector import MultiVector, OneForm, is_decomposable
 from nambu.njacobi import (JacobiOp, canonical_bracket,
@@ -198,6 +199,23 @@ class TestIsNJacobi:
     def test_canonical_pair(self):
         ok, witness = is_n_jacobi(canonical_pair())
         assert ok and witness is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), m=st.integers(2, 4))
+    def test_raw_oracle_slot_expansion_matches_apply(self, seed, m):
+        # the premise of raw_jacobi_oracle: Δ is first order in each slot, so
+        # Δ(…, P, …) = P·Δ(…, 1, …) + Σ_k ∂_kP·(Δ(…, x_k, …) − x_k·Δ(…, 1, …))
+        rng = random.Random(seed)
+        arity = rng.randint(2, m)
+        op = rand_jacobi_pair(rng, m, arity)
+        args = [rand_poly(rng, m) for _ in range(arity)]
+        i = rng.randrange(arity)
+        p = rand_poly(rng, m, max_degree=4, n_terms=5)
+        slots = [Poly.const(m, 1)] + Poly.variables(m)
+        coefficients = slot_coefficients(
+            lambda k: op.apply(args[:i] + [slots[k]] + args[i + 1:]), slots[1:])
+        got = expand_slot(coefficients, p, [p.partial(k) for k in range(m)])
+        assert got == op.apply(args[:i] + [p] + args[i + 1:])
 
     def test_cross_checked_against_raw_identity(self):
         nabla = MultiVector.basis(4, (0, 1, 2), Poly.var(4, 3))
